@@ -31,7 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import ModelParams, as_parts, q_pochhammer
-from .symfunc import TransferRow, _rank_filter
+from .symfunc import StrictRow, TransferRow, _rank_filter
 from .weights import conjugation_factor
 
 
@@ -215,17 +215,16 @@ def f_direct(lam, v: float, M: int, params: ModelParams) -> float:
 def f_direct_batch(k: int, max_part: int, v: float, M: int,
                    params: ModelParams) -> dict[tuple[int, ...], float]:
     """f(lambda; [v]^M, rho) for every strict lambda of length k with parts in
-    [1, max_part], from a single forward pass of the boundary sum."""
+    [1, max_part], from a single forward pass of the boundary sum through M
+    conjugated strict-state rows (conjugated rows keep strict states strict,
+    so no other state is ever reached)."""
     s, q = params.s, params.q
-    states: dict[tuple[int, ...], complex] = {}
-    for combo in combinations(range(max_part, 0, -1), k):
-        states[combo] = (-s) ** sum(combo)
-    row = TransferRow(params, v, conjugated=True, left_entry=False)
+    combos = list(combinations(range(max_part, 0, -1), k))
+    amp = np.zeros((max_part + 1,) * k)
+    for combo in combos:
+        amp[combo] = (-s) ** sum(combo)
+    row = StrictRow(params, v, conjugated=True)
     for _ in range(M):
-        states = row.apply(states, max_part)
+        amp = row.apply(amp, max_part)
     pref = (-1.0) ** k * q_pochhammer(q, q, k)
-    out: dict[tuple[int, ...], float] = {}
-    for sig, val in states.items():
-        if all(a > b for a, b in zip(sig, sig[1:])) and sig[-1] >= 1:
-            out[sig] = complex(pref * val).real
-    return out
+    return {combo: complex(pref * amp[combo]).real for combo in combos}

@@ -56,8 +56,12 @@ class ExperimentConfig:
     k: int = 2
     m_grid: tuple[int, ...] = (100, 400, 1600)
     n_samples: int = 100_000
-    truncation_cap: int = 48
     pmf_tol: float = 1e-6
+
+    def __post_init__(self):
+        if not 1 <= self.k <= 3:
+            raise ValueError(f"k must be 1, 2 or 3 (the pmf engines' range), "
+                             f"got {self.k}")
 
     def params(self) -> ModelParams:
         return ModelParams(q=self.q, u=self.u, v=self.v)
@@ -290,7 +294,8 @@ def cmd_constants(cfg: ExperimentConfig) -> CheckTable:
     p = cfg.params()
     table = CheckTable()
     cst = asy.constants(p)
-    table.add_flag("constants-values", True,
+    table.add_flag("constants-values",
+                   all(math.isfinite(x) for x in (cst.a, cst.b, cst.c, cst.d)),
                    note=f"a={cst.a!r} b={cst.b!r} c={cst.c!r} d={cst.d!r}")
     sign_ok = True
     for point in _random_points(cfg.seed + 1, 50):
@@ -381,7 +386,7 @@ def cmd_bm_converge(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
 def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
     p = cfg.params()
     table = CheckTable()
-    k = min(cfg.k, 3)
+    k = cfg.k
     M = cfg.m_grid[0]
     pmf = measure.top_row_pmf(k, M, p, tol=cfg.pmf_tol)
     table.add("pmf-total-mass", pmf.total_mass, 1.0,
@@ -401,9 +406,11 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
             pat = measure.HalfStrictGTPattern(rows=(tuple(sig.parts),))
         else:
             pat = measure.conditional_lower_rows(sig, p, rng=rng)
+        ok = _pattern_ok(pat, sig.parts)
+        interlace_ok &= ok
         for j, row in enumerate(pat.rows, start=1):
             sample_rows.append([i, j, list(row)])
-        if i < 3:
+        if i < 3 and ok:
             grids.append(measure.pattern_to_collection(pat).to_json_grid())
     write_csv(os.path.join(out_dir, "samples.csv"),
               ["sample_id", "row_j", "entries"], sample_rows)
@@ -412,6 +419,16 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
                    note="interlacing enforced by construction and validated "
                         "on every pattern")
     return table
+
+
+def _pattern_ok(pat, top_desc: tuple[int, ...]) -> bool:
+    """The pattern ends in the sampled top row and its rows pass the
+    half-strict interlacing validation again."""
+    try:
+        measure.HalfStrictGTPattern(rows=tuple(pat.rows))
+    except ValueError:
+        return False
+    return pat.rows[-1] == tuple(sorted(top_desc))
 
 
 def cmd_gue_compare(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
@@ -488,7 +505,7 @@ def main(argv=None) -> int:
         return 2
 
     out_dir = os.path.join(cfg.out, args.subcommand)
-    t0 = time.time()
+    t0 = time.perf_counter()
     if fn in (cmd_bm_converge, cmd_sample, cmd_gue_compare):
         table = fn(cfg, out_dir)
     else:
@@ -496,7 +513,7 @@ def main(argv=None) -> int:
     table.write(os.path.join(out_dir, f"{args.subcommand}_checks.csv"))
     sidecar = {"subcommand": args.subcommand, "config": asdict(cfg),
                "versions": environment_versions(),
-               "wall_clock_s": time.time() - t0,
+               "wall_clock_s": time.perf_counter() - t0,
                "n_checks": len(table.rows),
                "n_failures": len(table.failures())}
     write_json(os.path.join(out_dir, "sidecar.json"), sidecar)

@@ -11,7 +11,12 @@ supported on signatures with distinct parts >= 1.  Two routes build the pmf:
   row transfer and I_C the normalized composite-contour integral.  Both
   factors are O(1) for mu near a M, so this route scales to large M.
 * "direct": literal assembly F * f / Z from the boundary nu-sum; exact and
-  cheap for small M, used as the cross-check oracle.
+  cheap for small M, used as the cross-check oracle.  Both F (k plain rows)
+  and f (M conjugated rows) run on the strict-state array operator
+  symfunc.StrictRow.  Dropping non-strict states is exact at s^2 = 1/q:
+  conjugated rows block merges, so the f sum started on strict nu never
+  leaves strict states, and plain rows block splits, so a non-strict state
+  never feeds the strict tops that carry the law.
 
 Lower rows given the top row follow the six-vertex Gibbs property: the
 conditional law on half-strict Gelfand-Tsetlin patterns with fixed top row
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +37,7 @@ from .asymptotics import CompositeContour, constants, contour_nodes
 from .boundary import QuadratureError, f_direct_batch
 from .core import ModelParams, Signature, as_parts, q_pochhammer
 from .paths import PathCollection
-from .symfunc import (F_all, F_scaled_pair_table, _scaled_row_factors,
+from .symfunc import (F_scaled_pair_table, StrictRow, _scaled_row_factors,
                       _scaled_row_event_weight,
                       _strict_interlacing_successors)
 from .weights import six_vertex_weights
@@ -100,12 +106,13 @@ class TopRowPMF:
     def total_mass(self) -> float:
         return float(np.sum(np.asarray(self.probs)))
 
+    @cached_property
+    def _atom_index(self) -> dict[tuple[int, ...], int]:
+        return dict(zip(self.atoms, range(len(self.atoms))))
+
     def prob(self, sig) -> float:
-        target = as_parts(sig)
-        try:
-            return self.probs[self.atoms.index(target)]
-        except ValueError:
-            return 0.0
+        i = self._atom_index.get(as_parts(sig))
+        return 0.0 if i is None else self.probs[i]
 
     def as_dict(self) -> dict[tuple[int, ...], float]:
         return dict(zip(self.atoms, self.probs))
@@ -222,6 +229,17 @@ def _f_scaled_window(k: int, lo: int, hi: int, params: ModelParams) -> np.ndarra
     raise ValueError(f"pmf engine supports k <= 3, got k = {k}")
 
 
+def _F_transfer_window(k: int, hi: int, params: ModelParams) -> np.ndarray:
+    """F_mu([u]^k) for strict mu with parts in [0, hi], indexed by mu, from k
+    plain strict rows; the direct route's own F, independent of the closed
+    forms behind the contour route's Fhat."""
+    row = StrictRow(params, params.u)
+    amp = np.ones(())
+    for _ in range(k):
+        amp = row.apply(amp, hi)
+    return amp
+
+
 def _pmf_window(k: int, M: int, params: ModelParams, lo: int, hi: int,
                 route: str, quad_tol: float) -> dict:
     if route == "contour":
@@ -234,15 +252,9 @@ def _pmf_window(k: int, M: int, params: ModelParams, lo: int, hi: int,
         return probs
     if route == "direct":
         f_tab = f_direct_batch(k, hi, params.v, M, params)
-        F_tab = F_all((), (params.u,) * k, params, hi)
+        F_tab = _F_transfer_window(k, hi, params)
         z = partition_Z(k, M, params)
-        probs = {}
-        for mu, f_val in f_tab.items():
-            if mu[-1] < 1:
-                continue
-            F_val = complex(F_tab.get(mu, 0.0)).real
-            probs[mu] = F_val * f_val / z
-        return probs
+        return {mu: float(F_tab[mu]) * f_val / z for mu, f_val in f_tab.items()}
     raise ValueError(f"unknown route {route!r}")
 
 

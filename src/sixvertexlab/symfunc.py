@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
+import numpy as np
+
 from .core import ModelParams, as_parts, pair_admissible, q_pochhammer
 from .weights import vertex_weight_raw
 
@@ -128,6 +130,77 @@ class TransferRow:
                                            self.left_entry, max_col):
                 out[top] = out.get(top, 0.0) + amp * wv
         return out
+
+
+def _adjacent(mat: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """A (W, W) table broadcast onto the adjacent axes (axis, axis + 1)."""
+    return mat.reshape((1,) * axis + mat.shape + (1,) * (ndim - axis - 2))
+
+
+@dataclass(frozen=True)
+class StrictRow:
+    """One homogeneous row as an operator on strict-state amplitude arrays.
+
+    An amplitude array over positions [0, max_part] has one axis per path,
+    axis j holding the j-th largest path; only strictly decreasing index
+    tuples carry weight.  A plain row takes one path entering from the left
+    (the result gains a last axis), a conjugated row takes none.
+
+    At s^2 = 1/q this is exact for strict tops: a conjugated row blocks
+    merges, so strict states stay strict, and a plain row blocks splits, so
+    a non-strict state never feeds a strict one.  The row weight is then a
+    product of per-path events: a path stays, or departs (or is pushed out
+    by a cascade), crosses empty columns at `t` each, and lands (or cascades
+    onto the next path's column).  The paths are moved one at a time, the
+    smallest first, so each event only sees its two neighbours: the smaller
+    one already at its new position, the larger one still at its old one.
+    One row costs O(k W^(k+1)) flops and O(W^k) memory.
+    """
+
+    params: ModelParams
+    spectral: complex
+    conjugated: bool = False
+
+    def apply(self, amp: np.ndarray, max_part: int) -> np.ndarray:
+        q, s, u, c = (self.params.q, self.params.s, self.spectral,
+                      self.conjugated)
+        stay = vertex_weight_raw(1, 0, 1, 0, q, s, u, c)
+        land = vertex_weight_raw(0, 1, 1, 0, q, s, u, c)
+        dep = vertex_weight_raw(1, 0, 0, 1, q, s, u, c)
+        casc = vertex_weight_raw(1, 1, 1, 1, q, s, u, c)
+        t = vertex_weight_raw(0, 1, 0, 1, q, s, u, c)
+        pos = np.arange(max_part + 1)
+        gap = pos[:, None] - pos[None, :]
+        same = gap == 0
+        # tri[b, a] = t^(b - a - 1): a path crossing the columns in (a, b)
+        tri = np.where(gap > 0, t ** np.maximum(gap - 1, 0), 0.0)
+        # arrive[p, b]: landing at b below the next path's old column p
+        arrive = np.where(same, casc, np.where(gap > 0, land, 0.0))
+        # indexed [a, c] by a path's old column a and the smaller path's new
+        # column c: c == a means a cascade already pushed this path out
+        depart = np.where(same, 1.0, dep)
+        keep = np.where(same, 0.0, stay)
+
+        x = np.asarray(amp)
+        if not c:
+            # the entering path crosses columns 0 .. e-1 and lands at e
+            if x.ndim:
+                x = x[..., None] * _adjacent(arrive * t ** pos, x.ndim - 1,
+                                             x.ndim + 1)
+            else:
+                x = x * land * t ** pos
+        n = x.ndim
+        for i in range(n - 1 if c else n - 2, -1, -1):
+            if i + 1 < n:
+                kept = x * _adjacent(keep, i, n)
+                moved = x * _adjacent(depart, i, n)
+            else:
+                kept, moved = stay * x, dep * x
+            moved = np.moveaxis(np.tensordot(tri, moved, axes=([1], [i])),
+                                0, i)
+            moved = moved * (_adjacent(arrive, i - 1, n) if i else land)
+            x = kept + moved
+        return x
 
 
 def _rank_filter(states: dict, lam: tuple[int, ...], rows_left: int,

@@ -18,3 +18,11 @@ def random_ferroelectric(rng: random.Random, need_v: bool = True) -> ModelParams
     u = s * (1.0 + rng.uniform(0.05, 1.5))
     v = rng.uniform(0.05, 0.95) / u if need_v else 0.25 / u
     return ModelParams(q=q, u=u, v=v)
+
+
+@pytest.fixture
+def band_points(params):
+    """Two points of the band q in [.4, .6], u/s in [1.25, 1.5], uv in
+    [.35, .55]: the workhorse point and one at q = .45, u/s = 1.3, uv = .4."""
+    u = 1.3 * 0.45 ** -0.5
+    return [params, ModelParams(q=0.45, u=u, v=0.4 / u)]

@@ -127,8 +127,13 @@ def test_spectral_convergence_of_nodes(params):
     assert errs[3] < 1e-12 and errs[1] < 1e-2
 
 
-def test_f_direct_batch_agrees_pointwise(params):
-    tab = f_direct_batch(2, 7, params.v, 3, params)
-    for lam, val in tab.items():
-        assert val == pytest.approx(f_direct(lam, params.v, 3, params),
-                                    rel=1e-11, abs=1e-13)
+def test_f_direct_batch_agrees_pointwise(band_points):
+    # the strict-state array transfer against the dict-DP boundary sum
+    for p in band_points:
+        for k, max_part, M in [(1, 12, 5), (2, 8, 3), (3, 7, 2)]:
+            tab = f_direct_batch(k, max_part, p.v, M, p)
+            assert set(tab) == set(itertools.combinations(
+                range(max_part, 0, -1), k))
+            for lam, val in tab.items():
+                assert val == pytest.approx(f_direct(lam, p.v, M, p),
+                                            rel=1e-12)

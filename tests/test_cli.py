@@ -1,6 +1,14 @@
+import dataclasses
 import json
+import math
+import types
 
+import pytest
+
+from sixvertexlab import cli, measure
 from sixvertexlab.cli import main
+
+REAL_LOWER_ROWS = measure.conditional_lower_rows
 
 
 def read(path):
@@ -64,3 +72,43 @@ def test_sample_reproducibility(tmp_path, capsys):
     grids = json.loads(read(tmp_path / "a" / "sample" /
                             "configuration_grids.json"))
     assert grids and grids[0]["vertices"]
+
+
+def test_k_above_engine_range_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "k4.json"
+    cfg.write_text(json.dumps({"k": 4}))
+    rc = main(["sample", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    out = json.loads(capsys.readouterr().out)
+    assert "k must be" in out["validation_error"]
+
+
+def test_constants_values_must_be_finite(tmp_path, capsys, monkeypatch):
+    real = cli.asy.constants
+    fake = types.SimpleNamespace(**vars(cli.asy))
+    fake.constants = lambda p: dataclasses.replace(real(p), a=math.inf)
+    monkeypatch.setattr(cli, "asy", fake)
+    rc = main(["constants", "--out", str(tmp_path)])
+    assert rc == 1
+    out = json.loads(capsys.readouterr().out)
+    assert [f["invariant"] for f in out["failures"]] == ["constants-values"]
+
+
+def _shifted_top(sig, p, rng):
+    # a valid pattern, but for a top row other than the sampled one
+    return REAL_LOWER_ROWS(tuple(x + 1 for x in sig.parts), p, rng=rng)
+
+
+def _not_interlacing(sig, p, rng):
+    top = tuple(sorted(sig.parts))
+    return types.SimpleNamespace(rows=((top[0] - 1,), top))
+
+
+@pytest.mark.parametrize("fake", [_shifted_top, _not_interlacing])
+def test_sample_checks_every_pattern(tmp_path, capsys, monkeypatch, fake):
+    monkeypatch.setattr(measure, "conditional_lower_rows", fake)
+    rc = main(["sample", "--out", str(tmp_path)])
+    assert rc == 1
+    out = json.loads(capsys.readouterr().out)
+    assert [f["invariant"] for f in out["failures"]] == \
+        ["sampled-patterns-interlace"]

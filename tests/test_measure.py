@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from sixvertexlab.measure import (HalfStrictGTPattern, MeasureSpec,
                                   sample_conditional_k2, sample_top_row,
                                   top_row_pmf)
 from sixvertexlab.paths import collection_weight
+from sixvertexlab.symfunc import F_eval
 
 
 def test_partition_Z_examples(params):
@@ -37,13 +39,23 @@ def test_partition_Z_equals_weighted_path_sum(params):
 
 
 def test_pmf_routes_agree(params):
-    for k, M in [(1, 5), (2, 4)]:
+    for k, M in [(1, 5), (2, 4), (3, 3)]:
         pc = top_row_pmf(k, M, params, route="contour")
         pd = top_row_pmf(k, M, params, route="direct")
         assert pc.total_mass == pytest.approx(1.0, abs=1e-6)
         assert pd.total_mass == pytest.approx(1.0, abs=1e-6)
         for atom, prob in zip(pd.atoms, pd.probs):
             assert pc.prob(atom) == pytest.approx(prob, abs=1e-12)
+
+
+def test_direct_F_table_matches_F_eval(band_points):
+    # the direct route's F from strict array rows against the dict DP
+    for p in band_points:
+        for k, hi in [(1, 9), (2, 7), (3, 6)]:
+            tab = measure._F_transfer_window(k, hi, p)
+            for mu in itertools.combinations(range(hi, -1, -1), k):
+                ref = complex(F_eval(mu, (), (p.u,) * k, p)).real
+                assert tab[mu] == pytest.approx(ref, rel=1e-12)
 
 
 def test_pmf_mass_normalization(params):
