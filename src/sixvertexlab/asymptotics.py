@@ -25,10 +25,11 @@ numerically for the descent diagnostics and fails loudly if node spacing
 ever makes the phase ambiguous.
 
 Re G <= 0 everywhere on C with the maximum only at z = u, so integrands stay
-O(1) and the quadrature never fights exponential cancellation.  Nodes on the
-segment cluster near u with density proportional to 1/(1 + M |z - u|^2) (a
-tan substitution); the arc, at constant distance 2u from u, gets uniform
-nodes.  Gauss-Legendre rules are used on both pieces.
+O(1) and the quadrature never fights exponential cancellation.  The nodes,
+the tensor kernel and the node-doubling driver come from the package's one
+contour-quadrature engine (quadrature.composite_nodes, tensor_integral,
+adaptive); the segment nodes cluster near u with density proportional to
+1/(1 + M |z - u|^2).
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelParams, as_parts
+from .quadrature import (COMPOSITE_MAX_NODES, SEGMENT_NODES, adaptive,
+                         composite_nodes, tensor_integral)
 from .symfunc import F_scaled_strict, step_ratio
 
 
@@ -113,54 +116,6 @@ def phase_g(z, params: ModelParams):
         _check_pole(complex(z), params)
     out = log_ratio_s(z, params)
     return complex(out) if out.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# composite contour
-
-
-@dataclass(frozen=True)
-class CompositeContour:
-    """Node allocation for the contour through u: vertical segment from
-    u - 2iu to u + 2iu, then the left half-circle of radius 2u about u."""
-
-    segment_nodes: int = 129
-    arc_nodes: int = 33
-
-    def __post_init__(self):
-        if self.segment_nodes < 8 or self.arc_nodes < 8:
-            raise ValueError(f"too few nodes: {self}")
-
-    def doubled(self) -> "CompositeContour":
-        return CompositeContour(2 * self.segment_nodes, 2 * self.arc_nodes)
-
-
-def contour_nodes(params: ModelParams, M: int,
-                  contour: CompositeContour) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes z and weights for oint_C (.) dz/(2 pi i).
-
-    Segment: y = tan(tau)/sqrt(max(M,1)) realizes node density proportional
-    to 1/(1 + M y^2); arc: uniform in angle (constant distance from u).
-    Gauss-Legendre in tau and in angle; orientation is positive (segment
-    upward, then the half-circle through u - 2u back down).
-    """
-    u = params.u
-    root_m = math.sqrt(max(M, 1))
-    tau_max = math.atan(2 * u * root_m)
-    x_leg, w_leg = np.polynomial.legendre.leggauss(contour.segment_nodes)
-    tau = tau_max * x_leg
-    y = np.tan(tau) / root_m
-    z_seg = u + 1j * y
-    dz_seg = 1j * (1 + np.tan(tau) ** 2) / root_m * (tau_max * w_leg)
-
-    x_leg, w_leg = np.polynomial.legendre.leggauss(contour.arc_nodes)
-    theta = 0.5 * np.pi + 0.5 * np.pi * (x_leg + 1)  # pi/2 .. 3 pi/2
-    z_arc = u + 2 * u * np.exp(1j * theta)
-    dz_arc = 2 * u * 1j * np.exp(1j * theta) * (0.5 * np.pi * w_leg)
-
-    z = np.concatenate([z_seg, z_arc])
-    wts = np.concatenate([dz_seg, dz_arc]) / (2j * np.pi)
-    return z, wts
 
 
 def contour_samples(params: ModelParams, n: int = 1000) -> np.ndarray:
@@ -251,70 +206,42 @@ def scaled_parts(x_values, M: int, a: float, scale: float) -> tuple[int, ...]:
     return tuple(math.floor(a * M + scale * root_m * x) for x in reversed(xs))
 
 
-def _exponent_columns(z: np.ndarray, exponents, M: int,
-                      params: ModelParams) -> np.ndarray:
-    """phi_i(z) = base(z) exp(l_i L_s(z) + M L_v(z)) for each exponent l_i."""
+# deep-tail values of I_C sit at the absolute noise floor of the quadrature
+IC_ATOL = 1e-14
+
+
+def exponent_rows(z: np.ndarray, wts: np.ndarray, exponents, M: int,
+                  params: ModelParams) -> np.ndarray:
+    """Row i is base(z) exp(l_i L_s(z) + M L_v(z)) times the node weights,
+    for each exponent l_i: the integrand family of I_C on one axis."""
     s, u = params.s, params.u
     ls = log_ratio_s(z, params)
     lv = log_ratio_v(z, params)
-    base = s * (1 - s * u) / ((1 - s * z) * (1 - u / s))
-    rows = []
+    base = s * (1 - s * u) / ((1 - s * z) * (1 - u / s)) * wts
     with np.errstate(under="ignore"):
-        for l_i in exponents:
-            rows.append(base * np.exp(l_i * ls + M * lv))
-    return np.stack(rows)
-
-
-def _tensor_contour_integral(phi_rows: np.ndarray, z: np.ndarray,
-                             wts: np.ndarray, q: float) -> complex:
-    k = phi_rows.shape[0]
-    cols = phi_rows * wts
-    if k == 1:
-        return complex(cols[0].sum())
-    kern = (z[:, None] - z[None, :]) / (z[:, None] - q * z[None, :])
-    if k == 2:
-        return complex(cols[0] @ kern @ cols[1])
-    if k == 3:
-        return complex(np.einsum("i,j,k,ij,ik,jk->", cols[0], cols[1], cols[2],
-                                 kern, kern, kern, optimize=True))
-    raise ValueError(f"contour engine supports k <= 3, got k = {k}")
+        return np.exp(np.multiply.outer(exponents, ls) + M * lv) * base
 
 
 def contour_boundary_integral(exponents, M: int, params: ModelParams,
-                              contour: CompositeContour | None = None,
-                              tol: float = 1e-9, atol: float = 1e-14,
-                              max_segment_nodes: int = 1 << 13) -> complex:
+                              tol: float = 1e-9) -> complex:
     """I_C(l; M) = oint_C^k prod_{a<b} (z_a - z_b)/(z_a - q z_b)
                    prod_i base(z_i) exp(l_i L_s(z_i) + M L_v(z_i)) dz_i/(2 pi i),
 
     with adaptive node doubling.  This equals f(l; [v]^M, rho)/Z_M times
     t^{|l|} for integer parts l_i >= 1 (everything normalized so the value
-    stays O(1) for parts near a M).  Deep-tail values sit at the absolute
-    noise floor of the quadrature, hence the atol escape alongside the
-    relative criterion."""
+    stays O(1) for parts near a M).  The relative criterion has the absolute
+    escape IC_ATOL for deep-tail values."""
     exponents = tuple(exponents)
     if len(exponents) == 0 or exponents[-1] < 1:
         raise ValueError(f"contour engine requires parts >= 1, got {exponents}")
-    if contour is None:
-        contour = CompositeContour()
-    q = params.q
-    prev = None
-    last_change = float("inf")
-    while contour.segment_nodes <= max_segment_nodes:
-        z, wts = contour_nodes(params, M, contour)
-        est = _tensor_contour_integral(
-            _exponent_columns(z, exponents, M, params), z, wts, q)
-        if prev is not None:
-            last_change = abs(est - prev)
-            if last_change < max(tol * abs(est), atol):
-                return est
-        prev = est
-        contour = contour.doubled()
-    from .boundary import QuadratureError
-    raise QuadratureError("composite-contour quadrature did not converge",
-                          {"nodes": contour.segment_nodes // 2,
-                           "estimate": repr(est), "prev_estimate": repr(prev),
-                           "abs_change": last_change})
+
+    def evaluate(n: int) -> complex:
+        z, wts = composite_nodes(params.u, M, n)
+        rows = exponent_rows(z, wts, exponents, M, params)
+        return tensor_integral(list(rows[:, None]), z, params.q).item()
+
+    return adaptive(evaluate, SEGMENT_NODES, COMPOSITE_MAX_NODES, tol,
+                    atol=IC_ATOL)
 
 
 def _w_factors(params: ModelParams) -> tuple[float, float]:
@@ -370,7 +297,6 @@ def B_M(mu, M: int, params: ModelParams, route: str = "contour",
 
 
 def B_M_contour(x_values, M: int, params: ModelParams,
-                contour: CompositeContour | None = None,
                 tol: float = 1e-9) -> float:
     """d^k M^{k/2} B_M(lambda(M)) at lambda_i(M) = floor(aM + d sqrt(M) x_{k-i+1});
     converges to d^{-C(k,2)} (2 pi)^{-k/2} prod_{i<j}(x_j - x_i) prod e^{-x_i^2/2}."""
@@ -381,7 +307,7 @@ def B_M_contour(x_values, M: int, params: ModelParams,
     if cst.a * M - A_bound * math.sqrt(M) < 1.0:
         raise ValueError(f"M = {M} too small: need a M - max|x| sqrt(M) >= 1")
     lam = scaled_parts(xs, M, cst.a, cst.d)
-    val = contour_boundary_integral(lam, M, params, contour=contour, tol=tol)
+    val = contour_boundary_integral(lam, M, params, tol=tol)
     if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
         raise RuntimeError(f"B_M integral has non-real residue: {val}")
     a_k = cst.d ** k * bm_prefactor(k, params)

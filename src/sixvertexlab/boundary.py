@@ -14,9 +14,10 @@ route evaluates the k-fold integral
         prod_i [ 1/(-s (1 - s u_i)) ((1 - s u_i)/(u_i - s))^{lambda_i} ]
         prod_{i,j} (1 - q u_i v_j)/(1 - u_i v_j)  du_i/(2 pi I)
 
-over a zero-centered circle of radius R in (s, min v_j^{-1}), by
-tensor-product periodic-trapezoid quadrature with adaptive node doubling.
-The same engine evaluates the analogous integral for G^c_lambda.
+over a zero-centered circle of radius R in (s, min v_j^{-1}), with the
+periodic-trapezoid node family, tensor kernel and node-doubling driver of the
+package's one contour-quadrature engine (quadrature.py).  The same engine
+evaluates the analogous integral for G^c_lambda.
 
 Both integrals are real for real inputs by conjugation symmetry of the
 integrand over the circle; the real part is taken only after asserting the
@@ -31,16 +32,9 @@ from itertools import combinations
 import numpy as np
 
 from .core import ModelParams, as_parts, q_pochhammer
+from .quadrature import QuadratureError, adaptive, circle_nodes, tensor_integral
 from .symfunc import StrictRow, TransferRow, _rank_filter
 from .weights import conjugation_factor
-
-
-class QuadratureError(RuntimeError):
-    """Raised when adaptive quadrature fails to converge; carries diagnostics."""
-
-    def __init__(self, message: str, diagnostics: dict):
-        super().__init__(f"{message}: {diagnostics}")
-        self.diagnostics = diagnostics
 
 
 @dataclass(frozen=True)
@@ -71,42 +65,6 @@ def _check_radius(R: float, params: ModelParams, v_values) -> None:
         raise ValueError(f"radius {R} outside admissible band ({params.s}, {hi})")
 
 
-def _tensor_circle_integral(phi_rows: np.ndarray, R: float, q: float) -> complex:
-    """oint..oint prod_{a<b} (u_a-u_b)/(u_a-q u_b) prod_i phi_i(u_i) du_i/(2 pi I)
-    with phi_i sampled on the circle nodes (phi_rows[i, node])."""
-    k, n = phi_rows.shape
-    z = R * np.exp(2j * np.pi * np.arange(n) / n)
-    base = phi_rows * (z / n)  # quadrature weight du/(2 pi I) = z/n per node
-    if k == 1:
-        return complex(base[0].sum())
-    kern = (z[:, None] - z[None, :]) / (z[:, None] - q * z[None, :])
-    if k == 2:
-        return complex(base[0] @ kern @ base[1])
-    if k == 3:
-        return complex(np.einsum("i,j,k,ij,ik,jk->", base[0], base[1], base[2],
-                                 kern, kern, kern, optimize=True))
-    raise ValueError(f"circle quadrature supports k <= 3, got k = {k}")
-
-
-def _adaptive_circle(phi_maker, k: int, R: float, q: float, contour: CircleContour,
-                     tol: float, max_nodes: int) -> complex:
-    n = contour.nodes
-    prev = None
-    while n <= max_nodes:
-        z = R * np.exp(2j * np.pi * np.arange(n) / n)
-        est = _tensor_circle_integral(phi_maker(z), R, q)
-        if prev is not None:
-            rel = abs(est - prev) / max(abs(est), 1e-300)
-            if rel < tol:
-                return est
-        prev = est
-        n *= 2
-    rel = abs(est - prev) / max(abs(est), 1e-300) if prev is not None else float("inf")
-    raise QuadratureError("circle quadrature did not converge",
-                          {"nodes": n // 2, "estimate": repr(est),
-                           "prev_estimate": repr(prev), "rel_change": rel})
-
-
 def Gc_contour(lam, v_values, params: ModelParams, contour: CircleContour | None = None,
                tol: float = 1e-9, max_nodes: int = 1 << 14) -> complex:
     """G^c_lambda(v_1..v_N) for lam with lam_k >= 1, by the k-fold large-circle
@@ -125,15 +83,17 @@ def Gc_contour(lam, v_values, params: ModelParams, contour: CircleContour | None
         contour = CircleContour(default_radius(params, v_values))
     _check_radius(contour.radius, params, v_values)
 
-    def phi(z: np.ndarray) -> np.ndarray:
+    def evaluate(n: int) -> complex:
+        z, wts = circle_nodes(contour.radius, n)
         col = np.ones_like(z)
         for v in v_values:
             col = col * (1.0 - q * z * v) / (1.0 - z * v)
         ratio = (1.0 - s * z) / (z - s)
         base = col / ((1.0 - s * z) * (z - s))
-        return np.stack([base * ratio ** p for p in lam])
+        cols = [(base * ratio ** p * wts)[None] for p in lam]
+        return tensor_integral(cols, z, q).item()
 
-    val = _adaptive_circle(phi, k, contour.radius, q, contour, tol, max_nodes)
+    val = adaptive(evaluate, contour.nodes, max_nodes, tol)
     return complex(val) * conjugation_factor(lam, params) * q_pochhammer(q, q, k)
 
 
@@ -154,13 +114,15 @@ def f_contour(lam, v: float, M: int, params: ModelParams,
         contour = CircleContour(default_radius(params, (v,)))
     _check_radius(contour.radius, params, (v,))
 
-    def phi(z: np.ndarray) -> np.ndarray:
+    def evaluate(n: int) -> complex:
+        z, wts = circle_nodes(contour.radius, n)
         col = ((1.0 - q * z * v) / (1.0 - z * v)) ** M
         ratio = (1.0 - s * z) / (z - s)
         base = col / (-s * (1.0 - s * z))
-        return np.stack([base * ratio ** p for p in lam])
+        cols = [(base * ratio ** p * wts)[None] for p in lam]
+        return tensor_integral(cols, z, q).item()
 
-    val = _adaptive_circle(phi, k, contour.radius, q, contour, tol, max_nodes)
+    val = adaptive(evaluate, contour.nodes, max_nodes, tol)
     val = complex(val) * conjugation_factor(lam, params) * q_pochhammer(q, q, k)
     if abs(val.imag) > tol * max(1.0, abs(val.real)):
         raise QuadratureError("f contour integral has a non-real residue",

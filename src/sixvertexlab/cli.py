@@ -120,11 +120,6 @@ def _random_points(seed: int, count: int) -> list[ModelParams]:
     return out
 
 
-def _strict_signatures(k: int, max_part: int):
-    for combo in itertools.combinations(range(max_part, -1, -1), k):
-        yield combo
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -137,7 +132,7 @@ def cmd_identities(cfg: ExperimentConfig) -> CheckTable:
         worst = 0.0
         us = (point.u, point.u * 1.11, point.u * 1.23)
         for k in (1, 2, 3):
-            for lam in _strict_signatures(k, 4):
+            for lam in itertools.combinations(range(4, -1, -1), k):
                 dp = symfunc.F_eval(lam, (), us[:k], point)
                 en = sum(paths.collection_weight(c, us[:k], point)
                          for c in paths.enumerate_F_collections((), lam, k))
@@ -199,7 +194,7 @@ def cmd_identities(cfg: ExperimentConfig) -> CheckTable:
     for N in (1, 2, 3):
         us = tuple(p.u * p.q ** i for i in range(N))
         vs = tuple(p.v * p.q ** i for i in range(N))
-        for mu3 in _strict_signatures(N, 4):
+        for mu3 in itertools.combinations(range(4, -1, -1), N):
             closed = symfunc.F_geometric(mu3, p.u, p)
             got = symfunc.F_eval(mu3, (), us, p)
             worst_f = max(worst_f, abs(got - closed) / max(abs(closed), 1e-300))
@@ -215,7 +210,7 @@ def cmd_identities(cfg: ExperimentConfig) -> CheckTable:
     count_ok = True
     bound_ok = True
     for k in (1, 2, 3, 4):
-        for lam in _strict_signatures(k, 6):
+        for lam in itertools.combinations(range(6, -1, -1), k):
             cols = paths.enumerate_F_collections((), lam, k)
             if len(cols) != paths.count_collections_formula(lam):
                 count_ok = False

@@ -48,33 +48,6 @@ class CornersSample:
         return len(self.levels)
 
 
-def sample_gue_matrix(k: int, rng: np.random.Generator) -> np.ndarray:
-    """One Hermitian draw with density proportional to e^{-Tr(X^2)/2}."""
-    diag = rng.normal(size=k)
-    x = np.diag(diag.astype(complex))
-    scale = math.sqrt(0.5)
-    for i in range(k):
-        for j in range(i + 1, k):
-            z = rng.normal(scale=scale) + 1j * rng.normal(scale=scale)
-            x[i, j] = z
-            x[j, i] = np.conj(z)
-    return x
-
-
-def sample_gue_corners(k: int, seed: int | None = None,
-                       rng: np.random.Generator | None = None) -> CornersSample:
-    """Eigenvalues of all leading principal minors of one GUE draw."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    x = sample_gue_matrix(k, rng)
-    levels = []
-    for r in range(1, k + 1):
-        levels.append(tuple(np.linalg.eigvalsh(x[:r, :r])))
-    return CornersSample(levels=tuple(levels))
-
-
 def corners_batch(k: int, n: int, rng: np.random.Generator) -> list[np.ndarray]:
     """n corners samples at once; entry r-1 holds an (n, r) array of ascending
     minor eigenvalues."""

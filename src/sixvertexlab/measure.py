@@ -8,8 +8,10 @@ The top cross-section law is
 supported on signatures with distinct parts >= 1.  Two routes build the pmf:
 
 * "contour": P(mu) = Fhat(mu) * I_C(mu; M), where Fhat is the scaled strict
-  row transfer and I_C the normalized composite-contour integral.  Both
-  factors are O(1) for mu near a M, so this route scales to large M.
+  row transfer and I_C the normalized composite-contour integral, taken for
+  the whole exponent window at once by the one contour-quadrature engine
+  (quadrature.py).  Both factors are O(1) for mu near a M, so this route
+  scales to large M.
 * "direct": literal assembly F * f / Z from the boundary nu-sum; exact and
   cheap for small M, used as the cross-check oracle.  Both F (k plain rows)
   and f (M conjugated rows) run on the strict-state array operator
@@ -27,16 +29,19 @@ over GT_lambda (no Markov chain mixing questions at desk scale).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .asymptotics import CompositeContour, constants, contour_nodes
-from .boundary import QuadratureError, f_direct_batch
+from .asymptotics import constants, exponent_rows
+from .boundary import f_direct_batch
 from .core import ModelParams, Signature, as_parts, q_pochhammer
 from .paths import PathCollection
+from .quadrature import (COMPOSITE_MAX_NODES, SEGMENT_NODES, adaptive,
+                         composite_nodes, tensor_integral)
 from .symfunc import (F_scaled_pair_table, StrictRow, _scaled_row_factors,
                       _scaled_row_event_weight,
                       _strict_interlacing_successors)
@@ -53,27 +58,6 @@ class EnumerationCapError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
-    """Identifies one measure: parameters plus the row/column counts."""
-
-    params: ModelParams
-    n_rows: int
-    m_cols: int
-
-
-def project_rows(spec: MeasureSpec, k: int) -> MeasureSpec:
-    """The measure's own projection to its bottom k rows: same column data,
-    spectral parameters restricted to the first k rows."""
-    if not (1 <= k <= spec.n_rows):
-        raise ValueError(f"need 1 <= k <= {spec.n_rows}, got {k}")
-    p = spec.params
-    u_vec = p.u_vec[:k] if p.u_vec is not None else None
-    return MeasureSpec(params=ModelParams(q=p.q, u=p.u, v=p.v, u_vec=u_vec,
-                                          v_vec=p.v_vec),
-                       n_rows=k, m_cols=spec.m_cols)
-
-
 def partition_Z(k: int, M: int, params: ModelParams) -> float:
     """(q;q)_k ((1 - u/s)/(1 - su))^k ((1 - quv)/(1 - uv))^{kM}."""
     q, s, u, v = params.q, params.s, params.u, params.v
@@ -84,6 +68,11 @@ def partition_Z(k: int, M: int, params: ModelParams) -> float:
 
 # ---------------------------------------------------------------------------
 # top-row pmf
+
+# tolerance of the window integrals I_C (max-abs change between doublings),
+# and the largest part the support window may grow to
+QUAD_TOL = 1e-10
+MAX_PART = 100_000
 
 
 @dataclass(frozen=True)
@@ -136,56 +125,18 @@ def _colex_sorted(atoms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return sorted(atoms, key=lambda t: tuple(reversed(t)))
 
 
-def _strict_box(k: int, lo: int, hi: int):
-    """Strict descending tuples with all parts in [lo, hi]."""
-    import itertools
-    for combo in itertools.combinations(range(hi, lo - 1, -1), k):
-        yield combo
-
-
-def _ic_window(k: int, lo: int, hi: int, M: int, params: ModelParams,
-               tol: float, contour: CompositeContour | None = None,
-               max_segment_nodes: int = 1 << 12) -> np.ndarray:
+def _ic_window(k: int, lo: int, hi: int, M: int,
+               params: ModelParams) -> np.ndarray:
     """Normalized boundary integrals I_C(mu; M) for every exponent box entry,
     as an array indexed by (mu_1 - lo, ..., mu_k - lo)."""
-    from .asymptotics import log_ratio_s, log_ratio_v
-    if contour is None:
-        contour = CompositeContour()
-    s, u, q = params.s, params.u, params.q
     m_vals = np.arange(lo, hi + 1)
 
-    def evaluate(ct: CompositeContour) -> np.ndarray:
-        z, wts = contour_nodes(params, M, ct)
-        ls = log_ratio_s(z, params)
-        lv = log_ratio_v(z, params)
-        base = s * (1 - s * u) / ((1 - s * z) * (1 - u / s)) * wts
-        with np.errstate(under="ignore"):
-            A = np.exp(np.multiply.outer(m_vals, ls) + M * lv) * base
-        if k == 1:
-            return A.sum(axis=1).real
-        kern = (z[:, None] - z[None, :]) / (z[:, None] - q * z[None, :])
-        if k == 2:
-            return (A @ kern @ A.T).real
-        if k == 3:
-            out = np.empty((len(m_vals),) * 3)
-            kt = kern.T.copy()
-            for i3, _m3 in enumerate(m_vals):
-                inner = (kern * A[i3]) @ kt          # C(n1, n2)
-                out[:, :, i3] = (A @ (kern * inner) @ A.T).real
-            return out
-        raise ValueError(f"pmf engine supports k <= 3, got k = {k}")
+    def evaluate(n: int) -> np.ndarray:
+        z, wts = composite_nodes(params.u, M, n)
+        rows = exponent_rows(z, wts, m_vals, M, params)
+        return tensor_integral([rows] * k, z, params.q).real
 
-    prev = evaluate(contour)
-    while contour.segment_nodes < max_segment_nodes:
-        contour = contour.doubled()
-        cur = evaluate(contour)
-        scale = np.abs(cur).max()
-        if np.abs(cur - prev).max() < tol * max(scale, 1e-300):
-            return cur
-        prev = cur
-    raise QuadratureError("pmf contour quadrature did not converge",
-                          {"nodes": contour.segment_nodes, "k": k, "M": M,
-                           "window": (lo, hi)})
+    return adaptive(evaluate, SEGMENT_NODES, COMPOSITE_MAX_NODES, QUAD_TOL)
 
 
 def _f_scaled_window(k: int, lo: int, hi: int, params: ModelParams) -> np.ndarray:
@@ -241,12 +192,12 @@ def _F_transfer_window(k: int, hi: int, params: ModelParams) -> np.ndarray:
 
 
 def _pmf_window(k: int, M: int, params: ModelParams, lo: int, hi: int,
-                route: str, quad_tol: float) -> dict:
+                route: str) -> dict:
     if route == "contour":
-        ic = _ic_window(k, lo, hi, M, params, quad_tol)
+        ic = _ic_window(k, lo, hi, M, params)
         fhat = _f_scaled_window(k, lo, hi, params)
         probs = {}
-        for mu in _strict_box(k, lo, hi):
+        for mu in itertools.combinations(range(hi, lo - 1, -1), k):
             idx = tuple(m - lo for m in mu)
             probs[mu] = float(fhat[idx] * ic[idx])
         return probs
@@ -267,8 +218,7 @@ def admissible_ratio(params: ModelParams) -> float:
 
 
 def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
-                route: str = "contour", quad_tol: float = 1e-10,
-                max_part: int = 100_000) -> TopRowPMF:
+                route: str = "contour") -> TopRowPMF:
     """Exact truncated law of the top cross-section (k <= 3).
 
     The support window around a M grows until (i) the mass added by the last
@@ -287,12 +237,12 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
     lo = max(1, math.floor(center - 7.0 * width)) if route == "contour" else 1
     hi = max(lo + k, math.ceil(center + 7.0 * width), geom_hi)
     step = max(4, math.ceil(2.0 * width))
-    probs = _pmf_window(k, M, params, lo, hi, route, quad_tol)
+    probs = _pmf_window(k, M, params, lo, hi, route)
     mass = sum(probs.values())
-    while hi < max_part:
+    while hi < MAX_PART:
         new_lo = max(1, lo - step) if route == "contour" else lo
         new_hi = hi + step
-        new_probs = _pmf_window(k, M, params, new_lo, new_hi, route, quad_tol)
+        new_probs = _pmf_window(k, M, params, new_lo, new_hi, route)
         new_mass = sum(new_probs.values())
         gained = abs(new_mass - mass)
         lo, hi, probs, mass = new_lo, new_hi, new_probs, new_mass

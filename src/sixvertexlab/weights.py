@@ -20,34 +20,8 @@ serves contour integrands with complex spectral parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (MAX_VERTEX_OCCUPANCY, ModelParams, Signature, as_parts,
                    q_pochhammer, signature_multiplicities)
-
-
-@dataclass(frozen=True)
-class WeightKernel:
-    """One row's weight table: parameters, spectral value, plain/conjugated."""
-
-    params: ModelParams
-    spectral: complex
-    conjugated: bool = False
-
-    def __post_init__(self):
-        s = self.params.s
-        if self.spectral == s or self.spectral == 1.0 / s:
-            raise ValueError(
-                f"spectral parameter {self.spectral} hits a weight-table pole "
-                f"(s or 1/s)")
-
-    @property
-    def q(self) -> float:
-        return self.params.q
-
-    @property
-    def s(self) -> float:
-        return self.params.s
 
 
 def vertex_weight_raw(i1: int, j1: int, i2: int, j2: int,
@@ -75,13 +49,6 @@ def vertex_weight_raw(i1: int, j1: int, i2: int, j2: int,
     if conjugated:
         return (1.0 - q ** (i2 + 1)) * u / denom
     return (1.0 - q ** (i2 - 1)) * u / denom
-
-
-def w(vertex, kernel: WeightKernel) -> complex:
-    """Weight of a vertex under a kernel; accepts VertexType or a 4-tuple."""
-    i1, j1, i2, j2 = vertex.as_tuple() if hasattr(vertex, "as_tuple") else vertex
-    return vertex_weight_raw(i1, j1, i2, j2, kernel.q, kernel.s,
-                             kernel.spectral, kernel.conjugated)
 
 
 def six_vertex_weights(params: ModelParams) -> tuple[float, ...]:

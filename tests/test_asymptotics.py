@@ -156,6 +156,18 @@ def test_am_times_bm_is_the_pmf(params):
                 assert am * bm == pytest.approx(prob, rel=1e-8)
 
 
+def test_am_times_bm_is_the_contour_pmf(params):
+    # the scalar composite route (B_M) against the window route (the pmf),
+    # at the modal atom and its two neighbours in the pmf's atom order
+    from sixvertexlab.measure import top_row_pmf
+    for k, M in [(1, 30), (2, 30), (3, 10)]:
+        pmf = top_row_pmf(k, M, params)
+        i = int(np.argmax(pmf.probs))
+        for atom, prob in zip(pmf.atoms[i - 1:i + 2], pmf.probs[i - 1:i + 2]):
+            val = asy.A_M(atom, M, params) * asy.B_M(atom, M, params)
+            assert val == pytest.approx(prob, rel=1e-10)
+
+
 def test_hermite_values():
     assert asy.hermite(0, 1.7) == 1.0
     assert asy.hermite(1, 1.7) == pytest.approx(1.7)

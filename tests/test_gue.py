@@ -7,8 +7,7 @@ from sixvertexlab.core import ModelParams
 from sixvertexlab.gue import (CornersSample, EmpiricalDistribution,
                               compare_corners_limit, corners_batch,
                               hermite_density, hermite_marginal_cdfs,
-                              ks_distance, ks_two_sample, normal_cdf,
-                              sample_gue_corners)
+                              ks_distance, ks_two_sample, normal_cdf)
 
 
 def accept_params():
@@ -19,7 +18,8 @@ def accept_params():
 
 
 def test_corners_sample_structure():
-    s = sample_gue_corners(4, seed=0)
+    levels = corners_batch(4, 1, np.random.default_rng(0))
+    s = CornersSample(levels=tuple(tuple(level[0]) for level in levels))
     assert s.k == 4
     with pytest.raises(ValueError):
         CornersSample(levels=((1.0,), (0.0, 0.5)))  # 1.0 not inside [0, 0.5]

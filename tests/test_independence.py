@@ -1,0 +1,33 @@
+"""The routes that check each other must not share code: path enumeration
+uses only the model and its weights, and the contour-quadrature engine uses
+nothing from the package."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "sixvertexlab"
+ALLOWED = {"paths": {"core", "weights"}, "quadrature": set()}
+
+
+def package_imports(module: str) -> set[str]:
+    """The package modules that module.py imports, at the top or lazily."""
+    out = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            full = ".".join(filter(None, ("sixvertexlab" if node.level else "",
+                                          node.module)))
+            names = ([f"{full}.{alias.name}" for alias in node.names]
+                     if full == "sixvertexlab" else [full])
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        out.update(name.split(".")[-1 if name == "sixvertexlab" else 1]
+                   for name in names if name.split(".")[0] == "sixvertexlab")
+    return out
+
+
+def test_independent_modules_import_only_what_they_may():
+    for module, allowed in ALLOWED.items():
+        extra = package_imports(module) - allowed
+        assert not extra, f"{module}.py imports {sorted(extra)}"

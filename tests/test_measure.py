@@ -6,11 +6,11 @@ import pytest
 
 from sixvertexlab import measure
 from sixvertexlab.core import ModelParams, Signature
-from sixvertexlab.measure import (HalfStrictGTPattern, MeasureSpec,
+from sixvertexlab.measure import (HalfStrictGTPattern,
                                   conditional_lower_rows, conditional_k2_weights,
                                   enumerate_gt_patterns, gibbs_pattern_weight,
                                   gibbs_vertex_counts, partition_Z,
-                                  pattern_to_collection, project_rows,
+                                  pattern_to_collection,
                                   sample_conditional_k2, sample_top_row,
                                   top_row_pmf)
 from sixvertexlab.paths import collection_weight
@@ -211,19 +211,6 @@ def test_gibbs_consistency_marginal(params):
         got = np.sum(mids == atom[0])
         sigma = math.sqrt(n * prob * (1 - prob))
         assert abs(got - n * prob) < 4.0 * sigma
-
-
-def test_project_rows(params):
-    spec = MeasureSpec(params=params, n_rows=3, m_cols=10)
-    assert project_rows(spec, 3) == spec
-    sub = project_rows(spec, 1)
-    assert sub.n_rows == 1 and sub.params == params
-    inhom = MeasureSpec(params=ModelParams(0.5, 2.0, 0.25,
-                                           u_vec=(2.0, 2.2, 2.4)),
-                        n_rows=3, m_cols=5)
-    assert project_rows(inhom, 2).params.u_vec == (2.0, 2.2)
-    with pytest.raises(ValueError):
-        project_rows(spec, 4)
 
 
 def test_pattern_to_collection_roundtrip(params):

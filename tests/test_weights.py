@@ -4,47 +4,39 @@ import pytest
 
 from conftest import random_ferroelectric
 from sixvertexlab.core import VertexType, delta_parameter, q_pochhammer
-from sixvertexlab.weights import (SIX_VERTEX_TYPES, WeightKernel,
-                                  conjugation_factor, six_vertex_weights,
-                                  vertex_weight_raw, w)
-
-
-def kernel(params, u, conj=False):
-    return WeightKernel(params=params, spectral=u, conjugated=conj)
+from sixvertexlab.weights import (SIX_VERTEX_TYPES, conjugation_factor,
+                                  six_vertex_weights, vertex_weight_raw)
 
 
 def test_empty_vertex_weight_is_one(params):
     for conj in (False, True):
-        assert w((0, 0, 0, 0), kernel(params, 2.0, conj)) == 1.0
+        assert vertex_weight_raw(0, 0, 0, 0, params.q, params.s, 2.0,
+                                 conj) == 1.0
 
 
 def test_turn_weight_matches_table(params):
     q, s, u = params.q, params.s, 2.0
     for g in range(5):
-        got = w((g, 1, g + 1, 0), kernel(params, u))
+        got = vertex_weight_raw(g, 1, g + 1, 0, q, s, u, False)
         assert got == pytest.approx((1 - q ** (g + 1)) / (1 - s * u), rel=1e-14)
 
 
 def test_nonconserving_vertex_is_zero(params):
-    assert w((2, 1, 0, 1), kernel(params, 2.0)) == 0.0
-    assert w(VertexType(1, 1, 1, 0), kernel(params, 2.0)) == 0.0
+    q, s = params.q, params.s
+    assert vertex_weight_raw(2, 1, 0, 1, q, s, 2.0, False) == 0.0
+    assert vertex_weight_raw(*VertexType(1, 1, 1, 0).as_tuple(), q, s, 2.0,
+                             False) == 0.0
 
 
 def test_blocked_branches_vanish_exactly(params):
     # splitting off a doubly occupied column (plain) and merging onto an
     # occupied column (conjugated) must give identically zero at s = q^{-1/2}
-    assert w((2, 0, 1, 1), kernel(params, 2.0)) == 0.0
-    assert w((1, 1, 2, 0), kernel(params, 0.25, conj=True)) == 0.0
+    q, s = params.q, params.s
+    assert vertex_weight_raw(2, 0, 1, 1, q, s, 2.0, False) == 0.0
+    assert vertex_weight_raw(1, 1, 2, 0, q, s, 0.25, True) == 0.0
     # but one level up both are allowed
-    assert w((3, 0, 2, 1), kernel(params, 2.0)) != 0.0
-    assert w((2, 1, 3, 0), kernel(params, 2.0)) != 0.0
-
-
-def test_kernel_rejects_poles(params):
-    with pytest.raises(ValueError):
-        WeightKernel(params=params, spectral=params.s)
-    with pytest.raises(ValueError):
-        WeightKernel(params=params, spectral=1 / params.s)
+    assert vertex_weight_raw(3, 0, 2, 1, q, s, 2.0, False) != 0.0
+    assert vertex_weight_raw(2, 1, 3, 0, q, s, 2.0, False) != 0.0
 
 
 def test_occupancy_cap(params):
@@ -75,7 +67,8 @@ def test_six_vertex_weights_examples(params):
     assert ws[0] == 1.0
     assert all(x > 0 for x in ws)
     # componentwise absolute values of the signed table at g = 0 / 1
-    signed = [w(t, kernel(params, params.u)) for t in SIX_VERTEX_TYPES]
+    signed = [vertex_weight_raw(*t, params.q, params.s, params.u, False)
+              for t in SIX_VERTEX_TYPES]
     for got, signed_val in zip(ws, signed):
         assert abs(signed_val) == pytest.approx(got, rel=1e-13)
 
