@@ -43,7 +43,7 @@ import numpy as np
 from .core import ModelParams, as_parts
 from .quadrature import (COMPOSITE_MAX_NODES, SEGMENT_NODES, adaptive,
                          composite_nodes, tensor_integral)
-from .symfunc import F_scaled_strict, step_ratio
+from .symfunc import F_scaled_closed, step_ratio
 
 
 def binom2(k: int) -> int:
@@ -260,12 +260,13 @@ def bm_prefactor(k: int, params: ModelParams) -> float:
 
 def A_M(mu, M: int, params: ModelParams) -> float:
     """F_mu([u]^k) with the normalization that tends to the Vandermonde of the
-    rescaled coordinates divided by prod (j-i)."""
+    rescaled coordinates divided by prod (j-i); k <= 3, from the closed form
+    of the scaled row function that the contour pmf uses as well."""
     mu = as_parts(mu)
     k = len(mu)
     w_a, w_b = _w_factors(params)
     t = step_ratio(params)
-    return (F_scaled_strict(mu, params) * M ** (-binom2(k) / 2)
+    return (float(F_scaled_closed(mu, params)) * M ** (-binom2(k) / 2)
             * w_a ** -binom2(k + 1) * w_b ** -binom2(k) * t ** binom2(k))
 
 

@@ -7,11 +7,12 @@ The top cross-section law is
 
 supported on signatures with distinct parts >= 1.  Two routes build the pmf:
 
-* "contour": P(mu) = Fhat(mu) * I_C(mu; M), where Fhat is the scaled strict
-  row transfer and I_C the normalized composite-contour integral, taken for
-  the whole exponent window at once by the one contour-quadrature engine
-  (quadrature.py).  Both factors are O(1) for mu near a M, so this route
-  scales to large M.
+* "contour": P(mu) = Fhat(mu) * I_C(mu; M), where Fhat is the closed form
+  of the scaled strict row transfer (symfunc.F_scaled_closed, a function of
+  the gaps of mu) and I_C the normalized composite-contour integral, taken
+  for the whole exponent window at once by the one contour-quadrature engine
+  (quadrature.py) and kept across window extensions.  Both factors are O(1)
+  for mu near a M, so this route scales to large M.
 * "direct": literal assembly F * f / Z from the boundary nu-sum; exact and
   cheap for small M, used as the cross-check oracle.  Both F (k plain rows)
   and f (M conjugated rows) run on the strict-state array operator
@@ -29,7 +30,6 @@ over GT_lambda (no Markov chain mixing questions at desk scale).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,9 +42,7 @@ from .core import ModelParams, Signature, as_parts, q_pochhammer
 from .paths import PathCollection
 from .quadrature import (COMPOSITE_MAX_NODES, SEGMENT_NODES, adaptive,
                          composite_nodes, tensor_integral)
-from .symfunc import (F_scaled_pair_table, StrictRow, _scaled_row_factors,
-                      _scaled_row_event_weight,
-                      _strict_interlacing_successors)
+from .symfunc import F_scaled_closed, StrictRow
 from .weights import six_vertex_weights
 
 
@@ -103,9 +101,6 @@ class TopRowPMF:
         i = self._atom_index.get(as_parts(sig))
         return 0.0 if i is None else self.probs[i]
 
-    def as_dict(self) -> dict[tuple[int, ...], float]:
-        return dict(zip(self.atoms, self.probs))
-
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """count atom indices drawn by inverse CDF (deterministic per rng)."""
         cdf = np.cumsum(np.asarray(self.probs))
@@ -121,63 +116,38 @@ def sample_top_row(pmf: TopRowPMF, seed: int, count: int) -> list[Signature]:
     return [Signature(pmf.atoms[i]) for i in idx]
 
 
-def _colex_sorted(atoms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    return sorted(atoms, key=lambda t: tuple(reversed(t)))
+def _strict_atoms(k: int, lo: int, hi: int) -> np.ndarray:
+    """Every strict signature mu_1 > ... > mu_k with parts in [lo, hi], as
+    the rows of an int (n, k) array in colexicographic order."""
+    grid = np.ogrid[(slice(hi - lo + 1),) * k]
+    increasing = np.ones((hi - lo + 1,) * k, dtype=bool)
+    for low, high in zip(grid, grid[1:]):
+        increasing &= low < high
+    # row-major order of increasing tuples is colex order of their reversals
+    return lo + np.argwhere(increasing)[:, ::-1]
 
 
-def _ic_window(k: int, lo: int, hi: int, M: int,
-               params: ModelParams) -> np.ndarray:
-    """Normalized boundary integrals I_C(mu; M) for every exponent box entry,
-    as an array indexed by (mu_1 - lo, ..., mu_k - lo)."""
+def _ic_window(k: int, lo: int, hi: int, M: int, params: ModelParams,
+               memo: dict[int, np.ndarray]) -> np.ndarray:
+    """Normalized boundary integrals I_C(mu; M) on the exponent box, indexed
+    by (mu_1 - lo, ..., mu_k - lo).  memo maps a node count to the box last
+    taken at it for this lo; only slices with a new largest part mu_1 are
+    integrated, so nonstrict entries they skip stay 0 (and are never read)."""
     m_vals = np.arange(lo, hi + 1)
 
     def evaluate(n: int) -> np.ndarray:
         z, wts = composite_nodes(params.u, M, n)
         rows = exponent_rows(z, wts, m_vals, M, params)
-        return tensor_integral([rows] * k, z, params.q).real
+        old = memo.get(n, np.zeros((0,) * k))
+        done = old.shape[0]
+        out = np.zeros((len(m_vals),) * k)
+        out[(slice(done),) * k] = old
+        out[done:] = tensor_integral([rows[done:]] + [rows] * (k - 1), z,
+                                     params.q).real
+        memo[n] = out
+        return out
 
     return adaptive(evaluate, SEGMENT_NODES, COMPOSITE_MAX_NODES, QUAD_TOL)
-
-
-def _f_scaled_window(k: int, lo: int, hi: int, params: ModelParams) -> np.ndarray:
-    """Fhat(mu) = F_mu([u]^k) t^{-|mu|} on the strict box, same indexing as
-    _ic_window; nonstrict entries hold garbage and are never read."""
-    W = hi - lo + 1
-    if k == 1:
-        stay, land, casc, dep = _scaled_row_factors(params)
-        return np.full(W, land)
-    if k == 2:
-        table = F_scaled_pair_table(params)
-        gaps = np.arange(lo, hi + 1)[:, None] - np.arange(lo, hi + 1)[None, :]
-        out = np.zeros((W, W))
-        pos = gaps >= 1
-        out[pos] = np.vectorize(table)(gaps[pos])
-        return out
-    if k == 3:
-        # one vectorized row on top of the two-row closed form; the transfer
-        # from (c1, c2) splits into three separable blocks by whether the
-        # middle exit hits c2 (stay), c1 (cascade) or the open interval
-        stay, land, casc, dep = _scaled_row_factors(params)
-        pair = F_scaled_pair_table(params)
-        out = np.zeros((W, W, W))
-        for c1 in range(lo + 1, hi + 1):
-            i1 = c1 - lo
-            a1 = np.full(W - i1, land * dep)
-            a1[0] = stay  # path at c1 stays put
-            for c2 in range(lo, c1):
-                i2 = c2 - lo
-                amp = pair(c1 - c2)
-                g3 = np.full(i2 + 1, land * dep)
-                g3[i2] = casc  # new path lands exactly on the vacated c2
-                if i2 >= 1:
-                    out[i1:, i2, :i2] += amp * stay * land * a1[:, None]
-                out[i1 + 1:, i1, :i2 + 1] += amp * land * casc * g3[None, :]
-                if i2 + 1 < i1:
-                    out[i1:, i2 + 1:i1, :i2 + 1] += (amp * land
-                                                     * a1[:, None, None]
-                                                     * g3[None, None, :])
-        return out
-    raise ValueError(f"pmf engine supports k <= 3, got k = {k}")
 
 
 def _F_transfer_window(k: int, hi: int, params: ModelParams) -> np.ndarray:
@@ -192,20 +162,19 @@ def _F_transfer_window(k: int, hi: int, params: ModelParams) -> np.ndarray:
 
 
 def _pmf_window(k: int, M: int, params: ModelParams, lo: int, hi: int,
-                route: str) -> dict:
+                route: str, memo: dict[int, np.ndarray]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms of the window [lo, hi] (colex rows) and their probabilities."""
+    atoms = _strict_atoms(k, lo, hi)
     if route == "contour":
-        ic = _ic_window(k, lo, hi, M, params)
-        fhat = _f_scaled_window(k, lo, hi, params)
-        probs = {}
-        for mu in itertools.combinations(range(hi, lo - 1, -1), k):
-            idx = tuple(m - lo for m in mu)
-            probs[mu] = float(fhat[idx] * ic[idx])
-        return probs
+        ic = _ic_window(k, lo, hi, M, params, memo)
+        return atoms, F_scaled_closed(atoms, params) * ic[tuple((atoms - lo).T)]
     if route == "direct":
         f_tab = f_direct_batch(k, hi, params.v, M, params)
         F_tab = _F_transfer_window(k, hi, params)
         z = partition_Z(k, M, params)
-        return {mu: float(F_tab[mu]) * f_val / z for mu, f_val in f_tab.items()}
+        f_vals = np.array([f_tab[mu] for mu in map(tuple, atoms.tolist())])
+        return atoms, F_tab[tuple(atoms.T)] * f_vals / z
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -226,6 +195,10 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
     geometric tail below tol/2 via the admissible ratio r < 1.  A total mass
     off 1 by more than tol raises MassDeficitError; passing this check
     exercises every formula in the package at once.
+
+    The contour route keeps its window integrals across extensions and, while
+    lo stays put, integrates only the slices of new largest parts.  Its
+    atoms below about 2e-13 max p are quadrature noise and can be negative.
     """
     if k > 3:
         raise ValueError("top_row_pmf supports k <= 3")
@@ -237,27 +210,28 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
     lo = max(1, math.floor(center - 7.0 * width)) if route == "contour" else 1
     hi = max(lo + k, math.ceil(center + 7.0 * width), geom_hi)
     step = max(4, math.ceil(2.0 * width))
-    probs = _pmf_window(k, M, params, lo, hi, route)
-    mass = sum(probs.values())
+    memo: dict[int, np.ndarray] = {}
+    atoms, probs = _pmf_window(k, M, params, lo, hi, route, memo)
+    mass = float(probs.sum())
     while hi < MAX_PART:
         new_lo = max(1, lo - step) if route == "contour" else lo
-        new_hi = hi + step
-        new_probs = _pmf_window(k, M, params, new_lo, new_hi, route)
-        new_mass = sum(new_probs.values())
+        if new_lo != lo:
+            memo.clear()
+        lo, hi = new_lo, hi + step
+        atoms, probs = _pmf_window(k, M, params, lo, hi, route, memo)
+        new_mass = float(probs.sum())
         gained = abs(new_mass - mass)
-        lo, hi, probs, mass = new_lo, new_hi, new_probs, new_mass
-        edge = sum(p for mu, p in probs.items() if mu[0] == hi)
-        tail_bound = abs(edge) * r / (1.0 - r)
+        mass = new_mass
+        tail_bound = abs(float(probs[atoms[:, 0] == hi].sum())) * r / (1.0 - r)
         if gained < tol / 10.0 and tail_bound < tol / 2.0:
             break
     if abs(mass - 1.0) > tol:
         raise MassDeficitError("top-row pmf mass is off 1 beyond tolerance",
                                {"mass": mass, "k": k, "M": M, "route": route,
                                 "window": (lo, hi), "tol": tol})
-    atoms = _colex_sorted([mu for mu in probs])
     return TopRowPMF(k=k, M=M, params=params, route=route, window=(lo, hi),
-                     atoms=tuple(atoms),
-                     probs=tuple(float(probs[a]) for a in atoms))
+                     atoms=tuple(map(tuple, atoms.tolist())),
+                     probs=tuple(probs.tolist()))
 
 
 # ---------------------------------------------------------------------------

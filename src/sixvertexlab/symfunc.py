@@ -11,7 +11,8 @@ entries.
 Closed forms for geometric-progression variable sets (u, qu, ..., q^{N-1}u)
 and the Cauchy identity verifier live here as well, plus a scaled variant of
 the F transfer (weights divided by ((u-s)/(1-su)) per horizontal step) that
-stays O(1) where raw F values would underflow at large part sizes.
+stays O(1) where raw F values would underflow at large part sizes, and its
+closed form for k <= 3, which the contour pmf and A_M use.
 """
 
 from __future__ import annotations
@@ -592,18 +593,40 @@ def F_scaled_strict(mu, params: ModelParams) -> float:
     return states.get(mu, 0.0)
 
 
-def F_scaled_pair_table(params: ModelParams):
-    """Closed form of the scaled two-row value: F_{(m1,m2)}([u]^2) t^{-m1-m2}
-    depends only on the gap g = m1 - m2 >= 1 and equals
+def F_scaled_closed(mu, params: ModelParams) -> np.ndarray:
+    """Closed form of F_scaled_strict for k <= 3, vectorized over an int
+    array mu (..., k) of strict decreasing parts >= 0.  It depends only on
+    the gaps g_i = mu_i - mu_{i+1}.
 
-        land^2 * (casc + stay + (g - 1) land dep).
-
-    Returns a callable gap -> value (gap >= 1; gap 0 is nonstrict)."""
+    With the per-path factors S, L, C, D of _scaled_row_factors, one row
+    gives L and two give pair(g) = L^2 (C + S + (g - 1) L D) = alpha + beta g,
+    alpha = L^2 (C + S - L D), beta = L^3 D.  The third row sums pair(x + j)
+    over the middle states (mu_2 + x, mu_2 - j), 0 <= x <= g1, 0 <= j <= g2:
+    the top path brings a(x) = S at x = g1, else L D; the new path brings
+    b(j) = C at j = g2, else L D; the middle path stays at j = 0 (S L for it
+    and the new path), cascades onto the vacated mu_2 at x = 0 (L C for it
+    and the top path), else lands (L).  pair is linear, so with
+    A_r = sum_{x=1}^{g1} x^r a(x), B_r = sum_{j=1}^{g2} j^r b(j) and
+    P_X = alpha X_0 + beta X_1,
+    F = L (S P_A + C P_B + alpha A_0 B_0 + beta (A_1 B_0 + A_0 B_1))
+      = L ((S + B_0) P_A + C P_B + beta A_0 B_1).
+    """
+    mu = np.asarray(mu)
+    k = mu.shape[-1]
+    if not 1 <= k <= 3:
+        raise ValueError(f"closed form covers 1 <= k <= 3, got k = {k}")
+    gaps = mu[..., :-1] - mu[..., 1:]
+    if np.any(gaps < 1) or np.any(mu[..., -1] < 0):
+        raise ValueError("closed form requires strict nonnegative signatures")
     stay, land, casc, dep = _scaled_row_factors(params)
-
-    def value(gap: int) -> float:
-        if gap < 1:
-            raise ValueError("gap must be >= 1 for strict signatures")
-        return land * land * (casc + stay + (gap - 1) * land * dep)
-
-    return value
+    if k == 1:
+        return np.full(mu.shape[:-1], land)
+    if k == 2:
+        return land * land * (casc + stay + (gaps[..., 0] - 1) * land * dep)
+    g1, g2 = gaps[..., 0], gaps[..., 1]
+    ld = land * dep
+    alpha, beta = land * land * (casc + stay - ld), land * land * ld
+    a0, a1 = stay + (g1 - 1) * ld, g1 * stay + ld * (g1 * (g1 - 1) // 2)
+    b0, b1 = casc + (g2 - 1) * ld, g2 * casc + ld * (g2 * (g2 - 1) // 2)
+    pa, pb = alpha * a0 + beta * a1, alpha * b0 + beta * b1
+    return land * ((stay + b0) * pa + casc * pb + beta * a0 * b1)

@@ -142,6 +142,12 @@ def test_am_convergence_and_bound(params):
     assert errs[0] > errs[1] > errs[2]
 
 
+def test_am_supports_k_up_to_3(params):
+    assert math.isfinite(asy.A_M((9, 5, 2), 10, params))
+    with pytest.raises(ValueError):
+        asy.A_M((9, 5, 2, 1), 10, params)
+
+
 def test_am_times_bm_is_the_pmf(params):
     from sixvertexlab.measure import top_row_pmf
     for k, M in [(1, 8), (2, 6)]:

@@ -58,6 +58,68 @@ def test_direct_F_table_matches_F_eval(band_points):
                 assert tab[mu] == pytest.approx(ref, rel=1e-12)
 
 
+def _record_windows(monkeypatch):
+    """Log (lo, hi) of every contour window integration of top_row_pmf."""
+    calls = []
+    ic_window = measure._ic_window
+
+    def logged(k, lo, hi, *args):
+        calls.append((lo, hi))
+        return ic_window(k, lo, hi, *args)
+
+    monkeypatch.setattr(measure, "_ic_window", logged)
+    return calls
+
+
+def _fresh_window(pmf):
+    """The pmf's final window evaluated from scratch, with no memo."""
+    lo, hi = pmf.window
+    atoms, probs = measure._pmf_window(pmf.k, pmf.M, pmf.params, lo, hi,
+                                       "contour", {})
+    assert tuple(map(tuple, atoms.tolist())) == pmf.atoms
+    return probs
+
+
+def test_pmf_extension_matches_fresh_window(params, monkeypatch):
+    calls = _record_windows(monkeypatch)
+    pmf = top_row_pmf(3, 10, params)
+    # at least two extensions with lo fixed, so the memo is reused
+    assert len(calls) >= 3 and len({lo for lo, _ in calls}) == 1
+    probs = np.asarray(pmf.probs)
+    fresh = _fresh_window(pmf)
+    assert np.max(np.abs(probs - fresh)) <= 1e-15 * np.max(probs)
+
+
+def test_pmf_window_when_lo_moves(monkeypatch):
+    # k = 2, M = 400 at the gue-compare point: lo moves down on extension,
+    # so the memo starts over; the window and atoms are pinned
+    u = 1.5 * 2 ** 0.5
+    p = ModelParams(q=0.5, u=u, v=0.7 / u)
+    calls = _record_windows(monkeypatch)
+    pmf = top_row_pmf(2, 400, p)
+    assert len({lo for lo, _ in calls}) >= 2
+    assert pmf.window == (41, 917)
+    assert pmf.atoms == tuple((m1, m2) for m2 in range(41, 918)
+                              for m1 in range(m2 + 1, 918))
+    probs = np.asarray(pmf.probs)
+    fresh = _fresh_window(pmf)
+    assert np.max(np.abs(probs - fresh)) <= 1e-15 * np.max(probs)
+
+
+def test_pmf_contour_noise_floor(params):
+    # atoms below the floor are quadrature noise and may be negative; the
+    # floor is 2e-13 max p (worst seen: -5.4e-14 and 5.8e-14)
+    floor = 2e-13
+    for k, M in [(2, 30), (2, 400), (3, 10)]:
+        probs = np.asarray(top_row_pmf(k, M, params).probs)
+        assert probs.min() >= -floor * probs.max()
+    pc = top_row_pmf(3, 3, params, route="contour")
+    pd = top_row_pmf(3, 3, params, route="direct")
+    assert pc.atoms == pd.atoms
+    diff = np.abs(np.asarray(pc.probs) - np.asarray(pd.probs))
+    assert diff.max() <= floor * max(pd.probs)
+
+
 def test_pmf_mass_normalization(params):
     for k, M in [(1, 30), (1, 50), (2, 30), (2, 50)]:
         pmf = top_row_pmf(k, M, params)

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_ferroelectric
@@ -8,7 +9,7 @@ from sixvertexlab import symfunc
 from sixvertexlab.core import ModelParams
 from sixvertexlab.paths import enumerate_F_collections, enumerate_Gc_collections, \
     collection_weight
-from sixvertexlab.symfunc import (F_all, F_eval, F_geometric, F_scaled_pair_table,
+from sixvertexlab.symfunc import (F_all, F_eval, F_geometric, F_scaled_closed,
                                   F_scaled_strict, F_symmetrization, Gc_eval,
                                   Gc_geometric, TransferRow, row_weight,
                                   step_ratio, verify_cauchy, verify_skew_cauchy)
@@ -208,7 +209,31 @@ def test_scaled_strict_transfer_matches_F(params):
 
 
 def test_scaled_pair_closed_form(params):
-    table = F_scaled_pair_table(params)
     for m1, m2 in [(1, 0), (4, 3), (7, 2), (12, 0)]:
-        assert table(m1 - m2) == pytest.approx(F_scaled_strict((m1, m2), params),
-                                               rel=1e-12)
+        assert F_scaled_closed((m1, m2), params) == pytest.approx(
+            F_scaled_strict((m1, m2), params), rel=1e-12)
+
+
+def test_scaled_triple_closed_form(band_points):
+    # every strict triple with parts <= 8 (all gap pairs (g1, g2) with
+    # g1 + g2 <= 8, gaps of 1 included) against the strict DP and F_eval
+    mus = list(strict_signatures(3, 8))
+    for p in band_points:
+        t = step_ratio(p)
+        closed = F_scaled_closed(np.array(mus), p)
+        for mu, val in zip(mus, closed):
+            assert float(F_scaled_closed(mu, p)) == val
+            assert val == pytest.approx(F_scaled_strict(mu, p), rel=1e-12)
+            raw = complex(F_eval(mu, (), (p.u,) * 3, p)).real
+            assert val == pytest.approx(raw * t ** -sum(mu), rel=1e-12)
+        # the value depends only on the gaps
+        shifted = F_scaled_closed(np.array(mus) + 5, p)
+        assert np.array_equal(shifted, closed)
+
+
+def test_scaled_closed_form_domain(params):
+    assert F_scaled_closed((6,), params) == pytest.approx(
+        F_scaled_strict((6,), params), rel=1e-15)
+    for bad in [(4, 4, 1), (5, 3, -1), (7, 5, 3, 1)]:
+        with pytest.raises(ValueError):
+            F_scaled_closed(bad, params)
