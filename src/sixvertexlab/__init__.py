@@ -4,4 +4,4 @@ integrals, and cross-validation suites."""
 
 __version__ = "0.1.0"
 
-from .core import ModelParams, Signature, VertexType  # noqa: F401
+from .core import ModelParams, Signature  # noqa: F401

@@ -165,28 +165,6 @@ def descent_profile(params: ModelParams, n: int = 1000, eps: float = 0.1) -> dic
     }
 
 
-def quadratic_expansion_fit(params: ModelParams, radius: float = 0.1,
-                            n: int = 400) -> dict:
-    """Fitted constant C1 with |G(z) - c (z-u)^2| <= C1 |z-u|^3 and
-    |g(z) - b (z-u)| <= C1 |z-u|^2 on |z-u| <= radius, plus the feasibility
-    margin 2 C1 eps1 < c for the reported eps1."""
-    cst = constants(params)
-    rng = np.random.default_rng(0)
-    r = radius * rng.random(n) ** 0.5
-    phi = 2 * np.pi * rng.random(n)
-    z = params.u + r * np.exp(1j * phi)
-    z = z[np.abs(z - params.u) > 1e-8]
-    G = cst.a * log_ratio_s(z, params) + log_ratio_v(z, params)
-    g = log_ratio_s(z, params)
-    dz = z - params.u
-    c1_g = float(np.max(np.abs(G - cst.c * dz ** 2) / np.abs(dz) ** 3))
-    c1_small = float(np.max(np.abs(g - cst.b * dz) / np.abs(dz) ** 2))
-    c1 = max(c1_g, c1_small)
-    eps1 = min(radius, 0.999 * cst.c / (2 * c1))
-    return {"C1": c1, "eps1": eps1, "feasible": 2 * c1 * eps1 < cst.c,
-            "radius": radius}
-
-
 # ---------------------------------------------------------------------------
 # the contour-integral engine
 

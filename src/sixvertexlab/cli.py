@@ -10,6 +10,9 @@ Subcommands
     sample        top-row and Gelfand-Tsetlin pattern samples + JSON grids
     gue-compare   rescaled model rows against GUE corners (KS tables)
 
+identities, boundary and constants run the acceptance suite's check functions
+(sixvertexlab.checks) at the CLI's own seeds, sizes and tolerances.
+
 Every run writes CSV tables (deterministic byte-for-byte for a fixed config
 and seed, independent of --threads) plus a JSON sidecar echoing the fully
 resolved configuration, library versions and wall-clock time.  Exit status 0
@@ -20,11 +23,9 @@ object naming the violated invariants; invalid configuration exits 2.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
-import random
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -32,8 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import asymptotics as asy
-from . import boundary as bnd
-from . import gue, measure, paths, symfunc
+from . import checks, gue, measure, symfunc
 from .core import ModelParams
 from .util import environment_versions, parallel_map, write_csv, write_json
 
@@ -93,6 +93,10 @@ class CheckTable:
                           "error": error, "tol": tol,
                           "passed": bool(error <= tol), "note": note})
 
+    def add_result(self, name: str, result: tuple, tol: float) -> None:
+        """A row from a check's (value, reference, error, diagnostics)."""
+        self.add(name, *result[:3], tol)
+
     def add_flag(self, name: str, passed: bool, note: str = "") -> None:
         self.rows.append({"check": name, "value": int(passed), "reference": 1,
                           "error": 0.0 if passed else 1.0, "tol": 0.0,
@@ -108,43 +112,18 @@ class CheckTable:
                     r["tol"], r["passed"], r["note"]] for r in self.rows])
 
 
-def _random_points(seed: int, count: int) -> list[ModelParams]:
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        q = rng.uniform(0.15, 0.85)
-        s = q ** -0.5
-        u = s * (1.0 + rng.uniform(0.05, 1.5))
-        v = rng.uniform(0.05, 0.95) / u
-        out.append(ModelParams(q=q, u=u, v=v))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_identities(cfg: ExperimentConfig) -> CheckTable:
+def cmd_identities(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
     p = cfg.params()
     table = CheckTable()
-
-    def route_errs(point: ModelParams) -> float:
-        worst = 0.0
-        us = (point.u, point.u * 1.11, point.u * 1.23)
-        for k in (1, 2, 3):
-            for lam in itertools.combinations(range(4, -1, -1), k):
-                dp = symfunc.F_eval(lam, (), us[:k], point)
-                en = sum(paths.collection_weight(c, us[:k], point)
-                         for c in paths.enumerate_F_collections((), lam, k))
-                sym = symfunc.F_symmetrization(lam, us[:k], point)
-                scale = max(abs(dp), 1e-300)
-                worst = max(worst, abs(dp - en) / scale, abs(dp - sym) / scale)
-        return worst
-
-    draws = _random_points(cfg.seed, 10)
-    errs = parallel_map(route_errs, draws, cfg.worker_count())
-    table.add("route-agreement(F: transfer vs enumeration vs symmetrization)",
-              max(errs), 0.0, max(errs), 1e-10)
+    table.add_result(
+        "route-agreement(F: transfer vs enumeration vs symmetrization)",
+        checks.route_agreement(checks.random_points(cfg.seed, 10),
+                               (1.0, 1.11, 1.23), 4, cfg.worker_count()),
+        1e-10)
 
     cauchy_reports = {}
     for N, K in [(1, 1), (2, 1), (2, 2)]:
@@ -156,126 +135,55 @@ def cmd_identities(cfg: ExperimentConfig) -> CheckTable:
                   rep["rel_error"], cfg.tol,
                   note=f"truncation_L={rep['truncation_L']} "
                        f"tail_bound={rep['tail_bound']:.3e}")
-    write_json(os.path.join(cfg.out, "identities", "cauchy_reports.json"),
-               cauchy_reports)
+    write_json(os.path.join(out_dir, "cauchy_reports.json"), cauchy_reports)
 
     rep = symfunc.verify_skew_cauchy((3, 1, 0), (2,), (p.u, 1.1 * p.u),
                                      (p.v,), p)
     table.add("skew-cauchy-identity", abs(rep["lhs"]), abs(rep["rhs"]),
               rep["rel_error"], cfg.tol)
-    rep = symfunc.verify_skew_cauchy((0, 0), (), (p.u, 1.15 * p.u), (p.v,), p)
-    plain = symfunc.verify_cauchy(2, 1, (p.u, 1.15 * p.u), (p.v,), p)
-    err = abs(complex(rep["lhs"]).real - complex(plain["lhs"]).real) \
-        / abs(complex(plain["lhs"]).real)
-    table.add("skew-cauchy-reduces-to-cauchy", complex(rep["lhs"]).real,
-              complex(plain["lhs"]).real, err, cfg.tol)
+    table.add_result("skew-cauchy-reduces-to-cauchy",
+                     checks.skew_reduces_to_cauchy(p, (p.u, 1.15 * p.u),
+                                                   (p.v,)), cfg.tol)
+    table.add_result("branching-middle-sum",
+                     checks.branching_middle_sum(
+                         p, (4, 2, 1), (p.u, 1.1 * p.u, 1.2 * p.u)), cfg.tol)
+    table.add_result("conjugation-relation(Gc = (c(lam)/c(mu)) G)",
+                     checks.conjugation_relation(p), cfg.tol)
 
-    lam, mu = (4, 2, 1), ()
-    us3 = (p.u, 1.1 * p.u, 1.2 * p.u)
-    lhs = symfunc.F_eval(lam, mu, us3, p)
-    mid = sum(amp * symfunc.F_eval(lam, kappa, us3[1:], p)
-              for kappa, amp in symfunc.F_all(mu, us3[:1], p, 4).items())
-    table.add("branching-middle-sum", abs(lhs), abs(mid),
-              abs(lhs - mid) / abs(lhs), cfg.tol)
+    geo = checks.geometric_specialization([p], 4)[3]
+    table.add("geometric-specialization(F)", geo["F"], 0.0, geo["F"], 1e-10)
+    table.add("geometric-specialization(Gc)", geo["Gc"], 0.0, geo["Gc"],
+              1e-10)
 
-    from .weights import conjugation_factor
-    worst = 0.0
-    for lam2, mu2 in [((3,), (1,)), ((4, 2), (2, 1)), ((5, 3, 1), (3, 2, 0))]:
-        vs2 = (p.v, 0.8 * p.v)[:min(2, len(lam2))]
-        gc = symfunc.Gc_eval(lam2, mu2, vs2, p)
-        plain_g = sum(paths.collection_weight(c, vs2, p, conjugated=False)
-                      for c in paths.enumerate_Gc_collections(mu2, lam2, len(vs2)))
-        ratio = conjugation_factor(lam2, p) / conjugation_factor(mu2, p)
-        worst = max(worst, abs(gc - ratio * plain_g) / max(abs(gc), 1e-300))
-    table.add("conjugation-relation(Gc = (c(lam)/c(mu)) G)", worst, 0.0,
-              worst, cfg.tol)
-
-    worst_f = worst_g = 0.0
-    for N in (1, 2, 3):
-        us = tuple(p.u * p.q ** i for i in range(N))
-        vs = tuple(p.v * p.q ** i for i in range(N))
-        for mu3 in itertools.combinations(range(4, -1, -1), N):
-            closed = symfunc.F_geometric(mu3, p.u, p)
-            got = symfunc.F_eval(mu3, (), us, p)
-            worst_f = max(worst_f, abs(got - closed) / max(abs(closed), 1e-300))
-            n0 = sum(1 for x in mu3 if x == 0)
-            if N >= len(mu3) - n0:
-                closed = symfunc.Gc_geometric(mu3, p.v, N, p)
-                got = symfunc.Gc_eval(mu3, (0,) * len(mu3), vs, p)
-                worst_g = max(worst_g,
-                              abs(got - closed) / max(abs(closed), 1e-300))
-    table.add("geometric-specialization(F)", worst_f, 0.0, worst_f, 1e-10)
-    table.add("geometric-specialization(Gc)", worst_g, 0.0, worst_g, 1e-10)
-
-    count_ok = True
-    bound_ok = True
-    for k in (1, 2, 3, 4):
-        for lam in itertools.combinations(range(6, -1, -1), k):
-            cols = paths.enumerate_F_collections((), lam, k)
-            if len(cols) != paths.count_collections_formula(lam):
-                count_ok = False
-            n_typ = sum(1 for c in cols if paths.is_typical(c))
-            if n_typ < paths.typical_count_lower_bound(lam):
-                bound_ok = False
-    table.add_flag("counting-formula-vs-enumeration", count_ok)
-    table.add_flag("typical-count-lower-bound", bound_ok)
-
-    worst = 0.0
-    for lam in [(3, 1), (5, 3, 1)]:
-        k = len(lam)
-        size = sum(lam)
-        s, q, u = p.s, p.q, p.u
-        expect = (((1 - q) / (1 - s * u)) ** (k * (k + 1) // 2)
-                  * ((1 - 1 / q) * u / (1 - s * u)) ** (k * (k - 1) // 2)
-                  * ((u - s) / (1 - s * u)) ** (size - k * (k - 1) // 2))
-        for c in paths.enumerate_F_collections((), lam, k):
-            if paths.is_typical(c):
-                got = paths.collection_weight(c, (u,) * k, p)
-                worst = max(worst, abs(got - expect) / abs(expect))
-    table.add("typical-collection-weight", worst, 0.0, worst, 1e-12)
+    census = checks.counting((1, 2, 3, 4), 6)[3]
+    table.add_flag("counting-formula-vs-enumeration",
+                   not census["count_mismatches"])
+    table.add_flag("typical-count-lower-bound", not census["bound_violations"])
+    table.add_result("typical-collection-weight",
+                     checks.typical_weight([p], [(3, 1), (5, 3, 1)]), 1e-12)
 
     # Finding: the raw boundary values alternate in sign as (-1)^{|lam|+k};
     # what is nonnegative is the total path weight F * f.
-    sign_ok = True
-    for lam in [(1,), (2,), (3, 1), (4, 3, 1)]:
-        k = len(lam)
-        f_val = bnd.f_direct(lam, p.v, 3, p)
-        F_val = complex(symfunc.F_eval(lam, (), (p.u,) * k, p)).real
-        if math.copysign(1.0, f_val) != (-1.0) ** (sum(lam) + k):
-            sign_ok = False
-        if F_val * f_val <= 0.0:
-            sign_ok = False
-    table.add_flag("total-weight-nonnegativity(F*f > 0)", sign_ok,
+    bad = checks.total_weight_signs(p, [(1,), (2,), (3, 1), (4, 3, 1)], 3)[2]
+    table.add_flag("total-weight-nonnegativity(F*f > 0)", bad == 0,
                    note="raw f alternates in sign as (-1)^(|lam|+k); "
                         "positivity holds for the assembled path weight")
     return table
 
 
-def cmd_boundary(cfg: ExperimentConfig) -> CheckTable:
+def cmd_boundary(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
     p = cfg.params()
     table = CheckTable()
-    worst = 0.0
-    for lam, M in [((2,), 2), ((5,), 10), ((7,), 20), ((3, 1), 4),
-                   ((6, 2), 10), ((8, 5), 20)]:
-        fc = bnd.f_contour(lam, p.v, M, p, tol=1e-10)
-        fd = bnd.f_direct(lam, p.v, M, p)
-        err = abs(fc - fd) / max(abs(fd), 1e-300)
-        worst = max(worst, err)
+    worst, _, _, direct = checks.f_contour_vs_direct(p)
+    for lam, M, fc, fd, err in direct["rows"]:
         table.add(f"f-contour-vs-direct(lam={list(lam)},M={M})", fc, fd, err,
                   1e-7)
-    s, v = p.s, p.v
-    for lam, M in [((4, 2), 6), ((5, 1), 12)]:
-        lo_r = s + 0.25 * (1 / v - s)
-        hi_r = s + 0.75 * (1 / v - s)
-        a = bnd.f_contour(lam, v, M, p, bnd.CircleContour(lo_r), tol=1e-10)
-        b = bnd.f_contour(lam, v, M, p, bnd.CircleContour(hi_r), tol=1e-10)
-        err = abs(a - b) / max(abs(a), 1e-300)
+    for lam, M, a, b, err in checks.f_radius_independence(p)[3]["rows"]:
         table.add(f"f-radius-independence(lam={list(lam)},M={M})", a, b, err,
                   1e-7)
-    for lam, vs in [((3,), (v,)), ((2, 1), (v, 0.8 * v))]:
-        ct = bnd.Gc_contour(lam, vs, p, tol=1e-10)
-        dp = symfunc.Gc_eval(lam, (0,) * len(lam), vs, p)
-        err = abs(ct - dp) / max(abs(dp), 1e-300)
+    gc = checks.Gc_contour_vs_transfer(
+        p, [((3,), (p.v,)), ((2, 1), (p.v, 0.8 * p.v))])[3]
+    for lam, ct, dp, err in gc["rows"]:
         table.add(f"Gc-contour-vs-transfer(lam={list(lam)})",
                   complex(ct).real, complex(dp).real, err, 1e-7)
     table.add_flag(
@@ -285,34 +193,22 @@ def cmd_boundary(cfg: ExperimentConfig) -> CheckTable:
     return table
 
 
-def cmd_constants(cfg: ExperimentConfig) -> CheckTable:
+def cmd_constants(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
     p = cfg.params()
     table = CheckTable()
     cst = asy.constants(p)
     table.add_flag("constants-values",
                    all(math.isfinite(x) for x in (cst.a, cst.b, cst.c, cst.d)),
                    note=f"a={cst.a!r} b={cst.b!r} c={cst.c!r} d={cst.d!r}")
-    sign_ok = True
-    for point in _random_points(cfg.seed + 1, 50):
-        c2 = asy.constants(point)
-        sign_ok &= c2.a > 0 and c2.b < 0 and c2.c > 0 and c2.d > 0
-    table.add_flag("sign-pattern(+,-,+,+) on 50-point grid", sign_ok)
+    bad, _, _, signs = checks.sign_pattern(
+        checks.random_points(cfg.seed + 1, 50))
+    table.add_flag("sign-pattern(+,-,+,+) on 50-point grid", bad == 0,
+                   note=f"{bad} bad, {signs['raised']} raised" if bad else "")
 
-    u = p.u
-    h = 1e-5 * u
-    G = lambda z: asy.phase_G(z, p)
-    g = lambda z: asy.phase_g(z, p)
-    d1 = (G(u + h) - G(u - h)) / (2 * h)
-    d1h = (G(u + h / 2) - G(u - h / 2)) / h
-    rich = (4 * d1h - d1) / 3
-    table.add("critical|G(u)|", abs(G(u)), 0.0, abs(G(u)), 1e-6)
-    table.add("critical|g(u)|", abs(g(u)), 0.0, abs(g(u)), 1e-6)
-    table.add("critical|G'(u)|", abs(rich), 0.0, abs(rich), 1e-6)
-    second = ((G(u + h) - 2 * G(u) + G(u - h)) / h ** 2).real
-    table.add("critical|G''(u)-2c|", second, 2 * cst.c,
-              abs(second - 2 * cst.c), 1e-4 * abs(2 * cst.c))
-    gp = ((g(u + h) - g(u - h)) / (2 * h)).real
-    table.add("critical|g'(u)-b|", gp, cst.b, abs(gp - cst.b), 1e-6)
+    for name, result in checks.critical_points(p).items():
+        # G'' is checked relative to 2c, the rest absolutely
+        tol = 1e-4 * abs(result[1]) if name == "G''(u)-2c" else 1e-6
+        table.add_result(f"critical|{name}|", result, tol)
 
     prof = asy.descent_profile(p, n=1000, eps=0.1)
     table.add("descent-max-ReG", prof["max_re_G"], 0.0, prof["max_re_G"],
@@ -321,11 +217,6 @@ def cmd_constants(cfg: ExperimentConfig) -> CheckTable:
     table.add_flag("descent-negative-outside-eps",
                    prof["delta_bound_outside"] < 0.0,
                    note=f"delta={prof['delta_bound_outside']!r}")
-    fit = asy.quadratic_expansion_fit(p)
-    table.add_flag("quadratic-expansion-feasible(2 C1 eps1 < c)",
-                   fit["feasible"],
-                   note=f"C1={fit['C1']!r} eps1={fit['eps1']!r} (fitted, "
-                        f"no canonical-choice claim)")
     return table
 
 
@@ -501,10 +392,7 @@ def main(argv=None) -> int:
 
     out_dir = os.path.join(cfg.out, args.subcommand)
     t0 = time.perf_counter()
-    if fn in (cmd_bm_converge, cmd_sample, cmd_gue_compare):
-        table = fn(cfg, out_dir)
-    else:
-        table = fn(cfg)
+    table = fn(cfg, out_dir)
     table.write(os.path.join(out_dir, f"{args.subcommand}_checks.csv"))
     sidecar = {"subcommand": args.subcommand, "config": asdict(cfg),
                "versions": environment_versions(),

@@ -1,20 +1,18 @@
 """Shared value types and scalar special functions.
 
-Everything downstream works with three kinds of data: nonnegative signatures
-(weakly decreasing integer vectors), model parameters pinned to the
-ferroelectric chain v^{-1} > u > s > 1 with s = q^{-1/2}, and lattice vertex
-types (i1, j1; i2, j2) counting paths entering/leaving a vertex vertically
-and horizontally.
+Everything downstream works with two kinds of data: nonnegative signatures
+(weakly decreasing integer vectors, with their multiplicity maps) and model
+parameters pinned to the ferroelectric chain v^{-1} > u > s > 1 with
+s = q^{-1/2}.
 
 All types here are immutable values and safe to share across threads.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 # Vertical occupancies beyond this are refused everywhere; every in-scope
 # computation has bounded vertical multiplicity.
@@ -53,19 +51,13 @@ def as_parts(sig) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Signature:
-    """A weakly decreasing integer vector lambda_1 >= ... >= lambda_n.
-
-    The dense parts tuple is the canonical form; the multiplicity map
-    m_i = #{j : lambda_j = i} is a derived view that round-trips losslessly.
-    """
+    """A weakly decreasing integer vector lambda_1 >= ... >= lambda_n, held
+    as its dense parts tuple."""
 
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int] = ()):
         object.__setattr__(self, "parts", tuple(int(p) for p in parts))
-        for p in self.parts:
-            if not isinstance(p, int):
-                raise ValueError(f"signature parts must be integers, got {p!r}")
         for a, b in zip(self.parts, self.parts[1:]):
             if a < b:
                 raise ValueError(f"parts must be weakly decreasing, got {self.parts}")
@@ -80,50 +72,20 @@ class Signature:
         return self.parts[i]
 
     @property
-    def nonneg(self) -> bool:
-        return not self.parts or self.parts[-1] >= 0
-
-    @property
     def size(self) -> int:
         """|lambda| = sum of the parts."""
         return sum(self.parts)
-
-    def is_strict(self) -> bool:
-        return all(a > b for a, b in zip(self.parts, self.parts[1:]))
-
-    def multiplicities(self) -> dict[int, int]:
-        return signature_multiplicities(self)
-
-    @classmethod
-    def from_multiplicities(cls, mults: Mapping[int, int]) -> "Signature":
-        parts: list[int] = []
-        for value in sorted(mults, reverse=True):
-            count = mults[value]
-            if count < 0:
-                raise ValueError(f"multiplicity of {value} is negative")
-            parts.extend([int(value)] * int(count))
-        return cls(parts)
-
-    def to_json(self) -> str:
-        return json.dumps(list(self.parts))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Signature":
-        return cls(json.loads(text))
 
     def __repr__(self) -> str:
         return f"Signature({list(self.parts)})"
 
 
-def signature_multiplicities(sig) -> dict[int, int]:
-    """Multiplicity map m_i = #{j : lambda_j = i} of a nonnegative signature."""
-    parts = as_parts(sig)
-    if parts and parts[-1] < 0:
-        raise ValueError(f"multiplicity view requires nonnegative parts, got {parts}")
-    mults: dict[int, int] = {}
+def multiplicities(parts) -> dict[int, int]:
+    """m_i = #{j : parts_j = i}, unchecked: the row transfer calls it often."""
+    out: dict[int, int] = {}
     for p in parts:
-        mults[p] = mults.get(p, 0) + 1
-    return mults
+        out[p] = out.get(p, 0) + 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -131,15 +93,12 @@ class ModelParams:
     """Model parameters (q, u, v) with s = q^{-1/2}.
 
     The full chain v^{-1} > u > s > 1 is validated eagerly here so downstream
-    code never re-checks it.  Optional inhomogeneous spectral vectors must
-    satisfy min u_i > s and max u_i v_j < 1 (pairwise admissibility).
+    code never re-checks it.
     """
 
     q: float
     u: float
     v: float
-    u_vec: tuple[float, ...] | None = None
-    v_vec: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not (0.0 < self.q < 1.0):
@@ -151,19 +110,6 @@ class ModelParams:
             raise ValueError(f"v must be positive, got {self.v}")
         if not (self.u * self.v < 1.0):
             raise ValueError(f"need v < 1/u (u*v = {self.u * self.v:.6g})")
-        if self.u_vec is not None:
-            object.__setattr__(self, "u_vec", tuple(float(x) for x in self.u_vec))
-            if min(self.u_vec) <= s:
-                raise ValueError(f"all u_i must exceed s = {s:.6g}, got {self.u_vec}")
-        if self.v_vec is not None:
-            object.__setattr__(self, "v_vec", tuple(float(x) for x in self.v_vec))
-            if min(self.v_vec) <= 0.0:
-                raise ValueError(f"all v_j must be positive, got {self.v_vec}")
-        us = self.u_vec if self.u_vec is not None else (self.u,)
-        vs = self.v_vec if self.v_vec is not None else (self.v,)
-        worst = max(ui * vj for ui in us for vj in vs)
-        if not (worst < 1.0):
-            raise ValueError(f"admissibility needs max u_i v_j < 1, got {worst:.6g}")
 
     @property
     def s(self) -> float:
@@ -174,63 +120,9 @@ class ModelParams:
         """s^2 = 1/q, kept exact so blocked vertex weights vanish identically."""
         return 1.0 / self.q
 
-    def u_at(self, i: int) -> float:
-        return self.u_vec[i] if self.u_vec is not None else self.u
-
-    def v_at(self, j: int) -> float:
-        return self.v_vec[j] if self.v_vec is not None else self.v
-
-    def to_json(self) -> str:
-        obj = {"q": self.q, "u": self.u, "v": self.v}
-        if self.u_vec is not None:
-            obj["u_vec"] = list(self.u_vec)
-        if self.v_vec is not None:
-            obj["v_vec"] = list(self.v_vec)
-        return json.dumps(obj, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelParams":
-        obj = json.loads(text)
-        return cls(q=obj["q"], u=obj["u"], v=obj["v"],
-                   u_vec=tuple(obj["u_vec"]) if "u_vec" in obj else None,
-                   v_vec=tuple(obj["v_vec"]) if "v_vec" in obj else None)
-
 
 def pair_admissible(u: float, v: float, s: float) -> bool:
     """|((u-s)/(1-su)) ((v-s)/(1-sv))| < 1, the condition that makes the
     Cauchy-type sums absolutely convergent."""
     r = abs((u - s) / (1.0 - s * u) * (v - s) / (1.0 - s * v))
     return r < 1.0
-
-
-@dataclass(frozen=True)
-class VertexType:
-    """Arrow configuration (i1, j1; i2, j2) at one lattice vertex.
-
-    Construction only enforces nonnegativity and the occupancy cap; whether a
-    configuration conserves paths (i1 + j1 = i2 + j2, j's in {0, 1}) is a
-    query, since weight kernels must map nonconserving vertices to 0 rather
-    than refuse them.
-    """
-
-    i1: int
-    j1: int
-    i2: int
-    j2: int
-
-    def __post_init__(self):
-        for name in ("i1", "j1", "i2", "j2"):
-            val = getattr(self, name)
-            if val < 0 or val != int(val):
-                raise ValueError(f"{name} must be a nonnegative integer, got {val}")
-        if self.i1 > MAX_VERTEX_OCCUPANCY or self.i2 > MAX_VERTEX_OCCUPANCY:
-            raise ValueError(
-                f"vertical occupancy exceeds cap {MAX_VERTEX_OCCUPANCY}: {self}")
-
-    @property
-    def conserves(self) -> bool:
-        return (self.i1 + self.j1 == self.i2 + self.j2
-                and self.j1 in (0, 1) and self.j2 in (0, 1))
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.i1, self.j1, self.i2, self.j2)

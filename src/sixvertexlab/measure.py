@@ -127,13 +127,15 @@ def _strict_atoms(k: int, lo: int, hi: int) -> np.ndarray:
     return lo + np.argwhere(increasing)[:, ::-1]
 
 
-def _ic_window(k: int, lo: int, hi: int, M: int, params: ModelParams,
-               memo: dict[int, np.ndarray]) -> np.ndarray:
-    """Normalized boundary integrals I_C(mu; M) on the exponent box, indexed
-    by (mu_1 - lo, ..., mu_k - lo).  memo maps a node count to the box last
-    taken at it for this lo; only slices with a new largest part mu_1 are
-    integrated, so nonstrict entries they skip stay 0 (and are never read)."""
+def _ic_window(atoms: np.ndarray, lo: int, hi: int, M: int,
+               params: ModelParams, memo: dict[int, np.ndarray]) -> np.ndarray:
+    """Normalized boundary integrals I_C(mu; M) at the strict atoms mu in
+    [lo, hi].  memo maps a node count to the exponent box (indexed by
+    mu - lo) last taken at it for this lo; only slices with a new largest
+    part are integrated.  The stopping rule sees only the atoms' entries."""
+    k = atoms.shape[1]
     m_vals = np.arange(lo, hi + 1)
+    idx = tuple((atoms - lo).T)
 
     def evaluate(n: int) -> np.ndarray:
         z, wts = composite_nodes(params.u, M, n)
@@ -145,7 +147,7 @@ def _ic_window(k: int, lo: int, hi: int, M: int, params: ModelParams,
         out[done:] = tensor_integral([rows[done:]] + [rows] * (k - 1), z,
                                      params.q).real
         memo[n] = out
-        return out
+        return out[idx]
 
     return adaptive(evaluate, SEGMENT_NODES, COMPOSITE_MAX_NODES, QUAD_TOL)
 
@@ -167,8 +169,8 @@ def _pmf_window(k: int, M: int, params: ModelParams, lo: int, hi: int,
     """The atoms of the window [lo, hi] (colex rows) and their probabilities."""
     atoms = _strict_atoms(k, lo, hi)
     if route == "contour":
-        ic = _ic_window(k, lo, hi, M, params, memo)
-        return atoms, F_scaled_closed(atoms, params) * ic[tuple((atoms - lo).T)]
+        return atoms, (F_scaled_closed(atoms, params)
+                       * _ic_window(atoms, lo, hi, M, params, memo))
     if route == "direct":
         f_tab = f_direct_batch(k, hi, params.v, M, params)
         F_tab = _F_transfer_window(k, hi, params)

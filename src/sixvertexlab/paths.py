@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import ModelParams, as_parts
+from .core import ModelParams, as_parts, multiplicities
 from .weights import vertex_weight_raw
 
 TYPICAL_TYPES = frozenset({(0, 0, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1)})
@@ -82,7 +82,7 @@ class PathCollection:
                 h = j2
             if h != 0:
                 raise AssertionError(f"path leaves window in row {y + 1}")
-        bottom = _multiplicities(self.mu)
+        bottom = multiplicities(self.mu)
         for x in range(self.n_cols):
             if self.rows[0][x][0] != bottom.get(x, 0):
                 raise AssertionError(f"bottom boundary mismatch at x={x}")
@@ -98,13 +98,6 @@ class PathCollection:
             "n_cols": self.n_cols,
             "vertices": [[list(v) for v in row] for row in self.rows],
         }
-
-
-def _multiplicities(parts: tuple[int, ...]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for p in parts:
-        out[p] = out.get(p, 0) + 1
-    return out
 
 
 def _row_configurations(bottom: dict[int, int], left_entry: bool, n_cols: int,
@@ -181,7 +174,7 @@ def _enumerate_chains(mu: tuple[int, ...], lam: tuple[int, ...], n: int,
                 yield PathCollection(family=family, mu=mu, lam=lam, n_rows=n,
                                      n_cols=n_cols, rows=tuple(stack_rows))
             return
-        for top, verts in _row_configurations(_multiplicities(bottom_parts),
+        for top, verts in _row_configurations(multiplicities(bottom_parts),
                                               left_entry, n_cols, max_mult):
             if not rank_ok(top, n - row - 1):
                 continue
@@ -252,10 +245,7 @@ def is_typical(pc: PathCollection) -> bool:
 
 
 def typical_vertex_counts(pc: PathCollection) -> dict[tuple, int]:
-    counts: dict[tuple, int] = {}
-    for v in pc.vertex_types():
-        counts[v] = counts.get(v, 0) + 1
-    return counts
+    return multiplicities(pc.vertex_types())
 
 
 def count_collections_formula(lam) -> int:

@@ -22,19 +22,13 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import ModelParams, as_parts, pair_admissible, q_pochhammer
+from .core import (ModelParams, as_parts, multiplicities, pair_admissible,
+                   q_pochhammer)
 from .weights import vertex_weight_raw
 
 
 # ---------------------------------------------------------------------------
 # one-row transfer
-
-
-def _mults(parts: tuple[int, ...]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for p in parts:
-        out[p] = out.get(p, 0) + 1
-    return out
 
 
 def row_weight(top, bottom, spectral, params: ModelParams,
@@ -49,7 +43,7 @@ def row_weight(top, bottom, spectral, params: ModelParams,
     if len(top) != expected:
         return 0.0
     q, s = params.q, params.s
-    bm, tm = _mults(bottom), _mults(top)
+    bm, tm = multiplicities(bottom), multiplicities(top)
     hi = max([*top, *bottom, -1])
     h = 1 if left_entry else 0
     out: complex = 1.0
@@ -69,7 +63,7 @@ def row_weight(top, bottom, spectral, params: ModelParams,
 def _row_successors(bottom: tuple[int, ...], spectral, q: float, s: float,
                     conjugated: bool, left_entry: bool, max_col: int):
     """All (top, weight) pairs reachable from bottom in one row, weight != 0."""
-    bm = _mults(bottom)
+    bm = multiplicities(bottom)
     occupied = sorted(bm)
     results: list[tuple[tuple[int, ...], complex]] = []
     top_cols: list[int] = []
@@ -342,7 +336,7 @@ def Gc_geometric(nu, u0, n_vars: int, params: ModelParams) -> complex:
     if n_vars < n - n0:
         return 0.0
     pref: complex = 1.0
-    for _value, n_k in _mults(tuple(p for p in nu if p > 0)).items():
+    for n_k in multiplicities(p for p in nu if p > 0).values():
         pref *= q_pochhammer(1.0 / q, q, n_k) / q_pochhammer(q, q, n_k)
     num: complex = (q_pochhammer(q, q, n_vars)
                     * q_pochhammer(s * u0, q, n_vars + n0)

@@ -20,8 +20,8 @@ serves contour integrands with complex spectral parameter.
 
 from __future__ import annotations
 
-from .core import (MAX_VERTEX_OCCUPANCY, ModelParams, Signature, as_parts,
-                   q_pochhammer, signature_multiplicities)
+from .core import (MAX_VERTEX_OCCUPANCY, ModelParams, as_parts, multiplicities,
+                   q_pochhammer)
 
 
 def vertex_weight_raw(i1: int, j1: int, i2: int, j2: int,
@@ -89,10 +89,10 @@ def conjugation_factor(sig, params: ModelParams) -> float:
     (1 - s^2)/(1 - q) = -1/q).
     """
     parts = as_parts(sig)
-    if parts and parts[-1] < 0:
+    if parts and min(parts) < 0:
         raise ValueError("conjugation factor requires a nonnegative signature")
     q = params.q
     out = 1.0
-    for _value, n_k in signature_multiplicities(Signature(parts)).items():
+    for n_k in multiplicities(parts).values():
         out *= q_pochhammer(1.0 / q, q, n_k) / q_pochhammer(q, q, n_k)
     return out

@@ -1,13 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
-complete.  Tolerances are pinned here and nowhere else; the corners
+complete.  Criteria 1, 3-6 and 8 run the check functions of
+sixvertexlab.checks, which the CLI runs too, at the seeds and sizes pinned
+here.  Tolerances are pinned here and nowhere else; the corners
 comparison runs at a parameter point deep in the admissible region (its
 finite-M thresholds have no limiting rate behind them and are calibrated
 artifact choices).
 """
 
-import itertools
 import math
 import time
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from sixvertexlab import asymptotics as asy
 from sixvertexlab import boundary as bnd
-from sixvertexlab import gue, measure, paths, symfunc
+from sixvertexlab import checks, gue, measure, paths, symfunc
 from sixvertexlab.core import ModelParams
 
 CANONICAL = ModelParams(q=0.5, u=2.0, v=0.25)
@@ -30,40 +31,10 @@ def _report(num: int, name: str, passed: bool, detail: str = ""):
     assert passed, line
 
 
-def _random_points(seed: int, count: int):
-    import random
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        q = rng.uniform(0.15, 0.85)
-        s = q ** -0.5
-        u = s * (1.0 + rng.uniform(0.05, 1.5))
-        v = rng.uniform(0.05, 0.95) / u
-        out.append(ModelParams(q=q, u=u, v=v))
-    return out
-
-
-def strict_signatures(k, max_part):
-    for combo in itertools.combinations(range(max_part, -1, -1), k):
-        yield combo
-
-
 def test_criterion_01_route_agreement():
     t0 = time.time()
-    worst = 0.0
-    collections = {}
-    for k in (1, 2, 3):
-        for lam in strict_signatures(k, 6):
-            collections[lam] = paths.enumerate_F_collections((), lam, k)
-    for point in _random_points(1001, 50):
-        us = (point.u, point.u * 1.17, point.u * 1.31)
-        for lam, cols in collections.items():
-            k = len(lam)
-            dp = symfunc.F_eval(lam, (), us[:k], point)
-            en = sum(paths.collection_weight(c, us[:k], point) for c in cols)
-            sym = symfunc.F_symmetrization(lam, us[:k], point)
-            scale = max(abs(dp), 1e-300)
-            worst = max(worst, abs(dp - en) / scale, abs(dp - sym) / scale)
+    worst = checks.route_agreement(checks.random_points(1001, 50),
+                                   (1.0, 1.17, 1.31), 6)[2]
     elapsed = time.time() - t0
     _report(1, "route agreement", worst < 1e-10 and elapsed < 60,
             f"max rel err {worst:.2e}, {elapsed:.1f}s")
@@ -87,78 +58,29 @@ def test_criterion_02_cauchy_identity():
 
 
 def test_criterion_03_geometric_specialization():
-    worst = 0.0
-    for p in [CANONICAL] + _random_points(1003, 4):
-        for N in (1, 2, 3):
-            us = tuple(p.u * p.q ** i for i in range(N))
-            vs = tuple(p.v * p.q ** i for i in range(N))
-            for mu in strict_signatures(N, 4):
-                closed = symfunc.F_geometric(mu, p.u, p)
-                got = symfunc.F_eval(mu, (), us, p)
-                worst = max(worst, abs(got - closed) / max(abs(closed), 1e-300))
-                n0 = sum(1 for x in mu if x == 0)
-                if N >= len(mu) - n0:
-                    closed = symfunc.Gc_geometric(mu, p.v, N, p)
-                    got = symfunc.Gc_eval(mu, (0,) * len(mu), vs, p)
-                    worst = max(worst,
-                                abs(got - closed) / max(abs(closed), 1e-300))
+    worst = checks.geometric_specialization(
+        [CANONICAL] + checks.random_points(1003, 4), 4)[2]
     _report(3, "geometric specialization", worst < 1e-10,
             f"max rel err {worst:.2e}")
 
 
 def test_criterion_04_counting():
-    count_ok = True
-    bound_ok = True
-    checked = 0
-    for k in (1, 2, 3, 4):
-        for lam in strict_signatures(k, 8):
-            cols = paths.enumerate_F_collections((), lam, k)
-            if len(cols) != paths.count_collections_formula(lam):
-                count_ok = False
-            lower = paths.typical_count_lower_bound(lam)
-            if lower > 0:
-                n_typ = sum(1 for c in cols if paths.is_typical(c))
-                if n_typ < lower:
-                    bound_ok = False
-            checked += 1
-    _report(4, "counting formula", count_ok and bound_ok,
-            f"{checked} signatures, exact big-integer equality")
+    bad, _, _, census = checks.counting((1, 2, 3, 4), 8)
+    _report(4, "counting formula", bad == 0,
+            f"{census['signatures']} signatures, exact big-integer equality")
 
 
 def test_criterion_05_typical_weight():
-    worst = 0.0
-    for p in [CANONICAL] + _random_points(1005, 2):
-        s, q, u = p.s, p.q, p.u
-        for k in (1, 2, 3):
-            for lam in strict_signatures(k, 8):
-                size = sum(lam)
-                expect = (((1 - q) / (1 - s * u)) ** (k * (k + 1) // 2)
-                          * ((1 - 1 / q) * u / (1 - s * u)) ** (k * (k - 1) // 2)
-                          * ((u - s) / (1 - s * u)) ** (size - k * (k - 1) // 2))
-                for c in paths.enumerate_F_collections((), lam, k):
-                    if paths.is_typical(c):
-                        got = paths.collection_weight(c, (u,) * k, p)
-                        worst = max(worst, abs(got - expect) / abs(expect))
+    lams = [lam for k in (1, 2, 3) for lam in checks.strict_signatures(k, 8)]
+    worst = checks.typical_weight([CANONICAL] + checks.random_points(1005, 2),
+                                  lams)[2]
     _report(5, "typical collection weight", worst < 1e-12,
             f"max rel err {worst:.2e}")
 
 
 def test_criterion_06_boundary_function():
-    p = CANONICAL
-    worst = 0.0
-    for lam, M in [((2,), 2), ((5,), 10), ((7,), 20), ((3, 1), 4),
-                   ((6, 2), 10), ((8, 5), 20)]:
-        fc = bnd.f_contour(lam, p.v, M, p, tol=1e-10)
-        fd = bnd.f_direct(lam, p.v, M, p)
-        worst = max(worst, abs(fc - fd) / max(abs(fd), 1e-300))
-    s, v = p.s, p.v
-    lo_r = s + 0.25 * (1 / v - s)
-    hi_r = s + 0.75 * (1 / v - s)
-    worst_r = 0.0
-    for lam, M in [((4, 2), 6), ((5, 1), 12)]:
-        a = bnd.f_contour(lam, v, M, p, bnd.CircleContour(lo_r), tol=1e-10)
-        b = bnd.f_contour(lam, v, M, p, bnd.CircleContour(hi_r), tol=1e-10)
-        worst_r = max(worst_r, abs(a - b) / max(abs(a), 1e-300))
+    worst = checks.f_contour_vs_direct(CANONICAL)[2]
+    worst_r = checks.f_radius_independence(CANONICAL)[2]
     _report(6, "boundary function routes", worst < 1e-7 and worst_r < 1e-7,
             f"contour-vs-direct {worst:.2e}, radius change {worst_r:.2e}")
 
@@ -183,26 +105,13 @@ def test_criterion_07_partition_function():
 
 
 def test_criterion_08_constants_and_critical_points():
-    signs_ok = True
-    for point in _random_points(1008, 50):
-        cst = asy.constants(point)
-        signs_ok &= cst.a > 0 and cst.b < 0 and cst.c > 0 and cst.d > 0
+    signs_ok = checks.sign_pattern(checks.random_points(1008, 50))[2] == 0
     crit_ok = True
-    details = []
-    for point in [CANONICAL] + _random_points(1009, 19):
-        cst = asy.constants(point)
-        u = point.u
-        h = 1e-5 * u
-        G = lambda z: asy.phase_G(z, point)
-        g = lambda z: asy.phase_g(z, point)
-        d1 = (G(u + h) - G(u - h)) / (2 * h)
-        d1h = (G(u + h / 2) - G(u - h / 2)) / h
-        rich = abs((4 * d1h - d1) / 3)
-        second = ((G(u + h) - 2 * G(u) + G(u - h)) / h ** 2).real
-        gp = ((g(u + h) - g(u - h)) / (2 * h)).real
-        crit_ok &= abs(G(u)) < 1e-6 and abs(g(u)) < 1e-6 and rich < 1e-6
-        crit_ok &= abs(second - 2 * cst.c) < 1e-4 * abs(2 * cst.c)
-        crit_ok &= abs(gp - cst.b) < 1e-6
+    for point in [CANONICAL] + checks.random_points(1009, 19):
+        for name, (_, ref, err, _) in checks.critical_points(point).items():
+            # G'' is checked relative to 2c, the rest absolutely
+            crit_ok &= err < (1e-4 * abs(ref) if name == "G''(u)-2c"
+                              else 1e-6)
     _report(8, "constants and critical points", signs_ok and crit_ok,
             "signs (+,-,+,+) on 50 points; finite-difference suite on 20")
 

@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_ferroelectric
 from sixvertexlab import asymptotics as asy
+from sixvertexlab import checks
+from sixvertexlab.checks import random_point
 
 
 def test_constants_reference_point(params):
@@ -19,11 +20,8 @@ def test_constants_reference_point(params):
 
 
 def test_constants_signs_on_grid():
-    rng = random.Random(61)
-    for _ in range(50):
-        p = random_ferroelectric(rng)
-        cst = asy.constants(p)
-        assert cst.a > 0 and cst.b < 0 and cst.c > 0 and cst.d > 0
+    bad, _, _, signs = checks.sign_pattern(checks.random_points(61, 50))
+    assert bad == 0, signs
 
 
 def _fd_first(fn, u, h):
@@ -35,7 +33,7 @@ def _fd_first(fn, u, h):
 def test_critical_point_facts():
     rng = random.Random(67)
     for _ in range(20):
-        p = random_ferroelectric(rng)
+        p = random_point(rng)
         cst = asy.constants(p)
         u = p.u
         h = 1e-5 * u
@@ -68,12 +66,6 @@ def test_branch_continuity(params):
     assert worst < 0.5 * np.pi
     with pytest.raises(RuntimeError):
         asy.branch_continuity_check(z[::100], params, max_jump=1e-4)
-
-
-def test_quadratic_expansion(params):
-    fit = asy.quadratic_expansion_fit(params)
-    assert fit["feasible"]
-    assert fit["C1"] > 0 and 0 < fit["eps1"] <= fit["radius"]
 
 
 def test_h_M_offset(params):

@@ -1,10 +1,9 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
 
-from sixvertexlab import symfunc
+from sixvertexlab import checks, symfunc
 from sixvertexlab.boundary import (CircleContour, Gc_contour, QuadratureError,
                                    default_radius, f_contour, f_direct,
                                    f_direct_batch)
@@ -54,23 +53,16 @@ def test_f_contour_radius_independence(params):
 def test_f_sign_pattern_and_weight_positivity(params):
     # Raw f alternates as (-1)^{|lam| + k}; the full path weight
     # F_lam([u]^k) f(lam) is what is nonnegative.
-    for lam in [(1,), (2,), (3,), (3, 1), (4, 1), (4, 3, 1)]:
-        k, size = len(lam), sum(lam)
-        f_val = f_direct(lam, params.v, 3, params)
-        assert f_val != 0.0
-        assert math.copysign(1.0, f_val) == (-1.0) ** (size + k)
-        F_val = complex(symfunc.F_eval(lam, (), (params.u,) * k, params)).real
-        assert F_val * f_val > 0.0
+    lams = [(1,), (2,), (3,), (3, 1), (4, 1), (4, 3, 1)]
+    bad, _, _, signs = checks.total_weight_signs(params, lams, 3)
+    assert bad == 0, signs
 
 
 def test_Gc_contour_matches_transfer(params):
-    for m in (1, 3, 6):
-        ct = Gc_contour((m,), (params.v,), params, tol=1e-10)
-        dp = symfunc.Gc_eval((m,), (0,), (params.v,), params)
-        assert complex(ct) == pytest.approx(complex(dp), rel=1e-8)
-    ct = Gc_contour((2, 1), (0.25, 0.2), params, tol=1e-10)
-    dp = symfunc.Gc_eval((2, 1), (0, 0), (0.25, 0.2), params)
-    assert complex(ct) == pytest.approx(complex(dp), rel=1e-7)
+    one_row = [((m,), (params.v,)) for m in (1, 3, 6)]
+    assert checks.Gc_contour_vs_transfer(params, one_row)[2] < 1e-8
+    two_rows = [((2, 1), (0.25, 0.2))]
+    assert checks.Gc_contour_vs_transfer(params, two_rows)[2] < 1e-7
 
 
 def test_Gc_contour_rejects_zero_part(params):

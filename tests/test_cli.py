@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -5,7 +6,7 @@ import types
 
 import pytest
 
-from sixvertexlab import cli, measure
+from sixvertexlab import asymptotics, checks, cli, measure
 from sixvertexlab.cli import main
 
 REAL_LOWER_ROWS = measure.conditional_lower_rows
@@ -27,6 +28,26 @@ def test_constants_run(tmp_path, capsys):
     assert sidecar["config"]["q"] == 0.5
     assert "wall_clock_s" in sidecar and "versions" in sidecar
     assert sidecar["n_failures"] == 0
+
+
+def test_boundary_run(tmp_path, capsys):
+    rc = main(["boundary", "--out", str(tmp_path)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    with open(tmp_path / "boundary" / "boundary_checks.csv") as fh:
+        names = [row["check"] for row in csv.DictReader(fh)]
+    assert names == [
+        "f-contour-vs-direct(lam=[2],M=2)",
+        "f-contour-vs-direct(lam=[5],M=10)",
+        "f-contour-vs-direct(lam=[7],M=20)",
+        "f-contour-vs-direct(lam=[3, 1],M=4)",
+        "f-contour-vs-direct(lam=[6, 2],M=10)",
+        "f-contour-vs-direct(lam=[8, 5],M=20)",
+        "f-radius-independence(lam=[4, 2],M=6)",
+        "f-radius-independence(lam=[5, 1],M=12)",
+        "Gc-contour-vs-transfer(lam=[3])",
+        "Gc-contour-vs-transfer(lam=[2, 1])",
+        "f-contour-sign-convention"]
 
 
 def test_invalid_params_exit_2(tmp_path, capsys):
@@ -92,6 +113,25 @@ def test_constants_values_must_be_finite(tmp_path, capsys, monkeypatch):
     assert rc == 1
     out = json.loads(capsys.readouterr().out)
     assert [f["invariant"] for f in out["failures"]] == ["constants-values"]
+
+
+def test_sign_pattern_refusal_is_a_failed_row(tmp_path, capsys, monkeypatch):
+    # a point whose constants() raises must fail the sign-pattern row, not
+    # crash the run
+    refused = checks.random_points(cli.ExperimentConfig().seed + 1, 50)[7]
+    real = asymptotics.constants
+
+    def constants(p):
+        if p == refused:
+            raise ValueError("sign pattern (+,-,+,+) violated")
+        return real(p)
+
+    monkeypatch.setattr(asymptotics, "constants", constants)
+    rc = main(["constants", "--out", str(tmp_path)])
+    assert rc == 1
+    out = json.loads(capsys.readouterr().out)
+    assert [f["invariant"] for f in out["failures"]] == \
+        ["sign-pattern(+,-,+,+) on 50-point grid"]
 
 
 def _shifted_top(sig, p, rng):

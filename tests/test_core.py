@@ -1,11 +1,10 @@
-import json
 import random
 
 import pytest
 
-from sixvertexlab.core import (ModelParams, Signature, VertexType,
-                               delta_parameter, pair_admissible, q_pochhammer,
-                               signature_multiplicities)
+from sixvertexlab.checks import random_point
+from sixvertexlab.core import (ModelParams, Signature, delta_parameter,
+                               multiplicities, pair_admissible, q_pochhammer)
 
 
 def test_q_pochhammer_examples():
@@ -33,34 +32,13 @@ def test_signature_validation():
     with pytest.raises(ValueError):
         Signature((1, 2))
     sig = Signature((5, 4, 2))
-    assert sig.nonneg and sig.is_strict() and sig.size == 11
-    assert Signature((3, 3, 0)).multiplicities() == {3: 2, 0: 1}
+    assert sig.size == 11
 
 
 def test_signature_multiplicity_examples():
-    assert signature_multiplicities((5, 4, 2)) == {5: 1, 4: 1, 2: 1}
-    assert signature_multiplicities(()) == {}
-    with pytest.raises(ValueError):
-        signature_multiplicities((2, -1))
-
-
-def test_signature_multiplicity_roundtrip():
-    rng = random.Random(11)
-    sigs = [()]
-    for _ in range(200):
-        n = rng.randrange(0, 7)
-        parts = sorted((rng.randrange(0, 11) for _ in range(n)), reverse=True)
-        sigs.append(tuple(parts))
-    for parts in sigs:
-        sig = Signature(parts)
-        back = Signature.from_multiplicities(sig.multiplicities())
-        assert back == sig
-
-
-def test_signature_json_roundtrip():
-    sig = Signature((4, 4, 1, 0))
-    assert Signature.from_json(sig.to_json()) == sig
-    assert json.loads(sig.to_json()) == [4, 4, 1, 0]
+    assert multiplicities((5, 4, 2)) == {5: 1, 4: 1, 2: 1}
+    assert multiplicities((3, 3, 0)) == {3: 2, 0: 1}
+    assert multiplicities(()) == {}
 
 
 def test_delta_parameter_examples():
@@ -83,35 +61,9 @@ def test_model_params_chain():
 
 
 def test_model_params_accepted_chain_property():
-    from conftest import random_ferroelectric
     rng = random.Random(3)
     for _ in range(100):
-        p = random_ferroelectric(rng)
+        p = random_point(rng)
         assert p.u * p.v < 1.0
         assert p.u > p.q ** -0.5
         assert pair_admissible(p.u, p.v, p.s)
-
-
-def test_model_params_inhomogeneous_admissibility():
-    ModelParams(q=0.5, u=2.0, v=0.25, u_vec=(1.5, 2.0), v_vec=(0.25, 0.3))
-    with pytest.raises(ValueError):
-        ModelParams(q=0.5, u=2.0, v=0.25, u_vec=(1.0, 2.0))  # u_1 < s
-    with pytest.raises(ValueError):
-        ModelParams(q=0.5, u=2.0, v=0.25, u_vec=(2.0, 3.0), v_vec=(0.25, 0.4))
-
-
-def test_model_params_json_roundtrip():
-    p = ModelParams(q=0.4, u=2.2, v=0.2)
-    assert ModelParams.from_json(p.to_json()) == p
-    obj = json.loads(p.to_json())
-    assert set(obj) == {"q", "u", "v"}  # s is derived, not stored
-
-
-def test_vertex_type():
-    v = VertexType(2, 1, 3, 0)
-    assert v.conserves and v.as_tuple() == (2, 1, 3, 0)
-    assert not VertexType(2, 1, 0, 1).conserves
-    with pytest.raises(ValueError):
-        VertexType(-1, 0, 0, 0)
-    with pytest.raises(ValueError):
-        VertexType(65, 0, 65, 0)

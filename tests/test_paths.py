@@ -1,20 +1,15 @@
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_ferroelectric
+from sixvertexlab import checks
+from sixvertexlab.checks import random_point, strict_signatures
 from sixvertexlab.paths import (collection_weight, count_collections_formula,
                                 enumerate_F_collections,
                                 enumerate_Gc_collections, is_typical,
                                 typical_count_lower_bound,
                                 typical_vertex_counts)
-
-
-def strict_signatures(k, max_part):
-    for combo in itertools.combinations(range(max_part, -1, -1), k):
-        yield tuple(sorted(combo, reverse=True))
 
 
 def test_single_path_collection():
@@ -66,10 +61,8 @@ def test_counting_formula_examples():
 
 
 def test_counting_formula_matches_enumeration():
-    for k in (1, 2, 3):
-        for lam in strict_signatures(k, 6):
-            n = len(enumerate_F_collections((), lam, k))
-            assert n == count_collections_formula(lam), lam
+    bad, _, _, census = checks.counting((1, 2, 3), 6)
+    assert bad == 0, census
 
 
 def test_typical_classification():
@@ -112,25 +105,15 @@ def test_empty_collection_weight(params):
 
 
 def test_typical_weight_closed_form():
-    rng = random.Random(23)
-    for _ in range(5):
-        p = random_ferroelectric(rng)
-        u, s, q = p.u, p.s, p.q
-        for lam in [(3, 1), (4, 2, 0), (5, 3, 1)]:
-            k, size = len(lam), sum(lam)
-            expect = (((1 - q) / (1 - s * u)) ** (k * (k + 1) // 2)
-                      * ((1 - 1 / q) * u / (1 - s * u)) ** (k * (k - 1) // 2)
-                      * ((u - s) / (1 - s * u)) ** (size - k * (k - 1) // 2))
-            for c in enumerate_F_collections((), lam, k):
-                if is_typical(c):
-                    got = collection_weight(c, (u,) * k, p)
-                    assert got == pytest.approx(expect, rel=1e-12)
+    worst = checks.typical_weight(checks.random_points(23, 5),
+                                  [(3, 1), (4, 2, 0), (5, 3, 1)])[2]
+    assert worst < 1e-12
 
 
 def test_weight_bound_constant():
     # |W(pi)| <= C ((u-s)/(su-1))^{|lam|} with one fitted C per parameter point
     rng = random.Random(29)
-    p = random_ferroelectric(rng)
+    p = random_point(rng)
     u, s = p.u, p.s
     x = (u - s) / (s * u - 1)
     ratios = []

@@ -1,24 +1,17 @@
-import itertools
 import random
 
 import numpy as np
 import pytest
 
-from conftest import random_ferroelectric
-from sixvertexlab import symfunc
+from sixvertexlab import checks, symfunc
+from sixvertexlab.checks import random_point, strict_signatures
 from sixvertexlab.core import ModelParams
 from sixvertexlab.paths import enumerate_F_collections, enumerate_Gc_collections, \
     collection_weight
-from sixvertexlab.symfunc import (F_all, F_eval, F_geometric, F_scaled_closed,
-                                  F_scaled_strict, F_symmetrization, Gc_eval,
-                                  Gc_geometric, TransferRow, row_weight,
-                                  step_ratio, verify_cauchy, verify_skew_cauchy)
-from sixvertexlab.weights import conjugation_factor
-
-
-def strict_signatures(k, max_part):
-    for combo in itertools.combinations(range(max_part, -1, -1), k):
-        yield tuple(sorted(combo, reverse=True))
+from sixvertexlab.symfunc import (F_eval, F_scaled_closed, F_scaled_strict,
+                                  F_symmetrization, Gc_eval, Gc_geometric,
+                                  TransferRow, row_weight, step_ratio,
+                                  verify_cauchy, verify_skew_cauchy)
 
 
 def enumeration_F(lam, mu, spectral, params):
@@ -52,7 +45,7 @@ def test_Gc_one_row_closed_form(params):
 def test_F_eval_matches_enumeration():
     rng = random.Random(41)
     for _ in range(8):
-        p = random_ferroelectric(rng)
+        p = random_point(rng)
         us = (p.u, p.u * 1.07, p.u * 0.93 + 0.12)
         for k in (1, 2, 3):
             for lam in [next(strict_signatures(k, 5)), (5,) + tuple(range(k - 1, 0, -1))[:k - 1]]:
@@ -66,7 +59,7 @@ def test_F_eval_matches_enumeration():
 
 def test_Gc_eval_matches_enumeration():
     rng = random.Random(43)
-    p = random_ferroelectric(rng)
+    p = random_point(rng)
     vs = (p.v, 0.8 * p.v)
     for lam, mu in [((3,), (1,)), ((4, 2), (2, 0)), ((4, 2), (2, 2)),
                     ((3, 3), (0, 0)), ((5, 2, 1), (2, 1, 0))]:
@@ -77,17 +70,9 @@ def test_Gc_eval_matches_enumeration():
 
 def test_route_agreement_three_ways():
     # DP vs enumeration vs symmetrization on strict lam, distinct variables
-    rng = random.Random(47)
-    for _ in range(10):
-        p = random_ferroelectric(rng)
-        us = (p.u, p.u * 1.11, p.u * 1.23)
-        for k in (1, 2, 3):
-            for lam in strict_signatures(k, 4):
-                dp = F_eval(lam, (), us[:k], p)
-                en = enumeration_F(lam, (), us[:k], p)
-                sym = F_symmetrization(lam, us[:k], p)
-                assert dp == pytest.approx(en, rel=1e-10, abs=1e-14)
-                assert dp == pytest.approx(sym, rel=1e-10, abs=1e-14)
+    worst = checks.route_agreement(checks.random_points(47, 10),
+                                   (1.0, 1.11, 1.23), 4)[2]
+    assert worst < 1e-10
 
 
 def test_F_spectral_symmetry(params):
@@ -107,31 +92,19 @@ def test_symmetrization_rejects_equal_variables(params):
 
 
 def test_branching_middle_sum(params):
-    lam, mu = (4, 2, 1), ()
-    u1, u2, u3 = 2.0, 2.2, 2.4
-    lhs = F_eval(lam, mu, (u1, u2, u3), params)
-    mid = 0.0
-    for kappa_tab, amp in F_all(mu, (u1,), params, max_part=4).items():
-        mid += amp * F_eval(lam, kappa_tab, (u2, u3), params)
-    assert lhs == pytest.approx(mid, rel=1e-11)
+    err = checks.branching_middle_sum(params, (4, 2, 1), (2.0, 2.2, 2.4))[2]
+    assert err < 1e-11
 
 
 def test_F_geometric_specialization():
-    rng = random.Random(53)
-    for _ in range(6):
-        p = random_ferroelectric(rng)
-        for N in (1, 2, 3):
-            us = tuple(p.u * p.q ** i for i in range(N))
-            for mu in strict_signatures(N, 4):
-                closed = F_geometric(mu, p.u, p)
-                dp = F_eval(mu, (), us, p)
-                assert dp == pytest.approx(closed, rel=1e-10, abs=1e-14)
+    worst = checks.geometric_specialization(checks.random_points(53, 6), 4)
+    assert worst[3]["F"] < 1e-10
 
 
 def test_Gc_geometric_specialization():
     rng = random.Random(59)
     for _ in range(6):
-        p = random_ferroelectric(rng)
+        p = random_point(rng)
         v0 = p.v
         for N in (1, 2, 3):
             vs = tuple(v0 * p.q ** i for i in range(N))
@@ -153,14 +126,7 @@ def test_Gc_too_few_variables_is_zero(params):
 
 def test_conjugation_relation_strict(params):
     # G^c = (c(lam)/c(mu)) G on strict lam, mu
-    for lam, mu in [((3,), (1,)), ((4, 2), (2, 1)), ((5, 3, 1), (3, 2, 0))]:
-        vs = (params.v, 0.8 * params.v)[:min(2, len(lam))]
-        gc = Gc_eval(lam, mu, vs, params)
-        g_plain = 0.0
-        for c in enumerate_Gc_collections(mu, lam, len(vs)):
-            g_plain += collection_weight(c, vs, params, conjugated=False)
-        ratio = conjugation_factor(lam, params) / conjugation_factor(mu, params)
-        assert gc == pytest.approx(ratio * g_plain, rel=1e-11, abs=1e-14)
+    assert checks.conjugation_relation(params)[2] < 1e-11
 
 
 def test_row_weight_matches_successors(params):
@@ -192,11 +158,9 @@ def test_skew_cauchy_and_reduction(params):
     rep = verify_skew_cauchy((3, 1, 0), (2,), (2.0, 2.2), (0.25,), params)
     assert rep["rel_error"] < 1e-9
     # lam = (0,...,0), nu = empty reduces to the plain Cauchy identity
-    N, K = 2, 1
-    rep = verify_skew_cauchy((0,) * N, (), (2.0, 2.3), (0.25,), params)
-    plain = verify_cauchy(N, K, (2.0, 2.3), (0.25,), params)
-    assert rep["lhs"].real == pytest.approx(plain["lhs"], rel=1e-9)
-    assert rep["rel_error"] < 1e-9
+    _, _, err, skew = checks.skew_reduces_to_cauchy(params, (2.0, 2.3),
+                                                    (0.25,))
+    assert err < 1e-9 and skew["skew_rel_error"] < 1e-9
 
 
 def test_scaled_strict_transfer_matches_F(params):

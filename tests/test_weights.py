@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from conftest import random_ferroelectric
-from sixvertexlab.core import VertexType, delta_parameter, q_pochhammer
+from sixvertexlab.checks import random_point
+from sixvertexlab.core import delta_parameter, q_pochhammer
 from sixvertexlab.weights import (SIX_VERTEX_TYPES, conjugation_factor,
                                   six_vertex_weights, vertex_weight_raw)
 
@@ -24,8 +24,7 @@ def test_turn_weight_matches_table(params):
 def test_nonconserving_vertex_is_zero(params):
     q, s = params.q, params.s
     assert vertex_weight_raw(2, 1, 0, 1, q, s, 2.0, False) == 0.0
-    assert vertex_weight_raw(*VertexType(1, 1, 1, 0).as_tuple(), q, s, 2.0,
-                             False) == 0.0
+    assert vertex_weight_raw(1, 1, 1, 0, q, s, 2.0, False) == 0.0
 
 
 def test_blocked_branches_vanish_exactly(params):
@@ -49,7 +48,7 @@ def test_conjugation_ratio_between_tables():
     # so the zero factors of (s^2; q)_n at s^2 q = 1 stay harmless
     rng = random.Random(5)
     for _ in range(20):
-        p = random_ferroelectric(rng)
+        p = random_point(rng)
         q, s, u = p.q, p.s, p.u
         s2 = p.s2
         for g in range(9):
@@ -76,7 +75,7 @@ def test_six_vertex_weights_examples(params):
 def test_six_vertex_ferroelectric_grid():
     rng = random.Random(17)
     for _ in range(20):
-        p = random_ferroelectric(rng)
+        p = random_point(rng)
         assert delta_parameter(*six_vertex_weights(p)) > 1.0
 
 
@@ -87,3 +86,5 @@ def test_conjugation_factor_examples(params):
     assert conjugation_factor((4,), params) == pytest.approx(block)
     # repeated values hit the (s^2; q)_2 zero
     assert conjugation_factor((3, 3, 0), params) == 0.0
+    with pytest.raises(ValueError):
+        conjugation_factor((2, -1), params)
