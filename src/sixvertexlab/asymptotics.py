@@ -184,7 +184,9 @@ def scaled_parts(x_values, M: int, a: float, scale: float) -> tuple[int, ...]:
     return tuple(math.floor(a * M + scale * root_m * x) for x in reversed(xs))
 
 
-# deep-tail values of I_C sit at the absolute noise floor of the quadrature
+# relative tolerance of a single I_C (max-abs change between doublings); the
+# deep-tail values sit at the absolute noise floor IC_ATOL of the quadrature
+IC_TOL = 1e-9
 IC_ATOL = 1e-14
 
 
@@ -200,15 +202,15 @@ def exponent_rows(z: np.ndarray, wts: np.ndarray, exponents, M: int,
         return np.exp(np.multiply.outer(exponents, ls) + M * lv) * base
 
 
-def contour_boundary_integral(exponents, M: int, params: ModelParams,
-                              tol: float = 1e-9) -> complex:
+def contour_boundary_integral(exponents, M: int,
+                              params: ModelParams) -> complex:
     """I_C(l; M) = oint_C^k prod_{a<b} (z_a - z_b)/(z_a - q z_b)
                    prod_i base(z_i) exp(l_i L_s(z_i) + M L_v(z_i)) dz_i/(2 pi i),
 
     with adaptive node doubling.  This equals f(l; [v]^M, rho)/Z_M times
     t^{|l|} for integer parts l_i >= 1 (everything normalized so the value
-    stays O(1) for parts near a M).  The relative criterion has the absolute
-    escape IC_ATOL for deep-tail values."""
+    stays O(1) for parts near a M).  The relative criterion IC_TOL has the
+    absolute escape IC_ATOL for deep-tail values."""
     exponents = tuple(exponents)
     if len(exponents) == 0 or exponents[-1] < 1:
         raise ValueError(f"contour engine requires parts >= 1, got {exponents}")
@@ -218,7 +220,7 @@ def contour_boundary_integral(exponents, M: int, params: ModelParams,
         rows = exponent_rows(z, wts, exponents, M, params)
         return tensor_integral(list(rows[:, None]), z, params.q).item()
 
-    return adaptive(evaluate, SEGMENT_NODES, COMPOSITE_MAX_NODES, tol,
+    return adaptive(evaluate, SEGMENT_NODES, COMPOSITE_MAX_NODES, IC_TOL,
                     atol=IC_ATOL)
 
 
@@ -248,8 +250,7 @@ def A_M(mu, M: int, params: ModelParams) -> float:
             * w_a ** -binom2(k + 1) * w_b ** -binom2(k) * t ** binom2(k))
 
 
-def B_M(mu, M: int, params: ModelParams, route: str = "contour",
-        tol: float = 1e-9) -> float:
+def B_M(mu, M: int, params: ModelParams, route: str = "contour") -> float:
     """The boundary factor with its normalization, so that
     A_M(mu) * B_M(mu) = P(top row = mu) exactly.
 
@@ -259,7 +260,7 @@ def B_M(mu, M: int, params: ModelParams, route: str = "contour",
     mu = as_parts(mu)
     k = len(mu)
     if route == "contour":
-        val = contour_boundary_integral(mu, M, params, tol=tol)
+        val = contour_boundary_integral(mu, M, params)
         if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
             raise RuntimeError(f"B_M integral has non-real residue: {val}")
         return bm_prefactor(k, params) * M ** (binom2(k) / 2) * val.real
@@ -275,8 +276,7 @@ def B_M(mu, M: int, params: ModelParams, route: str = "contour",
     raise ValueError(f"unknown route {route!r}")
 
 
-def B_M_contour(x_values, M: int, params: ModelParams,
-                tol: float = 1e-9) -> float:
+def B_M_contour(x_values, M: int, params: ModelParams) -> float:
     """d^k M^{k/2} B_M(lambda(M)) at lambda_i(M) = floor(aM + d sqrt(M) x_{k-i+1});
     converges to d^{-C(k,2)} (2 pi)^{-k/2} prod_{i<j}(x_j - x_i) prod e^{-x_i^2/2}."""
     xs = tuple(x_values)
@@ -286,7 +286,7 @@ def B_M_contour(x_values, M: int, params: ModelParams,
     if cst.a * M - A_bound * math.sqrt(M) < 1.0:
         raise ValueError(f"M = {M} too small: need a M - max|x| sqrt(M) >= 1")
     lam = scaled_parts(xs, M, cst.a, cst.d)
-    val = contour_boundary_integral(lam, M, params, tol=tol)
+    val = contour_boundary_integral(lam, M, params)
     if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
         raise RuntimeError(f"B_M integral has non-real residue: {val}")
     a_k = cst.d ** k * bm_prefactor(k, params)
@@ -332,8 +332,3 @@ def hermite(n: int, x: float) -> float:
         h_prev, h_cur = h_cur, x * h_cur - m * h_prev
     return h_cur
 
-
-def psi(n: int, x: float) -> complex:
-    """psi_n(x) = int z^n e^{-z^2/2 - i x z} dz/(2 pi)
-               = (-i)^n (2 pi)^{-1/2} e^{-x^2/2} h_n(x)."""
-    return (-1j) ** n * (2 * np.pi) ** -0.5 * math.exp(-x * x / 2) * hermite(n, x)

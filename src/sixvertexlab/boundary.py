@@ -26,27 +26,18 @@ imaginary residue is small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-
 import numpy as np
 
-from .core import ModelParams, as_parts, q_pochhammer
+from .core import ModelParams, as_parts, q_pochhammer, strict_atoms
 from .quadrature import QuadratureError, adaptive, circle_nodes, tensor_integral
 from .symfunc import StrictRow, TransferRow, _rank_filter
 from .weights import conjugation_factor
 
 
-@dataclass(frozen=True)
-class CircleContour:
-    """Zero-centered positively oriented circle with an initial node count."""
-
-    radius: float
-    nodes: int = 64
-
-    def __post_init__(self):
-        if self.radius <= 0 or self.nodes < 4:
-            raise ValueError(f"invalid contour: {self}")
+# node counts of the circle quadrature: the first evaluation, and the most
+# that node doubling may reach
+CIRCLE_NODES = 64
+CIRCLE_MAX_NODES = 1 << 14
 
 
 def default_radius(params: ModelParams, v_values) -> float:
@@ -65,10 +56,11 @@ def _check_radius(R: float, params: ModelParams, v_values) -> None:
         raise ValueError(f"radius {R} outside admissible band ({params.s}, {hi})")
 
 
-def Gc_contour(lam, v_values, params: ModelParams, contour: CircleContour | None = None,
-               tol: float = 1e-9, max_nodes: int = 1 << 14) -> complex:
-    """G^c_lambda(v_1..v_N) for lam with lam_k >= 1, by the k-fold large-circle
-    integral; independent of the transfer evaluators."""
+def Gc_contour(lam, v_values, params: ModelParams,
+               radius: float | None = None, tol: float = 1e-9) -> complex:
+    """G^c_lambda(v_1..v_N) for lam with lam_k >= 1, by the k-fold integral
+    over the circle |z| = radius (default_radius if None); independent of
+    the transfer evaluators."""
     lam = as_parts(lam)
     v_values = tuple(v_values)
     k = len(lam)
@@ -79,12 +71,12 @@ def Gc_contour(lam, v_values, params: ModelParams, contour: CircleContour | None
     s, q = params.s, params.q
     if max(abs(v) for v in v_values) >= 1.0 / s:
         raise ValueError("all |v_i| must be below 1/s")
-    if contour is None:
-        contour = CircleContour(default_radius(params, v_values))
-    _check_radius(contour.radius, params, v_values)
+    if radius is None:
+        radius = default_radius(params, v_values)
+    _check_radius(radius, params, v_values)
 
     def evaluate(n: int) -> complex:
-        z, wts = circle_nodes(contour.radius, n)
+        z, wts = circle_nodes(radius, n)
         col = np.ones_like(z)
         for v in v_values:
             col = col * (1.0 - q * z * v) / (1.0 - z * v)
@@ -93,14 +85,14 @@ def Gc_contour(lam, v_values, params: ModelParams, contour: CircleContour | None
         cols = [(base * ratio ** p * wts)[None] for p in lam]
         return tensor_integral(cols, z, q).item()
 
-    val = adaptive(evaluate, contour.nodes, max_nodes, tol)
+    val = adaptive(evaluate, CIRCLE_NODES, CIRCLE_MAX_NODES, tol)
     return complex(val) * conjugation_factor(lam, params) * q_pochhammer(q, q, k)
 
 
 def f_contour(lam, v: float, M: int, params: ModelParams,
-              contour: CircleContour | None = None, tol: float = 1e-9,
-              max_nodes: int = 1 << 14) -> float:
-    """f(lambda; [v]^M, rho) by the k-fold circle integral (lam_k >= 1)."""
+              radius: float | None = None, tol: float = 1e-9) -> float:
+    """f(lambda; [v]^M, rho) by the k-fold integral over the circle |z| =
+    radius (default_radius if None), for lam_k >= 1."""
     lam = as_parts(lam)
     k = len(lam)
     if k == 0 or lam[-1] < 1:
@@ -110,42 +102,24 @@ def f_contour(lam, v: float, M: int, params: ModelParams,
     s, q = params.s, params.q
     if not (0 < v < 1.0 / s):
         raise ValueError(f"need v in (0, 1/s), got {v}")
-    if contour is None:
-        contour = CircleContour(default_radius(params, (v,)))
-    _check_radius(contour.radius, params, (v,))
+    if radius is None:
+        radius = default_radius(params, (v,))
+    _check_radius(radius, params, (v,))
 
     def evaluate(n: int) -> complex:
-        z, wts = circle_nodes(contour.radius, n)
+        z, wts = circle_nodes(radius, n)
         col = ((1.0 - q * z * v) / (1.0 - z * v)) ** M
         ratio = (1.0 - s * z) / (z - s)
         base = col / (-s * (1.0 - s * z))
         cols = [(base * ratio ** p * wts)[None] for p in lam]
         return tensor_integral(cols, z, q).item()
 
-    val = adaptive(evaluate, contour.nodes, max_nodes, tol)
+    val = adaptive(evaluate, CIRCLE_NODES, CIRCLE_MAX_NODES, tol)
     val = complex(val) * conjugation_factor(lam, params) * q_pochhammer(q, q, k)
     if abs(val.imag) > tol * max(1.0, abs(val.real)):
         raise QuadratureError("f contour integral has a non-real residue",
                               {"estimate": repr(val), "tol": tol})
     return val.real
-
-
-def _strict_below(lam: tuple[int, ...]):
-    """Distinct-part nu with nu_i in [1, lam_i] rank-wise (the support of the
-    boundary sum inside lam)."""
-    k = len(lam)
-
-    def rec(i: int, hi: int, acc: list[int]):
-        if i == k:
-            yield tuple(acc)
-            return
-        top = min(hi, lam[i])
-        for p in range(top, 0, -1):
-            acc.append(p)
-            yield from rec(i + 1, p - 1, acc)
-            acc.pop()
-
-    yield from rec(0, lam[0] if lam else 0, [])
 
 
 def f_direct(lam, v: float, M: int, params: ModelParams) -> float:
@@ -162,9 +136,11 @@ def f_direct(lam, v: float, M: int, params: ModelParams) -> float:
     if lam[-1] <= 0 or any(a == b for a, b in zip(lam, lam[1:])):
         return 0.0
     s, q = params.q ** -0.5, params.q
-    states: dict[tuple[int, ...], complex] = {}
-    for nu in _strict_below(lam):
-        states[nu] = (-s) ** sum(nu)
+    # distinct-part nu with nu_i in [1, lam_i] rank-wise: the support of the
+    # boundary sum inside lam
+    below = strict_atoms(k, 1, lam[0])
+    below = below[(below <= lam).all(axis=1)]
+    states = {nu: (-s) ** sum(nu) for nu in map(tuple, below.tolist())}
     row = TransferRow(params, v, conjugated=True, left_entry=False)
     for _ in range(M):
         states = row.apply(states, lam[0])
@@ -181,7 +157,7 @@ def f_direct_batch(k: int, max_part: int, v: float, M: int,
     conjugated strict-state rows (conjugated rows keep strict states strict,
     so no other state is ever reached)."""
     s, q = params.s, params.q
-    combos = list(combinations(range(max_part, 0, -1), k))
+    combos = list(map(tuple, strict_atoms(k, 1, max_part).tolist()))
     amp = np.zeros((max_part + 1,) * k)
     for combo in combos:
         amp[combo] = (-s) ** sum(combo)

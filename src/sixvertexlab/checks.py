@@ -8,14 +8,13 @@ and each test apply their own, at their own seeds and sizes.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 
 from . import asymptotics as asy
 from . import boundary as bnd
 from . import paths, symfunc
-from .core import ModelParams
+from .core import ModelParams, strict_atoms
 from .util import parallel_map
 from .weights import conjugation_factor
 
@@ -40,11 +39,6 @@ def random_points(seed: int, count: int) -> list[ModelParams]:
     return [random_point(rng) for _ in range(count)]
 
 
-def strict_signatures(k: int, max_part: int):
-    """Strict lam with k parts in [0, max_part], lexicographically down."""
-    return itertools.combinations(range(max_part, -1, -1), k)
-
-
 def _rel(got, want) -> float:
     return abs(got - want) / max(abs(want), 1e-300)
 
@@ -59,9 +53,9 @@ def route_agreement(points, ratios, max_part: int, threads: int = 1):
     """F_lam(u ratios[:k]) for strict lam with k <= len(ratios) parts <=
     max_part: enumeration (collections shared across points) and
     symmetrization against the transfer DP."""
-    collections = {lam: paths.enumerate_F_collections((), lam, k)
+    collections = {tuple(lam): paths.enumerate_F_collections((), lam, k)
                    for k in range(1, len(ratios) + 1)
-                   for lam in strict_signatures(k, max_part)}
+                   for lam in strict_atoms(k, 0, max_part).tolist()}
 
     def worst_at(point: ModelParams) -> float:
         us = tuple(point.u * r for r in ratios)
@@ -87,7 +81,7 @@ def geometric_specialization(points, max_part: int):
         for N in (1, 2, 3):
             us = tuple(p.u * p.q ** i for i in range(N))
             vs = tuple(p.v * p.q ** i for i in range(N))
-            for mu in strict_signatures(N, max_part):
+            for mu in strict_atoms(N, 0, max_part).tolist():
                 worst_f = max(worst_f, _rel(symfunc.F_eval(mu, (), us, p),
                                             symfunc.F_geometric(mu, p.u, p)))
                 worst_g = max(worst_g,
@@ -101,7 +95,7 @@ def counting(ks, max_part: int):
     """Enumerated F-collections of every strict lam (k in ks parts <=
     max_part) against count_collections_formula, and the typical ones
     against typical_count_lower_bound; value = number of failures."""
-    lams = [lam for k in ks for lam in strict_signatures(k, max_part)]
+    lams = [lam for k in ks for lam in strict_atoms(k, 0, max_part).tolist()]
     count_bad, bound_bad = [], []
     for lam in lams:
         cols = paths.enumerate_F_collections((), lam, len(lam))
@@ -151,8 +145,8 @@ def f_radius_independence(params: ModelParams):
     """Contour f over RADIUS_PAIRS on circles 1/4 and 3/4 of the way from s
     to 1/v; rows (lam, M, inner, outer, error)."""
     s, v = params.s, params.v
-    inner = bnd.CircleContour(s + 0.25 * (1 / v - s))
-    outer = bnd.CircleContour(s + 0.75 * (1 / v - s))
+    inner = s + 0.25 * (1 / v - s)
+    outer = s + 0.75 * (1 / v - s)
     rows = []
     for lam, M in RADIUS_PAIRS:
         a = bnd.f_contour(lam, v, M, params, inner, tol=1e-10)

@@ -1,9 +1,9 @@
 """Shared value types and scalar special functions.
 
 Everything downstream works with two kinds of data: nonnegative signatures
-(weakly decreasing integer vectors, with their multiplicity maps) and model
-parameters pinned to the ferroelectric chain v^{-1} > u > s > 1 with
-s = q^{-1/2}.
+(weakly decreasing integer vectors, with their multiplicity maps and the one
+enumerator of the strict ones) and model parameters pinned to the
+ferroelectric chain v^{-1} > u > s > 1 with s = q^{-1/2}.
 
 All types here are immutable values and safe to share across threads.
 """
@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 # Vertical occupancies beyond this are refused everywhere; every in-scope
 # computation has bounded vertical multiplicity.
@@ -57,7 +59,10 @@ class Signature:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int] = ()):
-        object.__setattr__(self, "parts", tuple(int(p) for p in parts))
+        given = tuple(parts)
+        object.__setattr__(self, "parts", tuple(int(p) for p in given))
+        if self.parts != given:
+            raise ValueError(f"parts must be integers, got {given}")
         for a, b in zip(self.parts, self.parts[1:]):
             if a < b:
                 raise ValueError(f"parts must be weakly decreasing, got {self.parts}")
@@ -78,6 +83,18 @@ class Signature:
 
     def __repr__(self) -> str:
         return f"Signature({list(self.parts)})"
+
+
+def strict_atoms(k: int, lo: int, hi: int) -> np.ndarray:
+    """Every strict signature mu_1 > ... > mu_k with parts in [lo, hi], as
+    the rows of an int (n, k) array in colexicographic order: the package's
+    one strict-tuple enumerator."""
+    grid = np.ogrid[(slice(hi - lo + 1),) * k]
+    increasing = np.ones((hi - lo + 1,) * k, dtype=bool)
+    for low, high in zip(grid, grid[1:]):
+        increasing &= low < high
+    # row-major order of increasing tuples is colex order of their reversals
+    return lo + np.argwhere(increasing)[:, ::-1]
 
 
 def multiplicities(parts) -> dict[int, int]:

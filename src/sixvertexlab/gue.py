@@ -27,27 +27,6 @@ from .core import ModelParams
 from .measure import sample_conditional_k2, top_row_pmf
 
 
-@dataclass(frozen=True)
-class CornersSample:
-    """Ascending eigenvalues of the leading principal minors, levels 1..k."""
-
-    levels: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        for r, level in enumerate(self.levels, start=1):
-            if len(level) != r:
-                raise ValueError(f"level {r} must hold {r} eigenvalues")
-        for lower, upper in zip(self.levels, self.levels[1:]):
-            for i, x in enumerate(lower):
-                if not (upper[i] <= x <= upper[i + 1]):
-                    raise ValueError(
-                        f"levels {lower} and {upper} do not interlace")
-
-    @property
-    def k(self) -> int:
-        return len(self.levels)
-
-
 def corners_batch(k: int, n: int, rng: np.random.Generator) -> list[np.ndarray]:
     """n corners samples at once; entry r-1 holds an (n, r) array of ascending
     minor eigenvalues."""

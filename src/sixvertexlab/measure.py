@@ -38,7 +38,8 @@ import numpy as np
 
 from .asymptotics import constants, exponent_rows
 from .boundary import f_direct_batch
-from .core import ModelParams, Signature, as_parts, q_pochhammer
+from .core import (ModelParams, Signature, as_parts, q_pochhammer,
+                   strict_atoms)
 from .paths import PathCollection
 from .quadrature import (COMPOSITE_MAX_NODES, SEGMENT_NODES, adaptive,
                          composite_nodes, tensor_integral)
@@ -116,17 +117,6 @@ def sample_top_row(pmf: TopRowPMF, seed: int, count: int) -> list[Signature]:
     return [Signature(pmf.atoms[i]) for i in idx]
 
 
-def _strict_atoms(k: int, lo: int, hi: int) -> np.ndarray:
-    """Every strict signature mu_1 > ... > mu_k with parts in [lo, hi], as
-    the rows of an int (n, k) array in colexicographic order."""
-    grid = np.ogrid[(slice(hi - lo + 1),) * k]
-    increasing = np.ones((hi - lo + 1,) * k, dtype=bool)
-    for low, high in zip(grid, grid[1:]):
-        increasing &= low < high
-    # row-major order of increasing tuples is colex order of their reversals
-    return lo + np.argwhere(increasing)[:, ::-1]
-
-
 def _ic_window(atoms: np.ndarray, lo: int, hi: int, M: int,
                params: ModelParams, memo: dict[int, np.ndarray]) -> np.ndarray:
     """Normalized boundary integrals I_C(mu; M) at the strict atoms mu in
@@ -167,7 +157,7 @@ def _pmf_window(k: int, M: int, params: ModelParams, lo: int, hi: int,
                 route: str, memo: dict[int, np.ndarray]
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The atoms of the window [lo, hi] (colex rows) and their probabilities."""
-    atoms = _strict_atoms(k, lo, hi)
+    atoms = strict_atoms(k, lo, hi)
     if route == "contour":
         return atoms, (F_scaled_closed(atoms, params)
                        * _ic_window(atoms, lo, hi, M, params, memo))
@@ -291,7 +281,11 @@ class GibbsVertexCounts:
         return (self.n1, self.n2, self.n3, self.n4, self.n5, self.n6)
 
 
-def enumerate_gt_patterns(top_increasing, cap: int = 2_000_000) -> list[HalfStrictGTPattern]:
+# the most patterns enumerate_gt_patterns lists for one top row
+GT_CAP = 500_000
+
+
+def enumerate_gt_patterns(top_increasing) -> list[HalfStrictGTPattern]:
     """All half-strict patterns with the given (strictly increasing) top row."""
     top = tuple(top_increasing)
     if any(a >= b for a, b in zip(top, top[1:])):
@@ -318,9 +312,9 @@ def enumerate_gt_patterns(top_increasing, cap: int = 2_000_000) -> list[HalfStri
     full: list[HalfStrictGTPattern] = []
 
     def rec_pattern(rows_desc: list[tuple[int, ...]]):
-        if len(full) > cap:
+        if len(full) > GT_CAP:
             raise EnumerationCapError(
-                f"|GT_lambda| exceeds enumeration cap {cap} for top {top}")
+                f"|GT_lambda| exceeds enumeration cap {GT_CAP} for top {top}")
         bottom = rows_desc[-1]
         if len(bottom) == 1:
             full.append(HalfStrictGTPattern(rows=tuple(reversed(rows_desc))))
@@ -395,8 +389,8 @@ def gibbs_pattern_weight(pattern: HalfStrictGTPattern,
 
 def conditional_lower_rows_batch(lam, params: ModelParams, count: int,
                                  seed: int | None = None,
-                                 rng: np.random.Generator | None = None,
-                                 cap: int = 500_000) -> list[HalfStrictGTPattern]:
+                                 rng: np.random.Generator | None = None
+                                 ) -> list[HalfStrictGTPattern]:
     """count exact draws of the lower rows given the top row lam (a strict
     signature with smallest part >= 1): enumerate GT_lambda once, weight by
     the six-vertex census, and inverse-CDF sample."""
@@ -406,7 +400,7 @@ def conditional_lower_rows_batch(lam, params: ModelParams, count: int,
     top = tuple(sorted(lam))
     if rng is None:
         rng = np.random.default_rng(seed)
-    patterns = enumerate_gt_patterns(top, cap=cap)
+    patterns = enumerate_gt_patterns(top)
     weights = np.array([gibbs_pattern_weight(pat, params) for pat in patterns])
     cdf = np.cumsum(weights)
     idx = np.searchsorted(cdf, rng.random(count) * cdf[-1], side="right")
@@ -415,11 +409,10 @@ def conditional_lower_rows_batch(lam, params: ModelParams, count: int,
 
 
 def conditional_lower_rows(lam, params: ModelParams, seed: int | None = None,
-                           rng: np.random.Generator | None = None,
-                           cap: int = 500_000) -> HalfStrictGTPattern:
+                           rng: np.random.Generator | None = None
+                           ) -> HalfStrictGTPattern:
     """One exact draw of the lower rows given the top row lam."""
-    return conditional_lower_rows_batch(lam, params, 1, seed=seed, rng=rng,
-                                        cap=cap)[0]
+    return conditional_lower_rows_batch(lam, params, 1, seed=seed, rng=rng)[0]
 
 
 def conditional_k2_weights(params: ModelParams) -> tuple[float, float, float]:

@@ -244,10 +244,6 @@ def is_typical(pc: PathCollection) -> bool:
     return all(v in TYPICAL_TYPES for v in pc.vertex_types())
 
 
-def typical_vertex_counts(pc: PathCollection) -> dict[tuple, int]:
-    return multiplicities(pc.vertex_types())
-
-
 def count_collections_formula(lam) -> int:
     """|P_{lam/empty}| = prod_{i<j} (lam_i - lam_j + j - i)/(j - i) as an exact
     integer (big-integer arithmetic; the product is integral for strict lam)."""

@@ -9,16 +9,17 @@ one row of vertex weights; G^c uses the conjugated table and no left
 entries.
 
 Closed forms for geometric-progression variable sets (u, qu, ..., q^{N-1}u)
-and the Cauchy identity verifier live here as well, plus a scaled variant of
-the F transfer (weights divided by ((u-s)/(1-su)) per horizontal step) that
-stays O(1) where raw F values would underflow at large part sizes, and its
-closed form for k <= 3, which the contour pmf and A_M use.
+and the Cauchy identity verifiers live here as well, plus the one Fhat:
+F_mu([u]^k) t^{-|mu|} for strict mu and k <= 3 in closed form, built from
+the per-path event factors of one strict row (F_scaled_closed).  It stays
+O(1) where raw F values would underflow at large part sizes; the contour
+pmf and A_M use it, and the tests check it against F_eval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -355,9 +356,14 @@ def Gc_geometric(nu, u0, n_vars: int, params: ModelParams) -> complex:
 # ---------------------------------------------------------------------------
 # Cauchy identities
 
+# the largest part the Cauchy sum may grow to while it certifies its tail,
+# and the part at which the skew Cauchy sum is cut
+CAUCHY_MAX_PART = 512
+SKEW_CAUCHY_MAX_PART = 64
+
 
 def verify_cauchy(N: int, K: int, u_vec, v_vec, params: ModelParams,
-                  tol: float = 1e-10, max_part: int = 512) -> dict:
+                  tol: float = 1e-10) -> dict:
     """Verify sum_{nu in Sign^+_N} F_nu(u) G^c_nu(v) against the product form
 
         (q; q)_N prod_i [ 1/(1 - s u_i) prod_j (1 - q u_i v_j)/(1 - u_i v_j) ].
@@ -413,9 +419,9 @@ def verify_cauchy(N: int, K: int, u_vec, v_vec, params: ModelParams,
             trunc_L, tail_bound = best
             lhs = partial
             break
-        if L >= max_part:
+        if L >= CAUCHY_MAX_PART:
             raise RuntimeError(f"Cauchy sum did not certify a tail bound by "
-                               f"part size {max_part}")
+                               f"part size {CAUCHY_MAX_PART}")
         L *= 2
 
     rel_error = abs(lhs - rhs) / abs(rhs)
@@ -427,15 +433,15 @@ def verify_cauchy(N: int, K: int, u_vec, v_vec, params: ModelParams,
             "term_ratio": r}
 
 
-def verify_skew_cauchy(lam, nu, u_vec, v_vec, params: ModelParams,
-                       max_part: int = 64) -> dict:
+def verify_skew_cauchy(lam, nu, u_vec, v_vec, params: ModelParams) -> dict:
     """Verify the skew Cauchy identity
 
         sum_kappa G^c_{kappa/lam}(v) F_{kappa/nu}(u)
           = prod_{i,j} (1 - q u_i v_j)/(1 - u_i v_j)
             sum_mu F_{lam/mu}(u) G^c_{nu/mu}(v)
 
-    with kappa truncated at max_part (the right side is a finite sum)."""
+    with kappa truncated at SKEW_CAUCHY_MAX_PART (the right side is a finite
+    sum)."""
     lam, nu = as_parts(lam), as_parts(nu)
     u_vec, v_vec = tuple(u_vec), tuple(v_vec)
     if len(lam) != len(nu) + len(u_vec):
@@ -446,8 +452,8 @@ def verify_skew_cauchy(lam, nu, u_vec, v_vec, params: ModelParams,
             if not pair_admissible(ui, vj, s):
                 raise ValueError(f"pair (u={ui}, v={vj}) is not admissible")
 
-    f_table = F_all(nu, u_vec, params, max_part)
-    g_table = Gc_all(lam, v_vec, params, max_part)
+    f_table = F_all(nu, u_vec, params, SKEW_CAUCHY_MAX_PART)
+    g_table = Gc_all(lam, v_vec, params, SKEW_CAUCHY_MAX_PART)
     lhs: complex = 0.0
     for sig in sorted(f_table):
         gval = g_table.get(sig)
@@ -458,9 +464,13 @@ def verify_skew_cauchy(lam, nu, u_vec, v_vec, params: ModelParams,
     for ui in u_vec:
         for vj in v_vec:
             cross *= (1.0 - q * ui * vj) / (1.0 - ui * vj)
+    # mu runs over the nonnegative signatures with len(mu) = len(nu) and
+    # mu_i <= nu_i
     mu_cap = max([*lam, *nu, 0])
     rhs_sum: complex = 0.0
-    for mu_sig in _signatures_below(nu, mu_cap):
+    for mu_sig in combinations_with_replacement(range(mu_cap, -1, -1), len(nu)):
+        if any(m > n for m, n in zip(mu_sig, nu)):
+            continue
         gval = Gc_eval(nu, mu_sig, v_vec, params)
         if gval == 0.0:
             continue
@@ -470,24 +480,8 @@ def verify_skew_cauchy(lam, nu, u_vec, v_vec, params: ModelParams,
     return {"lhs": lhs, "rhs": rhs, "rel_error": rel}
 
 
-def _signatures_below(nu: tuple[int, ...], cap: int):
-    """All nonnegative signatures mu with len(mu) = len(nu) and mu_i <= nu_i."""
-    n = len(nu)
-
-    def rec(i: int, hi: int, acc: list[int]):
-        if i == n:
-            yield tuple(acc)
-            return
-        for p in range(min(hi, nu[i]), -1, -1):
-            acc.append(p)
-            yield from rec(i + 1, p, acc)
-            acc.pop()
-
-    yield from rec(0, cap, [])
-
-
 # ---------------------------------------------------------------------------
-# scaled strict transfer (u-rows, homogeneous spectral u, s = q^{-1/2})
+# Fhat: the scaled strict F for k <= 3 (homogeneous spectral u, s = q^{-1/2})
 
 
 def step_ratio(params: ModelParams) -> float:
@@ -508,92 +502,18 @@ def _scaled_row_factors(params: ModelParams) -> tuple[float, float, float, float
     return stay, land, casc, dep
 
 
-def _scaled_row_event_weight(kappa: tuple[int, ...], kp: tuple[int, ...],
-                             stay: float, land: float, casc: float,
-                             dep: float) -> float:
-    """Weight of one strict row kappa -> kp (len kp = len kappa + 1) as a
-    product over per-path events: a stationary path contributes `stay`; a
-    moving path contributes an arrival (`casc` when it lands exactly on the
-    occupied column above, else `land`) and a departure `dep` unless the path
-    below lands on the vacated column."""
-    r = len(kappa)
-    out = 1.0
-    for j in range(r + 1):
-        if j < r and kp[j] == kappa[j]:
-            out *= stay
-            continue
-        out *= casc if (j > 0 and kp[j] == kappa[j - 1]) else land
-        if j < r and not (kp[j + 1] == kappa[j]):
-            out *= dep
-    return out
-
-
-def _strict_interlacing_successors(kappa: tuple[int, ...], lo: int, hi: int):
-    """Strict kp of length len(kappa)+1 with kp_{j+1} <= kappa_j <= kp_j and
-    all parts in [lo, hi]."""
-    r = len(kappa)
-
-    def rec(j: int, prev: int, acc: list[int]):
-        if j == r:
-            low = lo
-            high = min(kappa[r - 1] if r else hi, prev - 1)
-        else:
-            low = kappa[j]
-            high = min(hi, prev - 1) if j else hi
-            if j > 0:
-                high = min(high, kappa[j - 1])
-        for val in range(high, low - 1, -1):
-            acc.append(val)
-            if j == r:
-                yield tuple(acc)
-            else:
-                yield from rec(j + 1, val, acc)
-            acc.pop()
-
-    yield from rec(0, hi + 2, [])
-
-
-def F_scaled_strict(mu, params: ModelParams) -> float:
-    """F_mu([u]^k) * t^{-|mu|} for strict nonnegative mu, via the per-event
-    factorization of the strict one-row transfer.
-
-    Stays O(1)-sized where the raw value would underflow for parts of order
-    10^3.  Requires s = q^{-1/2} (guaranteed by ModelParams), under which
-    nonstrict cross-sections cannot feed a strict top row.
-    """
-    mu = as_parts(mu)
-    if not all(a > b for a, b in zip(mu, mu[1:])):
-        raise ValueError(f"scaled transfer requires a strict signature, got {mu}")
-    if mu and mu[-1] < 0:
-        raise ValueError("scaled transfer requires a nonnegative signature")
-    stay, land, casc, dep = _scaled_row_factors(params)
-    k = len(mu)
-    states: dict[tuple[int, ...], float] = {(): 1.0}
-    for r in range(k):
-        rows_left = k - r - 1
-        nxt: dict[tuple[int, ...], float] = {}
-        for kappa in sorted(states):
-            amp = states[kappa]
-            for kp in _strict_interlacing_successors(kappa, 0, mu[0]):
-                ok = all(p <= mu[i] for i, p in enumerate(kp))
-                ok = ok and all(p >= mu[i + rows_left]
-                                for i, p in enumerate(kp)
-                                if i + rows_left < k)
-                if not ok:
-                    continue
-                wv = _scaled_row_event_weight(kappa, kp, stay, land, casc, dep)
-                nxt[kp] = nxt.get(kp, 0.0) + amp * wv
-        states = nxt
-    return states.get(mu, 0.0)
-
-
 def F_scaled_closed(mu, params: ModelParams) -> np.ndarray:
-    """Closed form of F_scaled_strict for k <= 3, vectorized over an int
-    array mu (..., k) of strict decreasing parts >= 0.  It depends only on
-    the gaps g_i = mu_i - mu_{i+1}.
+    """Fhat(mu) = F_mu([u]^k) t^{-|mu|} (t = step_ratio) for k <= 3,
+    vectorized over an int array mu (..., k) of strict decreasing parts
+    >= 0.  It depends only on the gaps g_i = mu_i - mu_{i+1}.
 
-    With the per-path factors S, L, C, D of _scaled_row_factors, one row
-    gives L and two give pair(g) = L^2 (C + S + (g - 1) L D) = alpha + beta g,
+    At s^2 = 1/q one strict row of the F transfer, divided by t per
+    horizontal step, is a product of per-path event factors S, L, C, D
+    (_scaled_row_factors): a path that stays brings S; a path that moves
+    brings C if it lands on the column the next larger path left, else L,
+    and then D unless the next smaller path lands on the column it left;
+    the path entering from the left only lands.  So one row gives L and two
+    give pair(g) = L^2 (C + S + (g - 1) L D) = alpha + beta g,
     alpha = L^2 (C + S - L D), beta = L^3 D.  The third row sums pair(x + j)
     over the middle states (mu_2 + x, mu_2 - j), 0 <= x <= g1, 0 <= j <= g2:
     the top path brings a(x) = S at x = g1, else L D; the new path brings

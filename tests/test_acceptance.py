@@ -17,7 +17,7 @@ import numpy as np
 from sixvertexlab import asymptotics as asy
 from sixvertexlab import boundary as bnd
 from sixvertexlab import checks, gue, measure, paths, symfunc
-from sixvertexlab.core import ModelParams
+from sixvertexlab.core import ModelParams, strict_atoms
 
 CANONICAL = ModelParams(q=0.5, u=2.0, v=0.25)
 GUE_POINT = ModelParams(q=0.5, u=1.5 * 2 ** 0.5, v=0.7 / (1.5 * 2 ** 0.5))
@@ -71,7 +71,7 @@ def test_criterion_04_counting():
 
 
 def test_criterion_05_typical_weight():
-    lams = [lam for k in (1, 2, 3) for lam in checks.strict_signatures(k, 8)]
+    lams = [lam for k in (1, 2, 3) for lam in strict_atoms(k, 0, 8).tolist()]
     worst = checks.typical_weight([CANONICAL] + checks.random_points(1005, 2),
                                   lams)[2]
     _report(5, "typical collection weight", worst < 1e-12,

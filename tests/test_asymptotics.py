@@ -174,18 +174,6 @@ def test_hermite_values():
         asy.hermite(25, 0.0)
 
 
-def test_psi_against_oscillatory_quadrature():
-    z = np.linspace(-40, 40, 400_001)
-    dz = z[1] - z[0]
-    for n in (0, 1, 2, 3):
-        for x in (-1.2, 0.0, 0.7):
-            integrand = z ** n * np.exp(-z ** 2 / 2 - 1j * x * z)
-            quad = integrand.sum() * dz / (2 * math.pi)
-            assert complex(asy.psi(n, x)) == pytest.approx(complex(quad),
-                                                           rel=1e-8, abs=1e-12)
-    assert asy.psi(0, 0.0) == pytest.approx((2 * math.pi) ** -0.5)
-
-
 def test_hermite_vandermonde_determinant():
     rng = np.random.default_rng(5)
     for _ in range(5):

@@ -3,10 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from sixvertexlab import checks, symfunc
-from sixvertexlab.boundary import (CircleContour, Gc_contour, QuadratureError,
-                                   default_radius, f_contour, f_direct,
-                                   f_direct_batch)
+from sixvertexlab import boundary, checks, symfunc
+from sixvertexlab.boundary import (Gc_contour, QuadratureError, default_radius,
+                                   f_contour, f_direct, f_direct_batch)
 from sixvertexlab.core import q_pochhammer
 
 
@@ -45,8 +44,8 @@ def test_f_contour_radius_independence(params):
     s, v = params.s, params.v
     lo_r = s + 0.25 * (1 / v - s)
     hi_r = s + 0.75 * (1 / v - s)
-    a = f_contour(lam, v, M, params, CircleContour(lo_r), tol=1e-10)
-    b = f_contour(lam, v, M, params, CircleContour(hi_r), tol=1e-10)
+    a = f_contour(lam, v, M, params, lo_r, tol=1e-10)
+    b = f_contour(lam, v, M, params, hi_r, tol=1e-10)
     assert a == pytest.approx(b, rel=1e-9)
 
 
@@ -79,13 +78,16 @@ def test_default_radius_band(params):
     r = default_radius(params, (params.v,))
     assert params.s < r < 1 / params.v
     with pytest.raises(ValueError):
-        f_contour((2,), params.v, 2, params, CircleContour(params.s * 0.9))
+        f_contour((2,), params.v, 2, params, params.s * 0.9)
 
 
-def test_quadrature_failure_diagnostics(params):
+def test_quadrature_failure_diagnostics(params, monkeypatch):
+    # giving up at the real budget of 1 << 14 nodes would build a 4 GiB k = 2
+    # kernel first, so the budget is cut to 8 -> 16 nodes
+    monkeypatch.setattr(boundary, "CIRCLE_NODES", 8)
+    monkeypatch.setattr(boundary, "CIRCLE_MAX_NODES", 16)
     with pytest.raises(QuadratureError) as exc:
-        f_contour((6, 2), params.v, 10, params, CircleContour(default_radius(
-            params, (params.v,)), nodes=8), tol=1e-14, max_nodes=16)
+        f_contour((6, 2), params.v, 10, params, tol=1e-14)
     assert "nodes" in exc.value.diagnostics
 
 

@@ -46,8 +46,7 @@ def test_boundary_run(tmp_path, capsys):
         "f-radius-independence(lam=[4, 2],M=6)",
         "f-radius-independence(lam=[5, 1],M=12)",
         "Gc-contour-vs-transfer(lam=[3])",
-        "Gc-contour-vs-transfer(lam=[2, 1])",
-        "f-contour-sign-convention"]
+        "Gc-contour-vs-transfer(lam=[2, 1])"]
 
 
 def test_invalid_params_exit_2(tmp_path, capsys):
@@ -102,6 +101,18 @@ def test_k_above_engine_range_exit_2(tmp_path, capsys):
     assert rc == 2
     out = json.loads(capsys.readouterr().out)
     assert "k must be" in out["validation_error"]
+
+
+@pytest.mark.parametrize("bad", [{"k": 2.5}, {"m_grid": [30.7]}, {"k": True}])
+def test_non_integer_config_exit_2(tmp_path, capsys, bad):
+    # a float or bool count is refused, not truncated or read as 1
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(bad))
+    rc = main(["sample", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    out = json.loads(capsys.readouterr().out)
+    assert "must be an integer" in out["validation_error"]
+    assert not (tmp_path / "sample").exists()
 
 
 def test_constants_values_must_be_finite(tmp_path, capsys, monkeypatch):

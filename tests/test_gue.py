@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sixvertexlab.core import ModelParams
-from sixvertexlab.gue import (CornersSample, EmpiricalDistribution,
-                              compare_corners_limit, corners_batch,
+from sixvertexlab.gue import (EmpiricalDistribution, compare_corners_limit,
+                              corners_batch,
                               hermite_density, hermite_marginal_cdfs,
                               ks_distance, ks_two_sample, normal_cdf)
 
@@ -18,11 +18,13 @@ def accept_params():
 
 
 def test_corners_sample_structure():
+    # level r holds the r ascending eigenvalues of the r x r minor, and
+    # consecutive levels interlace
     levels = corners_batch(4, 1, np.random.default_rng(0))
-    s = CornersSample(levels=tuple(tuple(level[0]) for level in levels))
-    assert s.k == 4
-    with pytest.raises(ValueError):
-        CornersSample(levels=((1.0,), (0.0, 0.5)))  # 1.0 not inside [0, 0.5]
+    assert [level.shape for level in levels] == [(1, r) for r in range(1, 5)]
+    for lower, upper in zip(levels, levels[1:]):
+        assert np.all(np.diff(upper) > 0)
+        assert np.all((upper[:, :-1] <= lower) & (lower <= upper[:, 1:]))
 
 
 def test_gue_k1_is_standard_normal():

@@ -1,6 +1,7 @@
 """The routes that check each other must not share code: path enumeration
 uses only the model and its weights, and the contour-quadrature engine uses
-nothing from the package."""
+nothing from the package.  Strict tuples come from one enumerator in core:
+no other module lists them with itertools.combinations."""
 
 import ast
 import pathlib
@@ -31,3 +32,16 @@ def test_independent_modules_import_only_what_they_may():
     for module, allowed in ALLOWED.items():
         extra = package_imports(module) - allowed
         assert not extra, f"{module}.py imports {sorted(extra)}"
+
+
+def test_only_core_enumerates_combinations():
+    users = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.alias) and node.name == "combinations"
+                    or isinstance(node, ast.Attribute)
+                    and node.attr == "combinations"):
+                users.add(path.stem)
+    assert not users, f"{sorted(users)} use itertools.combinations"

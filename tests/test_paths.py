@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from sixvertexlab import checks
-from sixvertexlab.checks import random_point, strict_signatures
+from sixvertexlab.checks import random_point
+from sixvertexlab.core import multiplicities, strict_atoms
 from sixvertexlab.paths import (collection_weight, count_collections_formula,
                                 enumerate_F_collections,
                                 enumerate_Gc_collections, is_typical,
-                                typical_count_lower_bound,
-                                typical_vertex_counts)
+                                typical_count_lower_bound)
 
 
 def test_single_path_collection():
@@ -72,7 +72,7 @@ def test_typical_classification():
     # every typical collection has the exact type census
     k, size = 3, 10
     for c in typ:
-        counts = typical_vertex_counts(c)
+        counts = multiplicities(c.vertex_types())
         assert counts.get((0, 1, 0, 1), 0) == size - k * (k - 1) // 2
         assert counts.get((0, 1, 1, 0), 0) == k * (k + 1) // 2
         assert counts.get((1, 0, 0, 1), 0) == k * (k - 1) // 2
@@ -118,7 +118,7 @@ def test_weight_bound_constant():
     x = (u - s) / (s * u - 1)
     ratios = []
     for k in (1, 2, 3):
-        for lam in strict_signatures(k, 8):
+        for lam in strict_atoms(k, 0, 8).tolist():
             for c in enumerate_F_collections((), lam, k):
                 wgt = abs(collection_weight(c, (u,) * k, p))
                 ratios.append(wgt / x ** sum(lam))

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from sixvertexlab import checks, symfunc
-from sixvertexlab.checks import random_point, strict_signatures
-from sixvertexlab.core import ModelParams
+from sixvertexlab.checks import random_point
+from sixvertexlab.core import ModelParams, strict_atoms
 from sixvertexlab.paths import enumerate_F_collections, enumerate_Gc_collections, \
     collection_weight
-from sixvertexlab.symfunc import (F_eval, F_scaled_closed, F_scaled_strict,
-                                  F_symmetrization, Gc_eval, Gc_geometric,
+from sixvertexlab.symfunc import (F_eval, F_scaled_closed, F_symmetrization,
+                                  Gc_eval, Gc_geometric,
                                   TransferRow, row_weight, step_ratio,
                                   verify_cauchy, verify_skew_cauchy)
 
@@ -48,7 +48,7 @@ def test_F_eval_matches_enumeration():
         p = random_point(rng)
         us = (p.u, p.u * 1.07, p.u * 0.93 + 0.12)
         for k in (1, 2, 3):
-            for lam in [next(strict_signatures(k, 5)), (5,) + tuple(range(k - 1, 0, -1))[:k - 1]]:
+            for lam in [tuple(range(5, 5 - k, -1)), (5,) + tuple(range(k - 1, 0, -1))[:k - 1]]:
                 lam = tuple(sorted(lam, reverse=True))[:k]
                 if len(lam) != k:
                     continue
@@ -118,8 +118,10 @@ def test_Gc_geometric_specialization():
 
 
 def test_Gc_too_few_variables_is_zero(params):
-    # n - n0 nonzero parts cannot be cleared by fewer rows
-    assert Gc_eval((3, 2, 1), (0, 0, 0), (0.25, 0.3), params) != 0.0 or True
+    # n - n0 nonzero parts cannot be cleared by fewer rows: two rows move at
+    # most two paths off column 0, three rows can move all three
+    assert Gc_eval((3, 2, 1), (0, 0, 0), (0.25, 0.3), params) == 0.0
+    assert Gc_eval((3, 2, 1), (0, 0, 0), (0.25, 0.3, 0.2), params) != 0.0
     assert Gc_eval((3, 2, 1), (0, 0, 0), (0.25,), params) == 0.0
     assert Gc_geometric((3, 2, 1), 0.25, 1, params) == 0.0
 
@@ -163,41 +165,41 @@ def test_skew_cauchy_and_reduction(params):
     assert err < 1e-9 and skew["skew_rel_error"] < 1e-9
 
 
+def scaled_F_eval(mu, p):
+    """F_mu([u]^k) t^-|mu| from the raw vertex weights of F_eval."""
+    raw = complex(F_eval(mu, (), (p.u,) * len(mu), p)).real
+    return raw * step_ratio(p) ** -sum(mu)
+
+
 def test_scaled_strict_transfer_matches_F(params):
-    t = step_ratio(params)
     for lam in [(3,), (4, 1), (5, 3, 0), (6, 4, 2)]:
-        k = len(lam)
-        raw = F_eval(lam, (), (params.u,) * k, params)
-        scaled = F_scaled_strict(lam, params)
-        assert scaled == pytest.approx((raw * t ** -sum(lam)).real, rel=1e-11)
+        assert float(F_scaled_closed(lam, params)) == pytest.approx(
+            scaled_F_eval(lam, params), rel=1e-11)
 
 
 def test_scaled_pair_closed_form(params):
     for m1, m2 in [(1, 0), (4, 3), (7, 2), (12, 0)]:
         assert F_scaled_closed((m1, m2), params) == pytest.approx(
-            F_scaled_strict((m1, m2), params), rel=1e-12)
+            scaled_F_eval((m1, m2), params), rel=1e-12)
 
 
 def test_scaled_triple_closed_form(band_points):
     # every strict triple with parts <= 8 (all gap pairs (g1, g2) with
-    # g1 + g2 <= 8, gaps of 1 included) against the strict DP and F_eval
-    mus = list(strict_signatures(3, 8))
+    # g1 + g2 <= 8, gaps of 1 included) against F_eval
+    mus = strict_atoms(3, 0, 8)
     for p in band_points:
-        t = step_ratio(p)
-        closed = F_scaled_closed(np.array(mus), p)
-        for mu, val in zip(mus, closed):
+        closed = F_scaled_closed(mus, p)
+        for mu, val in zip(mus.tolist(), closed):
             assert float(F_scaled_closed(mu, p)) == val
-            assert val == pytest.approx(F_scaled_strict(mu, p), rel=1e-12)
-            raw = complex(F_eval(mu, (), (p.u,) * 3, p)).real
-            assert val == pytest.approx(raw * t ** -sum(mu), rel=1e-12)
+            assert val == pytest.approx(scaled_F_eval(mu, p), rel=1e-12)
         # the value depends only on the gaps
-        shifted = F_scaled_closed(np.array(mus) + 5, p)
+        shifted = F_scaled_closed(mus + 5, p)
         assert np.array_equal(shifted, closed)
 
 
 def test_scaled_closed_form_domain(params):
     assert F_scaled_closed((6,), params) == pytest.approx(
-        F_scaled_strict((6,), params), rel=1e-15)
+        scaled_F_eval((6,), params), rel=1e-15)
     for bad in [(4, 4, 1), (5, 3, -1), (7, 5, 3, 1)]:
         with pytest.raises(ValueError):
             F_scaled_closed(bad, params)
