@@ -72,6 +72,14 @@ class ExperimentConfig:
         if not 1 <= self.k <= 3:
             raise ValueError(f"k must be 1, 2 or 3 (the pmf engines' range), "
                              f"got {self.k}")
+        if not self.m_grid or min(self.m_grid) < 1:
+            raise ValueError(f"m_grid must be a non-empty list of M >= 1, "
+                             f"got {list(self.m_grid)}")
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        if self.threads < 0:
+            raise ValueError(f"threads must be >= 0 (0 = all cores), "
+                             f"got {self.threads}")
 
     def params(self) -> ModelParams:
         return ModelParams(q=self.q, u=self.u, v=self.v)

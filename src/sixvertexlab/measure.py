@@ -42,7 +42,7 @@ from .core import (ModelParams, Signature, as_parts, q_pochhammer,
                    strict_atoms)
 from .paths import PathCollection
 from .quadrature import (COMPOSITE_MAX_NODES, SEGMENT_NODES, adaptive,
-                         composite_nodes, tensor_integral)
+                         composite_nodes, kernel_factor, tensor_integral)
 from .symfunc import F_scaled_closed, StrictRow
 from .weights import six_vertex_weights
 
@@ -118,11 +118,14 @@ def sample_top_row(pmf: TopRowPMF, seed: int, count: int) -> list[Signature]:
 
 
 def _ic_window(atoms: np.ndarray, lo: int, hi: int, M: int,
-               params: ModelParams, memo: dict[int, np.ndarray]) -> np.ndarray:
+               params: ModelParams, memo: dict[int, tuple]) -> np.ndarray:
     """Normalized boundary integrals I_C(mu; M) at the strict atoms mu in
-    [lo, hi].  memo maps a node count to the exponent box (indexed by
-    mu - lo) last taken at it for this lo; only slices with a new largest
-    part are integrated.  The stopping rule sees only the atoms' entries."""
+    [lo, hi].  memo maps a node count to (box, factor): the exponent box
+    (indexed by mu - lo) last taken at it for this lo, and at k = 3 the
+    cross-kernel factor of its node set (None at k <= 2).  A move of lo
+    clears the memo.  Only slices with a new largest part are integrated;
+    at k = 3 only their strict entries.  The stopping rule sees only the
+    atoms' entries."""
     k = atoms.shape[1]
     m_vals = np.arange(lo, hi + 1)
     idx = tuple((atoms - lo).T)
@@ -130,13 +133,15 @@ def _ic_window(atoms: np.ndarray, lo: int, hi: int, M: int,
     def evaluate(n: int) -> np.ndarray:
         z, wts = composite_nodes(params.u, M, n)
         rows = exponent_rows(z, wts, m_vals, M, params)
-        old = memo.get(n, np.zeros((0,) * k))
+        old, factor = memo.get(n, (np.zeros((0,) * k), None))
+        if factor is None and k == 3:
+            factor = kernel_factor(z, params.q)
         done = old.shape[0]
         out = np.zeros((len(m_vals),) * k)
         out[(slice(done),) * k] = old
         out[done:] = tensor_integral([rows[done:]] + [rows] * (k - 1), z,
-                                     params.q).real
-        memo[n] = out
+                                     params.q, factor, done).real
+        memo[n] = (out, factor)
         return out[idx]
 
     return adaptive(evaluate, SEGMENT_NODES, COMPOSITE_MAX_NODES, QUAD_TOL)
@@ -154,7 +159,7 @@ def _F_transfer_window(k: int, hi: int, params: ModelParams) -> np.ndarray:
 
 
 def _pmf_window(k: int, M: int, params: ModelParams, lo: int, hi: int,
-                route: str, memo: dict[int, np.ndarray]
+                route: str, memo: dict[int, tuple]
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The atoms of the window [lo, hi] (colex rows) and their probabilities."""
     atoms = strict_atoms(k, lo, hi)
@@ -202,7 +207,7 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
     lo = max(1, math.floor(center - 7.0 * width)) if route == "contour" else 1
     hi = max(lo + k, math.ceil(center + 7.0 * width), geom_hi)
     step = max(4, math.ceil(2.0 * width))
-    memo: dict[int, np.ndarray] = {}
+    memo: dict[int, tuple] = {}
     atoms, probs = _pmf_window(k, M, params, lo, hi, route, memo)
     mass = float(probs.sum())
     while hi < MAX_PART:

@@ -15,6 +15,16 @@ for k <= 3, and is evaluated in three parts:
   families, so that a whole exponent window is integrated at once;
 * one node-doubling driver (adaptive) with one stopping rule.
 
+The cross kernel K = (z_a - z_b)/(z_a - q z_b) is a rank-one update of a
+Cauchy matrix on the point sets C and qC, so its singular values decay
+geometrically (Beckermann-Townsend, SIAM J. Matrix Anal. Appl. 38, 2017):
+on the composite nodes its rank at RANK_RTOL is about 60 whatever the node
+count.  A k = 3 exponent window of W members on N nodes therefore contracts
+through the truncated SVD K ~ U V (kernel_factor), and only over its strict
+entries: one SVD per node set plus O(W (N r^2 + r N^2 + W N^2)), against
+O(W (N^3 + W N^2)) for the full kernel.  Single k = 3 integrals keep the
+full kernel, where one SVD would cost more than the product it saves.
+
 This module imports nothing from the package, so every route that uses it
 stays independent of the transfer engines it is checked against.
 """
@@ -31,6 +41,8 @@ import numpy as np
 SEGMENT_NODES = 129
 ARC_NODES = 33
 COMPOSITE_MAX_NODES = 1 << 13
+# kernel_factor keeps the singular values above RANK_RTOL * sigma_0
+RANK_RTOL = 1e-15
 
 
 class QuadratureError(RuntimeError):
@@ -85,25 +97,55 @@ def composite_nodes(u: float, M: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return z, wts
 
 
-def tensor_integral(cols, z: np.ndarray, q: float) -> np.ndarray:
+def cross_kernel(z: np.ndarray, q: float) -> np.ndarray:
+    """K[a, b] = (z_a - z_b)/(z_a - q z_b) on the nodes z."""
+    return (z[:, None] - z[None, :]) / (z[:, None] - q * z[None, :])
+
+
+def kernel_factor(z: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """U (len(z), r) and V (r, len(z)) with K ~ U V: the SVD of the cross
+    kernel truncated to its singular values above RANK_RTOL * sigma_0."""
+    u, sigma, vh = np.linalg.svd(cross_kernel(z, q))
+    r = int(np.count_nonzero(sigma > RANK_RTOL * sigma[0]))
+    return u[:, :r] * sigma[:r], vh[:r].copy()
+
+
+def tensor_integral(cols, z: np.ndarray, q: float, factor=None,
+                    offset: int = 0) -> np.ndarray:
     """out[m_1, ..., m_k] = sum over nodes n_1..n_k of
     prod_{a<b} (z_a - z_b)/(z_a - q z_b) prod_i cols[i][m_i, n_i],
 
     where cols[i] is axis i's family of integrands already multiplied by the
     node weights, shape (m_i, len(z)).  The k = 3 branch contracts the first
-    axis one member at a time, in O(len(z)^3) flops and O(len(z)^2) memory."""
+    axis one member at a time, in O(len(z)^3) flops per member and
+    O(len(z)^2) memory.
+
+    With factor = kernel_factor(z, q) (k = 3 only) the axes are one exponent
+    window: cols[1] and cols[2] are the whole window and cols[0] its members
+    from box index offset on.  Only the strict entries i1 > i2 > i3, with
+    i1 = offset + member index, are computed, and every other entry is 0.
+    Member i1 costs O(N r^2 + r N^2 + i1 N^2) for N nodes and rank r, in
+    place of O(N^3 + W N^2)."""
     k = len(cols)
     if k == 1:
         return cols[0].sum(axis=1)
-    kern = (z[:, None] - z[None, :]) / (z[:, None] - q * z[None, :])
+    kern = cross_kernel(z, q)
     if k == 2:
         return cols[0] @ kern @ cols[1].T
     if k == 3:
         c1, c2, c3 = cols
-        out = np.empty((len(c1), len(c2), len(c3)), dtype=complex)
-        for i1, row in enumerate(c1):
-            inner = (kern.T * row) @ kern      # C(n2, n3)
-            out[i1] = c2 @ (kern * inner) @ c3.T
+        out = np.zeros((len(c1), len(c2), len(c3)), dtype=complex)
+        if factor is None:
+            for i1, row in enumerate(c1):
+                inner = (kern.T * row) @ kern      # C(n2, n3)
+                out[i1] = c2 @ (kern * inner) @ c3.T
+            return out
+        U, V = factor
+        # a strict entry needs i1 >= 2
+        for i1, row in enumerate(c1[max(2 - offset, 0):], max(offset, 2)):
+            inner = V.T @ (((U.T * row) @ U) @ V)
+            out[i1 - offset, :i1, :i1 - 1] = np.tril(
+                c2[:i1] @ (kern * inner) @ c3[:i1 - 1].T, -1)
         return out
     raise ValueError(f"contour quadrature supports k <= 3, got k = {k}")
 

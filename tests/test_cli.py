@@ -115,6 +115,21 @@ def test_non_integer_config_exit_2(tmp_path, capsys, bad):
     assert not (tmp_path / "sample").exists()
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"m_grid": []}, "m_grid must be"), ({"m_grid": [30, 0]}, "m_grid must be"),
+    ({"n_samples": -5}, "n_samples must be"), ({"threads": -1}, "threads must be")],
+    ids=["empty-m_grid", "m_grid-0", "negative-n_samples", "negative-threads"])
+def test_out_of_range_config_exit_2(tmp_path, capsys, bad, message):
+    # an empty or non-positive count is refused before any engine runs
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(bad))
+    rc = main(["sample", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    out = json.loads(capsys.readouterr().out)
+    assert message in out["validation_error"]
+    assert not (tmp_path / "sample").exists()
+
+
 def test_constants_values_must_be_finite(tmp_path, capsys, monkeypatch):
     real = cli.asy.constants
     fake = types.SimpleNamespace(**vars(cli.asy))

@@ -14,6 +14,7 @@ from sixvertexlab.measure import (HalfStrictGTPattern,
                                   sample_conditional_k2, sample_top_row,
                                   top_row_pmf)
 from sixvertexlab.paths import collection_weight
+from sixvertexlab.quadrature import cross_kernel
 from sixvertexlab.symfunc import F_eval
 
 
@@ -104,6 +105,19 @@ def test_pmf_window_when_lo_moves(monkeypatch):
     probs = np.asarray(pmf.probs)
     fresh = _fresh_window(pmf)
     assert np.max(np.abs(probs - fresh)) <= 1e-15 * np.max(probs)
+
+
+def test_pmf_k3_low_rank_matches_full_rank(params, monkeypatch):
+    # the k = 3 window through the truncated kernel factor against the same
+    # window through the exact factorisation U = K, V = I
+    low = {M: top_row_pmf(3, M, params) for M in (10, 12)}
+    monkeypatch.setattr(measure, "kernel_factor",
+                        lambda z, q: (cross_kernel(z, q), np.eye(len(z))))
+    for M, pmf in low.items():
+        full = top_row_pmf(3, M, params)
+        assert full.window == pmf.window and full.atoms == pmf.atoms
+        diff = np.abs(np.asarray(full.probs) - np.asarray(pmf.probs))
+        assert diff.max() <= 1e-13 * max(full.probs)
 
 
 def test_pmf_contour_noise_floor(params):

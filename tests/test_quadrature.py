@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sixvertexlab.quadrature import QuadratureError, adaptive
+from sixvertexlab.quadrature import (QuadratureError, adaptive,
+                                     composite_nodes, cross_kernel,
+                                     kernel_factor, tensor_integral)
 
 
 def test_adaptive_failure_carries_diagnostics():
@@ -41,3 +43,59 @@ def test_adaptive_returns_at_the_first_doubling_meeting_the_rule():
     value, calls = run(0.05)
     assert calls == [4, 8, 16, 32]
     np.testing.assert_array_equal(value, np.array([1.0, 2.0]) + 1.0 / 32)
+
+
+def _brute_force(cols, z, q):
+    """The k-fold node sum by einsum over every node tuple."""
+    kern = (z[:, None] - z[None, :]) / (z[:, None] - q * z[None, :])
+    if len(cols) == 1:
+        return np.einsum("ia->i", cols[0])
+    if len(cols) == 2:
+        return np.einsum("ab,ia,jb->ij", kern, *cols)
+    return np.einsum("ab,ac,bc,ia,jb,kc->ijk", kern, kern, kern, *cols)
+
+
+def _families(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def test_tensor_integral_matches_brute_force():
+    q = 0.5
+    z, _ = composite_nodes(2.0, 10, 20)
+    assert len(z) == 25
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 3):
+        cols = [_families(rng, (3 + i, len(z))) for i in range(k)]
+        ref = _brute_force(cols, z, q)
+        got = tensor_integral(cols, z, q)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_tensor_integral_window_strict_entries():
+    # one exponent window of W members; cols[0] starts at box index offset
+    q, W, offset = 0.5, 7, 2
+    z, _ = composite_nodes(2.0, 10, 20)
+    rows = _families(np.random.default_rng(5), (W, len(z)))
+    ref = _brute_force([rows] * 3, z, q)[offset:]
+    i1, i2, i3 = np.ogrid[offset:W, :W, :W]
+    strict = (i1 > i2) & (i2 > i3)
+    exact = (cross_kernel(z, q), np.eye(len(z)))
+    for factor in (kernel_factor(z, q), exact):
+        got = tensor_integral([rows[offset:], rows, rows], z, q, factor,
+                              offset)
+        assert got.shape == ref.shape
+        assert np.all(got[~strict] == 0)
+        err = np.max(np.abs(got[strict] - ref[strict]))
+        assert err <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_kernel_factor_is_low_rank_at_the_display_point():
+    q = 0.5
+    for n in (129, 258):
+        z, _ = composite_nodes(2.0, 10, n)
+        kern = cross_kernel(z, q)
+        U, V = kernel_factor(z, q)
+        assert len(z) == 162 * n // 129
+        assert U.shape[1] == V.shape[0] < len(z)
+        assert np.max(np.abs(kern - U @ V)) <= 1e-13 * np.max(np.abs(kern))
