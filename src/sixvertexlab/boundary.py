@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import ModelParams, as_parts, q_pochhammer, strict_atoms
 from .quadrature import QuadratureError, adaptive, circle_nodes, tensor_integral
-from .symfunc import StrictRow, TransferRow, _rank_filter
+from .symfunc import StrictRow, transfer
 from .weights import conjugation_factor
 
 
@@ -141,11 +141,7 @@ def f_direct(lam, v: float, M: int, params: ModelParams) -> float:
     below = strict_atoms(k, 1, lam[0])
     below = below[(below <= lam).all(axis=1)]
     states = {nu: (-s) ** sum(nu) for nu in map(tuple, below.tolist())}
-    row = TransferRow(params, v, conjugated=True, left_entry=False)
-    for _ in range(M):
-        states = row.apply(states, lam[0])
-        states = _rank_filter(states, lam, 0, False)
-    val = states.get(lam, 0.0)
+    val = transfer(states, (v,) * M, params, True, lam[0], lam).get(lam, 0.0)
     out = (-1.0) ** k * q_pochhammer(q, q, k) * val
     return complex(out).real
 

@@ -138,8 +138,13 @@ class ModelParams:
         return 1.0 / self.q
 
 
+def admissible_ratio(u: float, v: float, s: float) -> float:
+    """r = |((u-s)/(1-su)) ((v-s)/(1-sv))|: one more column of support
+    multiplies a Cauchy-type or pmf term by about r."""
+    return abs((u - s) / (1.0 - s * u) * (v - s) / (1.0 - s * v))
+
+
 def pair_admissible(u: float, v: float, s: float) -> bool:
-    """|((u-s)/(1-su)) ((v-s)/(1-sv))| < 1, the condition that makes the
-    Cauchy-type sums absolutely convergent."""
-    r = abs((u - s) / (1.0 - s * u) * (v - s) / (1.0 - s * v))
-    return r < 1.0
+    """r < 1 (admissible_ratio), the condition that makes the Cauchy-type
+    sums absolutely convergent."""
+    return admissible_ratio(u, v, s) < 1.0

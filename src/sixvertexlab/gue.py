@@ -24,7 +24,8 @@ import numpy as np
 
 from .asymptotics import constants
 from .core import ModelParams
-from .measure import sample_conditional_k2, top_row_pmf
+from .measure import (conditional_lower_rows_batch,
+                      sample_conditional_k2, top_row_pmf)
 
 
 def corners_batch(k: int, n: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -169,28 +170,28 @@ def ks_two_sample(a, b) -> float:
 def _gibbs_lower_rows_grouped(tops_desc: np.ndarray, params: ModelParams,
                               rng: np.random.Generator):
     """Exact lower-row draws for k = 3 tops, grouped by distinct top so each
-    pattern set is enumerated once; returns descending (n,1) and (n,2) arrays
-    plus the interlacing-violation count (zero by the support constraint)."""
-    from .measure import conditional_lower_rows_batch
+    pattern set is enumerated once; returns descending (n,1) and (n,2)
+    arrays."""
     n = len(tops_desc)
     row1 = np.empty((n, 1), dtype=np.int64)
     row2 = np.empty((n, 2), dtype=np.int64)
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, top in enumerate(map(tuple, tops_desc.tolist())):
         groups.setdefault(top, []).append(i)
-    violations = 0
     for top in sorted(groups):
         idxs = groups[top]
         pats = conditional_lower_rows_batch(top, params, len(idxs), rng=rng)
-        top_inc = tuple(sorted(top))
         for i, pat in zip(idxs, pats):
             row1[i] = pat.rows[0][::-1]
             row2[i] = pat.rows[1][::-1]
-            mid = pat.rows[1]
-            if not all(top_inc[j] <= mid[j] <= top_inc[j + 1]
-                       for j in range(2)):
-                violations += 1
-    return row1, row2, violations
+    return row1, row2
+
+
+def _interlace_violations(lower: np.ndarray, upper: np.ndarray) -> int:
+    """Samples whose descending lower row (n, j) breaks upper[:, i + 1] <=
+    lower[:, i] <= upper[:, i] against the descending upper row (n, j + 1)."""
+    bad = (lower > upper[:, :-1]) | (lower < upper[:, 1:])
+    return int(np.sum(bad.any(axis=1)))
 
 
 def rescale_parts(parts: np.ndarray, M: int, params: ModelParams) -> np.ndarray:
@@ -240,15 +241,15 @@ def compare_corners_limit(k: int, M_grid, params: ModelParams, n_samples: int,
                      "n_samples": n_samples, "exact": False})
         if k == 2:
             mid = sample_conditional_k2(tops, params, rng)
-            interlace_violations += int(np.sum((mid > tops[:, 0])
-                                               | (mid < tops[:, 1])))
+            interlace_violations += _interlace_violations(mid[:, None], tops)
             y_mid = rescale_parts(mid[:, None], M, params)[:, 0]
             ks = ks_two_sample(y_mid, gue_levels[0][:, 0])
             rows.append({"M": M, "coordinate": "Y[1,1]", "ks": ks,
                          "n_samples": n_samples, "exact": False})
         elif k == 3:
-            row1, row2, viol = _gibbs_lower_rows_grouped(tops, params, rng)
-            interlace_violations += viol
+            row1, row2 = _gibbs_lower_rows_grouped(tops, params, rng)
+            interlace_violations += (_interlace_violations(row2, tops)
+                                     + _interlace_violations(row1, row2))
             for j, arr in ((1, row1), (2, row2)):
                 ys = rescale_parts(arr, M, params)
                 for i in range(j):

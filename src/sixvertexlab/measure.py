@@ -38,13 +38,13 @@ import numpy as np
 
 from .asymptotics import constants, exponent_rows
 from .boundary import f_direct_batch
-from .core import (ModelParams, Signature, as_parts, q_pochhammer,
-                   strict_atoms)
+from .core import (ModelParams, Signature, admissible_ratio, as_parts,
+                   q_pochhammer, strict_atoms)
 from .paths import PathCollection
 from .quadrature import (COMPOSITE_MAX_NODES, SEGMENT_NODES, adaptive,
                          composite_nodes, kernel_factor, tensor_integral)
 from .symfunc import F_scaled_closed, StrictRow
-from .weights import six_vertex_weights
+from .weights import SIX_VERTEX_TYPES, six_vertex_weights
 
 
 class MassDeficitError(RuntimeError):
@@ -175,14 +175,6 @@ def _pmf_window(k: int, M: int, params: ModelParams, lo: int, hi: int,
     raise ValueError(f"unknown route {route!r}")
 
 
-def admissible_ratio(params: ModelParams) -> float:
-    """r = |(u-s)(v-s)/((1-su)(1-sv))| < 1; one extra column of support
-    multiplies a pmf term by about r."""
-    s = params.s
-    return abs((params.u - s) / (1 - s * params.u)
-               * (params.v - s) / (1 - s * params.v))
-
-
 def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
                 route: str = "contour") -> TopRowPMF:
     """Exact truncated law of the top cross-section (k <= 3).
@@ -201,7 +193,7 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
         raise ValueError("top_row_pmf supports k <= 3")
     cst = constants(params)
     center, width = cst.a * M, cst.d * math.sqrt(M)
-    r = admissible_ratio(params)
+    r = admissible_ratio(params.u, params.v, params.s)
     # geometric floor: r^hi below tol regardless of the Gaussian scale
     geom_hi = int(math.ceil(math.log(tol / 10.0) / math.log(r))) + k
     lo = max(1, math.floor(center - 7.0 * width)) if route == "contour" else 1
@@ -261,29 +253,6 @@ class HalfStrictGTPattern:
     @property
     def top(self) -> tuple[int, ...]:
         return self.rows[-1]
-
-
-@dataclass(frozen=True)
-class GibbsVertexCounts:
-    """Vertex-type census (N1..N6) over the window [1, lam_max] x [1, k]."""
-
-    n1: int
-    n2: int
-    n3: int
-    n4: int
-    n5: int
-    n6: int
-    window_cols: int
-    window_rows: int
-
-    def __post_init__(self):
-        total = self.n1 + self.n2 + self.n3 + self.n4 + self.n5 + self.n6
-        if total != self.window_cols * self.window_rows:
-            raise ValueError(f"census {total} != window area "
-                             f"{self.window_cols * self.window_rows}")
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return (self.n1, self.n2, self.n3, self.n4, self.n5, self.n6)
 
 
 # the most patterns enumerate_gt_patterns lists for one top row
@@ -364,12 +333,12 @@ def pattern_to_collection(pattern: HalfStrictGTPattern) -> PathCollection:
                           n_cols=n_cols, rows=tuple(rows))
 
 
-_TYPE_INDEX = {(0, 0, 0, 0): 0, (1, 1, 1, 1): 1, (1, 0, 1, 0): 2,
-               (0, 1, 0, 1): 3, (1, 0, 0, 1): 4, (0, 1, 1, 0): 5}
+_TYPE_INDEX = {vt: i for i, vt in enumerate(SIX_VERTEX_TYPES)}
 
 
-def gibbs_vertex_counts(pattern: HalfStrictGTPattern) -> GibbsVertexCounts:
-    """Census over the stated window [1, lam_max] x [1, k] (column 0 excluded)."""
+def gibbs_vertex_counts(pattern: HalfStrictGTPattern) -> tuple[int, ...]:
+    """Census (N1..N6) over the stated window [1, lam_max] x [1, k] (column 0
+    excluded)."""
     lam_max = pattern.top[-1]
     counts = [0] * 6
     prev: tuple[int, ...] = ()
@@ -378,7 +347,7 @@ def gibbs_vertex_counts(pattern: HalfStrictGTPattern) -> GibbsVertexCounts:
         for x in range(1, lam_max + 1):
             counts[_TYPE_INDEX[grid[x]]] += 1
         prev = row_sec
-    return GibbsVertexCounts(*counts, window_cols=lam_max, window_rows=pattern.k)
+    return tuple(counts)
 
 
 def gibbs_pattern_weight(pattern: HalfStrictGTPattern,
@@ -387,7 +356,7 @@ def gibbs_pattern_weight(pattern: HalfStrictGTPattern,
     ws = six_vertex_weights(params)
     counts = gibbs_vertex_counts(pattern)
     out = 1.0
-    for w_i, n_i in zip(ws, counts.as_tuple()):
+    for w_i, n_i in zip(ws, counts):
         out *= w_i ** n_i
     return out
 

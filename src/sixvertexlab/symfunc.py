@@ -6,7 +6,10 @@ the explicit path enumeration in paths.py, and the algebraic symmetrization
 formula (distinct variables only).  F_{lam/mu}(u_1..u_n) chains one-row
 transfers, each of which is the single-variable skew function obtained from
 one row of vertex weights; G^c uses the conjugated table and no left
-entries.
+entries.  The one general-state DP is `transfer`, a signature -> amplitude
+dict pushed through one row per spectral value; F_eval, Gc_eval, the Cauchy
+sums and boundary.f_direct all run on it.  The one strict-state engine is
+StrictRow, which carries amplitude arrays over strict signatures.
 
 Closed forms for geometric-progression variable sets (u, qu, ..., q^{N-1}u)
 and the Cauchy identity verifiers live here as well, plus the one Fhat:
@@ -23,8 +26,8 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .core import (ModelParams, as_parts, multiplicities, pair_admissible,
-                   q_pochhammer)
+from .core import (ModelParams, admissible_ratio, as_parts, multiplicities,
+                   pair_admissible, q_pochhammer)
 from .weights import vertex_weight_raw
 
 
@@ -33,20 +36,21 @@ from .weights import vertex_weight_raw
 
 
 def row_weight(top, bottom, spectral, params: ModelParams,
-               conjugated: bool = False, left_entry: bool = True) -> complex:
-    """Single-variable skew function from one row of vertex weights.
+               conjugated: bool = False) -> complex:
+    """Single-variable skew function from one row of vertex weights: the
+    per-pair reference for the row transfer.
 
-    The horizontal occupancies are forced by the (bottom, top) pair through
-    prefix counts; the value is 0 unless they all lie in {0, 1}.
+    A plain row takes one path entering from the left, a conjugated row
+    none.  The horizontal occupancies are forced by the (bottom, top) pair
+    through prefix counts; the value is 0 unless they all lie in {0, 1}.
     """
     top, bottom = as_parts(top), as_parts(bottom)
-    expected = len(bottom) + (1 if left_entry else 0)
-    if len(top) != expected:
+    h = 0 if conjugated else 1
+    if len(top) != len(bottom) + h:
         return 0.0
     q, s = params.q, params.s
     bm, tm = multiplicities(bottom), multiplicities(top)
     hi = max([*top, *bottom, -1])
-    h = 1 if left_entry else 0
     out: complex = 1.0
     for x in range(hi + 1):
         i1 = bm.get(x, 0)
@@ -62,7 +66,7 @@ def row_weight(top, bottom, spectral, params: ModelParams,
 
 
 def _row_successors(bottom: tuple[int, ...], spectral, q: float, s: float,
-                    conjugated: bool, left_entry: bool, max_col: int):
+                    conjugated: bool, max_col: int):
     """All (top, weight) pairs reachable from bottom in one row, weight != 0."""
     bm = multiplicities(bottom)
     occupied = sorted(bm)
@@ -92,40 +96,56 @@ def _row_successors(bottom: tuple[int, ...], spectral, q: float, s: float,
             if i2:
                 del top_cols[-i2:]
 
-    rec(0, 1 if left_entry else 0, 1.0)
+    rec(0, 0 if conjugated else 1, 1.0)
     return results
 
 
-@dataclass(frozen=True)
-class TransferRow:
-    """One row of the lattice as an operator on signature-indexed vectors."""
+def _apply_row(states: dict, spectral, q: float, s: float, conjugated: bool,
+               max_col: int) -> dict:
+    """Push a vector of signature amplitudes through one row.
 
-    params: ModelParams
-    spectral: complex
-    conjugated: bool = False
-    left_entry: bool = True
+    States are visited in sorted order so the reduction order, and hence the
+    floating-point result, is reproducible.
+    """
+    out: dict[tuple[int, ...], complex] = {}
+    for sig in sorted(states):
+        amp = states[sig]
+        if amp == 0.0:
+            continue
+        for top, wv in _row_successors(sig, spectral, q, s, conjugated,
+                                       max_col):
+            out[top] = out.get(top, 0.0) + amp * wv
+    return out
 
-    def weight(self, bottom, top) -> complex:
-        return row_weight(top, bottom, self.spectral, self.params,
-                          self.conjugated, self.left_entry)
 
-    def apply(self, states: dict[tuple[int, ...], complex],
-              max_col: int) -> dict[tuple[int, ...], complex]:
-        """Push a vector of signature amplitudes through one row.
+def _rank_filter(states: dict, lam: tuple[int, ...], rows_left: int) -> dict:
+    """The states that can still reach lam in rows_left more rows.
 
-        States are visited in sorted order so the reduction order, and hence
-        the floating-point result, is reproducible.
-        """
-        out: dict[tuple[int, ...], complex] = {}
-        for sig in sorted(states):
-            amp = states[sig]
-            if amp == 0.0:
-                continue
-            for top, wv in _row_successors(sig, self.spectral, self.params.q,
-                                           self.params.s, self.conjugated,
-                                           self.left_entry, max_col):
-                out[top] = out.get(top, 0.0) + amp * wv
-        return out
+    Paths only move right, and each row carries at most one path across a
+    column boundary, so both row kinds interlace: a row's i-th largest path
+    lands at or below the (i-1)-th largest's old column.  Chained over the
+    rows left, the i-th part lies in [lam[i + rows_left], lam[i]] (the path
+    enumerator applies the lower bound to F rows only).
+    """
+    floor = lam[rows_left:]
+    return {sig: amp for sig, amp in states.items()
+            if all(p <= c for p, c in zip(sig, lam))
+            and all(p >= f for p, f in zip(sig, floor))}
+
+
+def transfer(states: dict, spectral, params: ModelParams, conjugated: bool,
+             max_col: int, lam: tuple[int, ...] | None = None) -> dict:
+    """The package's one general-state transfer: push a signature ->
+    amplitude dict through one row per spectral value, keeping parts <=
+    max_col.  Plain rows (F) take one path entering from the left,
+    conjugated rows (G^c) none.  With lam given, only the states that can
+    still reach lam are kept after each row."""
+    for r, u_r in enumerate(spectral):
+        states = _apply_row(states, u_r, params.q, params.s, conjugated,
+                            max_col)
+        if lam is not None:
+            states = _rank_filter(states, lam, len(spectral) - r - 1)
+    return states
 
 
 def _adjacent(mat: np.ndarray, axis: int, ndim: int) -> np.ndarray:
@@ -199,20 +219,6 @@ class StrictRow:
         return x
 
 
-def _rank_filter(states: dict, lam: tuple[int, ...], rows_left: int,
-                 left_entry: bool) -> dict:
-    # Same monotonicity pruning as the path enumerator.
-    out = {}
-    for sig, amp in states.items():
-        ok = all(p <= lam[i] for i, p in enumerate(sig))
-        if ok and left_entry:
-            ok = all(p >= lam[i + rows_left] for i, p in enumerate(sig)
-                     if i + rows_left < len(lam))
-        if ok:
-            out[sig] = amp
-    return out
-
-
 def F_eval(lam, mu, spectral, params: ModelParams) -> complex:
     """F_{lam/mu}(u_1, ..., u_n) by chaining one-row transfers."""
     lam, mu = as_parts(lam), as_parts(mu)
@@ -222,13 +228,8 @@ def F_eval(lam, mu, spectral, params: ModelParams) -> complex:
                          f"vs {len(mu)} + {len(spectral)}")
     if not spectral:
         return 1.0 if lam == mu else 0.0
-    max_col = lam[0] if lam else 0
-    states = {mu: 1.0 + 0.0j}
-    for r, u_r in enumerate(spectral):
-        row = TransferRow(params, u_r, conjugated=False, left_entry=True)
-        states = row.apply(states, max_col)
-        states = _rank_filter(states, lam, len(spectral) - r - 1, True)
-    return states.get(lam, 0.0)
+    return transfer({mu: 1.0 + 0.0j}, spectral, params, False, lam[0],
+                    lam).get(lam, 0.0)
 
 
 def Gc_eval(lam, mu, spectral, params: ModelParams) -> complex:
@@ -239,33 +240,8 @@ def Gc_eval(lam, mu, spectral, params: ModelParams) -> complex:
         raise ValueError(f"length mismatch: {len(lam)} vs {len(mu)}")
     if not spectral:
         return 1.0 if lam == mu else 0.0
-    max_col = lam[0] if lam else 0
-    states = {mu: 1.0 + 0.0j}
-    for _r, u_r in enumerate(spectral):
-        row = TransferRow(params, u_r, conjugated=True, left_entry=False)
-        states = row.apply(states, max_col)
-        states = _rank_filter(states, lam, 0, False)
-    return states.get(lam, 0.0)
-
-
-def F_all(mu, spectral, params: ModelParams, max_part: int) -> dict:
-    """F_{kappa/mu}(spectral) for every kappa with parts <= max_part."""
-    mu = as_parts(mu)
-    states = {mu: 1.0 + 0.0j}
-    for u_r in spectral:
-        row = TransferRow(params, u_r, conjugated=False, left_entry=True)
-        states = row.apply(states, max_part)
-    return states
-
-
-def Gc_all(mu, spectral, params: ModelParams, max_part: int) -> dict:
-    """G^c_{kappa/mu}(spectral) for every kappa with parts <= max_part."""
-    mu = as_parts(mu)
-    states = {mu: 1.0 + 0.0j}
-    for u_r in spectral:
-        row = TransferRow(params, u_r, conjugated=True, left_entry=False)
-        states = row.apply(states, max_part)
-    return states
+    return transfer({mu: 1.0 + 0.0j}, spectral, params, True,
+                    lam[0] if lam else 0, lam).get(lam, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +363,14 @@ def verify_cauchy(N: int, K: int, u_vec, v_vec, params: ModelParams,
         for vj in v_vec:
             rhs *= (1.0 - q * ui * vj) / (1.0 - ui * vj)
 
-    r = max(abs((ui - s) / (1.0 - s * ui) * (vj - s) / (1.0 - s * vj))
-            for ui in u_vec for vj in v_vec)
+    r = max(admissible_ratio(ui, vj, s) for ui in u_vec for vj in v_vec)
     # polynomial slop: #collections and their sizes grow like m^p at part m
     p_deg = (N - 1) + N * (N - 1)
 
     L = 16
     while True:
-        f_table = F_all((), u_vec, params, L)
-        g_table = Gc_all((0,) * N, v_vec, params, L)
+        f_table = transfer({(): 1.0 + 0.0j}, u_vec, params, False, L)
+        g_table = transfer({(0,) * N: 1.0 + 0.0j}, v_vec, params, True, L)
         by_top: dict[int, complex] = {}
         for sig in sorted(f_table):
             gval = g_table.get(sig)
@@ -452,8 +427,10 @@ def verify_skew_cauchy(lam, nu, u_vec, v_vec, params: ModelParams) -> dict:
             if not pair_admissible(ui, vj, s):
                 raise ValueError(f"pair (u={ui}, v={vj}) is not admissible")
 
-    f_table = F_all(nu, u_vec, params, SKEW_CAUCHY_MAX_PART)
-    g_table = Gc_all(lam, v_vec, params, SKEW_CAUCHY_MAX_PART)
+    f_table = transfer({nu: 1.0 + 0.0j}, u_vec, params, False,
+                       SKEW_CAUCHY_MAX_PART)
+    g_table = transfer({lam: 1.0 + 0.0j}, v_vec, params, True,
+                       SKEW_CAUCHY_MAX_PART)
     lhs: complex = 0.0
     for sig in sorted(f_table):
         gval = g_table.get(sig)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sixvertexlab import gue
 from sixvertexlab.core import ModelParams
 from sixvertexlab.gue import (EmpiricalDistribution, compare_corners_limit,
                               corners_batch,
@@ -134,3 +135,24 @@ def test_compare_k3_smoke():
     assert coords == {"Y[1,1]", "Y[2,1]", "Y[2,2]", "Y[3,1]", "Y[3,2]",
                       "Y[3,3]", "trace[3]"}
     assert rep["interlace_violations"] == 0
+
+
+def test_interlace_count_sees_shifted_lower_rows(monkeypatch):
+    # lower rows drawn for the top shifted up by its largest part never
+    # interlace with the sampled top, so every sample is a violation
+    p = ModelParams(q=0.5, u=2.0, v=0.25)
+    real_k3 = gue.conditional_lower_rows_batch
+    real_k2 = gue.sample_conditional_k2
+
+    def shifted_k3(top, params, count, rng=None):
+        return real_k3(tuple(x + top[0] for x in top), params, count, rng=rng)
+
+    def shifted_k2(tops_desc, params, rng):
+        return real_k2(tops_desc + tops_desc[:, :1], params, rng)
+
+    monkeypatch.setattr(gue, "conditional_lower_rows_batch", shifted_k3)
+    monkeypatch.setattr(gue, "sample_conditional_k2", shifted_k2)
+    assert compare_corners_limit(3, (5,), p, 100,
+                                 seed=104)["interlace_violations"] == 100
+    assert compare_corners_limit(2, (20,), p, 100,
+                                 seed=105)["interlace_violations"] == 100

@@ -1,7 +1,9 @@
 """The routes that check each other must not share code: path enumeration
 uses only the model and its weights, and the contour-quadrature engine uses
 nothing from the package.  Strict tuples come from one enumerator in core:
-no other module lists them with itertools.combinations."""
+no other module lists them with itertools.combinations.  General-state rows
+run through one loop in symfunc: one function applies a row and one function
+chains rows."""
 
 import ast
 import pathlib
@@ -45,3 +47,36 @@ def test_only_core_enumerates_combinations():
                     and node.attr == "combinations"):
                 users.add(path.stem)
     assert not users, f"{sorted(users)} use itertools.combinations"
+
+
+def _callers(tree: ast.AST, name: str) -> set[str]:
+    """The innermost functions that call name (a bare name) in tree."""
+    out = set()
+
+    def visit(node: ast.AST, func: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name):
+            out.add(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "<module>")
+    return out
+
+
+def test_one_general_state_row_loop():
+    row_helpers = ("_row_successors", "_apply_row")
+    for path in SRC.glob("*.py"):
+        if path.name == "symfunc.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            assert name not in row_helpers, f"{path.name} uses {name}"
+    tree = ast.parse((SRC / "symfunc.py").read_text())
+    for name in row_helpers:
+        callers = _callers(tree, name)
+        assert len(callers) <= 1, f"{sorted(callers)} all call {name}"

@@ -10,7 +10,7 @@ from sixvertexlab.paths import enumerate_F_collections, enumerate_Gc_collections
     collection_weight
 from sixvertexlab.symfunc import (F_eval, F_scaled_closed, F_symmetrization,
                                   Gc_eval, Gc_geometric,
-                                  TransferRow, row_weight, step_ratio,
+                                  row_weight, step_ratio,
                                   verify_cauchy, verify_skew_cauchy)
 
 
@@ -132,11 +132,11 @@ def test_conjugation_relation_strict(params):
 
 
 def test_row_weight_matches_successors(params):
-    row = TransferRow(params, 2.0, conjugated=False, left_entry=True)
     for bottom in [(), (3,), (4, 1)]:
         for top, wval in symfunc._row_successors(bottom, 2.0, params.q, params.s,
-                                                 False, True, 7):
-            assert row.weight(bottom, top) == pytest.approx(wval, rel=1e-12)
+                                                 False, 7):
+            assert row_weight(top, bottom, 2.0, params) == pytest.approx(
+                wval, rel=1e-12)
     assert row_weight((2, 1), (3,), 2.0, params) == 0.0  # paths cannot move left
 
 
