@@ -141,7 +141,7 @@ def f_direct(lam, v: float, M: int, params: ModelParams) -> float:
     below = strict_atoms(k, 1, lam[0])
     below = below[(below <= lam).all(axis=1)]
     states = {nu: (-s) ** sum(nu) for nu in map(tuple, below.tolist())}
-    val = transfer(states, (v,) * M, params, True, lam[0], lam).get(lam, 0.0)
+    val = transfer(states, (v,) * M, params, True, (lam, lam)).get(lam, 0.0)
     out = (-1.0) ** k * q_pochhammer(q, q, k) * val
     return complex(out).real
 

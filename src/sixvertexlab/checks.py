@@ -184,7 +184,8 @@ def branching_middle_sum(params: ModelParams, lam, us):
     """F_lam(us) against sum_kappa F_kappa(u_1) F_{lam/kappa}(us[1:]), in
     absolute value; the error is relative to F_lam(us)."""
     lhs = symfunc.F_eval(lam, (), us, params)
-    first = symfunc.transfer({(): 1.0 + 0.0j}, us[:1], params, False, lam[0])
+    first = symfunc.transfer({(): 1.0 + 0.0j}, us[:1], params, False,
+                             ((lam[0],), ()))
     mid = sum(amp * symfunc.F_eval(lam, kappa, us[1:], params)
               for kappa, amp in first.items())
     return abs(lhs), abs(mid), _rel(mid, lhs), {}

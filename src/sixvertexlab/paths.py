@@ -11,8 +11,8 @@ Collections live on the window Z_{>=0} x {1..n}.  Two boundary families:
 No two paths ever share a horizontal edge (j in {0, 1}); sharing vertical
 edges is permitted in the data unless the strict six-vertex filter is
 requested.  Enumeration walks row by row over cross-section signatures,
-which prunes invalid states early, and reconstructs each row's vertex grid
-from the (bottom, top) pair, under which the configuration is unique.
+cuts a branch inside the row recursion as soon as a part can no longer reach
+its rank in lam, and builds each row's vertex grid along the way.
 
 This module is deliberately independent of the transfer-matrix evaluators:
 it builds explicit vertex grids and multiplies single-vertex weights, and
@@ -101,12 +101,13 @@ class PathCollection:
 
 
 def _row_configurations(bottom: dict[int, int], left_entry: bool, n_cols: int,
-                        max_mult: int):
+                        max_mult: int, hi, lo):
     """All ways one row can route its paths: yields (top_parts, vertex_row).
 
     bottom maps column -> incoming vertical multiplicity; a left entry adds a
     horizontal path at x = 0.  Branching happens only at columns that carry a
-    path; empty stretches with no horizontal path are forced.
+    path; empty stretches with no horizontal path are forced.  The j-th top
+    part placed, left to right, must lie in [lo[j], hi[j]], hi[j] < n_cols - 1.
     """
     occupied = sorted(bottom)
     results: list[tuple[tuple[int, ...], tuple]] = []
@@ -128,12 +129,13 @@ def _row_configurations(bottom: dict[int, int], left_entry: bool, n_cols: int,
             for xx in range(x, nxt):
                 verts[xx] = (0, 0, 0, 0)
             x = nxt
-        if x >= n_cols:
-            return  # a horizontal path would leave the window
+        j = len(top_cols)
+        if x > hi[j]:
+            return  # the next part placed lies at or right of x
         i1 = bottom.get(x, 0)
         for j2 in (0, 1):
             i2 = i1 + h - j2
-            if i2 < 0 or i2 > max_mult:
+            if i2 < 0 or i2 > max_mult or i2 and x < lo[j + i2 - 1]:
                 continue
             verts[x] = (i1, h, i2, j2)
             if i2:
@@ -149,23 +151,11 @@ def _row_configurations(bottom: dict[int, int], left_entry: bool, n_cols: int,
 
 def _enumerate_chains(mu: tuple[int, ...], lam: tuple[int, ...], n: int,
                       family: str, max_mult: int) -> Iterator[PathCollection]:
+    # Paths only move right, so no collection exists unless mu_i <= lam_i.
+    if any(m > c for m, c in zip(mu, lam)):
+        return
     n_cols = (lam[0] + 2) if lam else (mu[0] + 2 if mu else 1)
     left_entry = family == "F"
-
-    def rank_ok(parts: tuple[int, ...], rows_left: int) -> bool:
-        # Paths only move right, so the i-th largest cross-section part can
-        # never exceed lam_i; for F-type rows the remaining rows_left entries
-        # of lam are filled by paths yet to enter, bounding parts from below.
-        for i, p in enumerate(parts):
-            if p > lam[i]:
-                return False
-        if left_entry:
-            for i, p in enumerate(parts):
-                j = i + rows_left
-                if j < len(lam) and p < lam[j]:
-                    return False
-        return True
-
     stack_rows: list[tuple] = []
 
     def rec(bottom_parts: tuple[int, ...], row: int) -> Iterator[PathCollection]:
@@ -174,10 +164,14 @@ def _enumerate_chains(mu: tuple[int, ...], lam: tuple[int, ...], n: int,
                 yield PathCollection(family=family, mu=mu, lam=lam, n_rows=n,
                                      n_cols=n_cols, rows=tuple(stack_rows))
             return
+        # Part i of the top never exceeds lam_i; in F-type rows the rows_left
+        # parts of lam below it are filled by paths yet to enter, so it is at
+        # least lam_{i + rows_left}.  The j-th part placed has rank total-1-j.
+        total, rows_left = len(bottom_parts) + left_entry, n - row - 1
+        lo = lam[rows_left:rows_left + total] if left_entry else (0,) * total
         for top, verts in _row_configurations(multiplicities(bottom_parts),
-                                              left_entry, n_cols, max_mult):
-            if not rank_ok(top, n - row - 1):
-                continue
+                                              left_entry, n_cols, max_mult,
+                                              lam[:total][::-1], lo[::-1]):
             stack_rows.append(verts)
             yield from rec(top, row + 1)
             stack_rows.pop()

@@ -21,7 +21,9 @@ pmf and A_M use it, and the tests check it against F_eval.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
@@ -66,28 +68,36 @@ def row_weight(top, bottom, spectral, params: ModelParams,
 
 
 def _row_successors(bottom: tuple[int, ...], spectral, q: float, s: float,
-                    conjugated: bool, max_col: int):
-    """All (top, weight) pairs reachable from bottom in one row, weight != 0."""
+                    conjugated: bool, ceil, floor):
+    """All (top, weight) pairs reachable from bottom in one row, weight != 0,
+    with top_i in [floor[i], ceil[i]].  Parts are placed left to right, the
+    j-th of rank len(top) - 1 - j; a branch is cut once a part lands outside
+    its bound, or a moving path passes the ceiling of the next part."""
     bm = multiplicities(bottom)
     occupied = sorted(bm)
+    total = len(bottom) + (not conjugated)
+    hi, lo = ceil[:total][::-1], floor[:total][::-1]
+    weight = cache(lambda i1, h, j2: vertex_weight_raw(
+        i1, h, i1 + h - j2, j2, q, s, spectral, conjugated))
     results: list[tuple[tuple[int, ...], complex]] = []
     top_cols: list[int] = []
 
     def rec(x: int, h: int, acc: complex):
         if h == 0:
-            nxt = next((c for c in occupied if c >= x), None)
-            if nxt is None:
+            i = bisect_left(occupied, x)
+            if i == len(occupied):
                 results.append((tuple(sorted(top_cols, reverse=True)), acc))
                 return
-            x = nxt
-        if x > max_col:
+            x = occupied[i]
+        j = len(top_cols)
+        if x > hi[j]:
             return
         i1 = bm.get(x, 0)
         for j2 in (0, 1):
             i2 = i1 + h - j2
-            if i2 < 0:
+            if i2 < 0 or i2 and x < lo[j + i2 - 1]:
                 continue
-            wv = vertex_weight_raw(i1, h, i2, j2, q, s, spectral, conjugated)
+            wv = weight(i1, h, j2)
             if wv == 0.0:
                 continue
             if i2:
@@ -101,7 +111,7 @@ def _row_successors(bottom: tuple[int, ...], spectral, q: float, s: float,
 
 
 def _apply_row(states: dict, spectral, q: float, s: float, conjugated: bool,
-               max_col: int) -> dict:
+               ceil, floor) -> dict:
     """Push a vector of signature amplitudes through one row.
 
     States are visited in sorted order so the reduction order, and hence the
@@ -112,39 +122,30 @@ def _apply_row(states: dict, spectral, q: float, s: float, conjugated: bool,
         amp = states[sig]
         if amp == 0.0:
             continue
-        for top, wv in _row_successors(sig, spectral, q, s, conjugated,
-                                       max_col):
+        for top, wv in _row_successors(sig, spectral, q, s, conjugated, ceil,
+                                       floor):
             out[top] = out.get(top, 0.0) + amp * wv
     return out
 
 
-def _rank_filter(states: dict, lam: tuple[int, ...], rows_left: int) -> dict:
-    """The states that can still reach lam in rows_left more rows.
-
-    Paths only move right, and each row carries at most one path across a
-    column boundary, so both row kinds interlace: a row's i-th largest path
-    lands at or below the (i-1)-th largest's old column.  Chained over the
-    rows left, the i-th part lies in [lam[i + rows_left], lam[i]] (the path
-    enumerator applies the lower bound to F rows only).
-    """
-    floor = lam[rows_left:]
-    return {sig: amp for sig, amp in states.items()
-            if all(p <= c for p, c in zip(sig, lam))
-            and all(p >= f for p, f in zip(sig, floor))}
-
-
 def transfer(states: dict, spectral, params: ModelParams, conjugated: bool,
-             max_col: int, lam: tuple[int, ...] | None = None) -> dict:
+             envelope) -> dict:
     """The package's one general-state transfer: push a signature ->
-    amplitude dict through one row per spectral value, keeping parts <=
-    max_col.  Plain rows (F) take one path entering from the left,
-    conjugated rows (G^c) none.  With lam given, only the states that can
-    still reach lam are kept after each row."""
+    amplitude dict through one row per spectral value.  Plain rows (F) take
+    one path entering from the left, conjugated rows (G^c) none.
+
+    envelope = (ceil, floor), both nonincreasing, bounds the final states
+    rank-wise.  Paths only move right, and each row carries at most one path
+    across a column boundary, so both row kinds interlace: a row's i-th
+    largest path lands at or below the (i-1)-th largest's old column.  With
+    r rows left, the i-th part thus lies in [floor[i + r], ceil[i]]; each
+    row builds only those states, and their values are unchanged.
+    """
+    n, (ceil, floor) = len(spectral), envelope
+    floor = (*floor, *(0,) * (len(ceil) + n))
     for r, u_r in enumerate(spectral):
-        states = _apply_row(states, u_r, params.q, params.s, conjugated,
-                            max_col)
-        if lam is not None:
-            states = _rank_filter(states, lam, len(spectral) - r - 1)
+        states = _apply_row(states, u_r, params.q, params.s, conjugated, ceil,
+                            floor[n - r - 1:])
     return states
 
 
@@ -228,8 +229,8 @@ def F_eval(lam, mu, spectral, params: ModelParams) -> complex:
                          f"vs {len(mu)} + {len(spectral)}")
     if not spectral:
         return 1.0 if lam == mu else 0.0
-    return transfer({mu: 1.0 + 0.0j}, spectral, params, False, lam[0],
-                    lam).get(lam, 0.0)
+    return transfer({mu: 1.0 + 0.0j}, spectral, params, False,
+                    (lam, lam)).get(lam, 0.0)
 
 
 def Gc_eval(lam, mu, spectral, params: ModelParams) -> complex:
@@ -241,7 +242,7 @@ def Gc_eval(lam, mu, spectral, params: ModelParams) -> complex:
     if not spectral:
         return 1.0 if lam == mu else 0.0
     return transfer({mu: 1.0 + 0.0j}, spectral, params, True,
-                    lam[0] if lam else 0, lam).get(lam, 0.0)
+                    (lam, lam)).get(lam, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +345,10 @@ def verify_cauchy(N: int, K: int, u_vec, v_vec, params: ModelParams,
 
         (q; q)_N prod_i [ 1/(1 - s u_i) prod_j (1 - q u_i v_j)/(1 - u_i v_j) ].
 
-    The sum is truncated adaptively at part size L; the reported tail bound
-    uses the worst pairwise factor ratio r (r < 1 by admissibility) inflated
-    by the polynomial growth of the number and size of collections.
+    The sum is truncated adaptively at part size L, with F built only inside
+    the rank-wise range of the G^c keys; the reported tail bound uses the
+    worst pairwise factor ratio r (r < 1 by admissibility) inflated by the
+    polynomial growth of the number and size of collections.
     """
     u_vec, v_vec = tuple(u_vec), tuple(v_vec)
     if len(u_vec) != N or len(v_vec) != K:
@@ -369,8 +371,11 @@ def verify_cauchy(N: int, K: int, u_vec, v_vec, params: ModelParams,
 
     L = 16
     while True:
-        f_table = transfer({(): 1.0 + 0.0j}, u_vec, params, False, L)
-        g_table = transfer({(0,) * N: 1.0 + 0.0j}, v_vec, params, True, L)
+        g_table = transfer({(0,) * N: 1.0 + 0.0j}, v_vec, params, True,
+                           ((L,) * N, ()))
+        f_table = transfer({(): 1.0 + 0.0j}, u_vec, params, False,
+                           (tuple(map(max, *g_table, (0,) * N)),
+                            tuple(map(min, *g_table, (L,) * N))))
         by_top: dict[int, complex] = {}
         for sig in sorted(f_table):
             gval = g_table.get(sig)
@@ -427,10 +432,9 @@ def verify_skew_cauchy(lam, nu, u_vec, v_vec, params: ModelParams) -> dict:
             if not pair_admissible(ui, vj, s):
                 raise ValueError(f"pair (u={ui}, v={vj}) is not admissible")
 
-    f_table = transfer({nu: 1.0 + 0.0j}, u_vec, params, False,
-                       SKEW_CAUCHY_MAX_PART)
-    g_table = transfer({lam: 1.0 + 0.0j}, v_vec, params, True,
-                       SKEW_CAUCHY_MAX_PART)
+    cap = ((SKEW_CAUCHY_MAX_PART,) * len(lam), ())
+    f_table = transfer({nu: 1.0 + 0.0j}, u_vec, params, False, cap)
+    g_table = transfer({lam: 1.0 + 0.0j}, v_vec, params, True, cap)
     lhs: complex = 0.0
     for sig in sorted(f_table):
         gval = g_table.get(sig)

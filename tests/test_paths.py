@@ -37,6 +37,13 @@ def test_rejects_bad_arguments():
         enumerate_Gc_collections((1, 0), (2,), 1)  # length mismatch
 
 
+def test_incompatible_boundaries_give_no_collections():
+    # paths only move right, so some mu_i > lam_i leaves nothing to route
+    assert enumerate_Gc_collections((4,), (1,), 1) == []
+    assert enumerate_F_collections((5,), (2, 1), 1) == []
+    assert enumerate_Gc_collections((3, 1), (0, 0), 2) == []
+
+
 def test_gc_straight_up():
     cols = enumerate_Gc_collections((3, 1), (3, 1), 1)
     assert any(all(v[3] == 0 for v in c.vertex_types()) for c in cols)

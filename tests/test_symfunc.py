@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -68,6 +69,32 @@ def test_Gc_eval_matches_enumeration():
         assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
 
 
+def test_pruned_routes_agree_on_skew_grid(band_points):
+    # F and G^c of every (mu, lam) with at most 2 parts <= 4 over n <= 2
+    # rows, non-strict and mu_i = lam_i included: transfer and enumeration
+    # both cut branches at the rank bounds, so a bound slip in either shows
+    sigs = [sig for k in range(3)
+            for sig in combinations_with_replacement(range(4, -1, -1), k)]
+    nonzero = 0
+    for p in band_points:
+        us, vs = (p.u, 1.1 * p.u), (p.v, 0.9 * p.v)
+        for mu in sigs:
+            for lam in sigs:
+                n = len(lam) - len(mu)
+                cases = []
+                if 0 <= n <= 2:
+                    cases.append((F_eval(lam, mu, us[:n], p),
+                                  enumeration_F(lam, mu, us[:n], p)))
+                if n == 0:
+                    cases += [(Gc_eval(lam, mu, vs[:m], p),
+                               enumeration_Gc(lam, mu, vs[:m], p))
+                              for m in (1, 2)]
+                for got, want in cases:
+                    assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
+                    nonzero += want != 0.0
+    assert nonzero > 400  # 486 of the 1,696 cases
+
+
 def test_route_agreement_three_ways():
     # DP vs enumeration vs symmetrization on strict lam, distinct variables
     worst = checks.route_agreement(checks.random_points(47, 10),
@@ -134,7 +161,7 @@ def test_conjugation_relation_strict(params):
 def test_row_weight_matches_successors(params):
     for bottom in [(), (3,), (4, 1)]:
         for top, wval in symfunc._row_successors(bottom, 2.0, params.q, params.s,
-                                                 False, 7):
+                                                 False, (7,) * 3, (0,) * 3):
             assert row_weight(top, bottom, 2.0, params) == pytest.approx(
                 wval, rel=1e-12)
     assert row_weight((2, 1), (3,), 2.0, params) == 0.0  # paths cannot move left
@@ -148,6 +175,34 @@ def test_verify_cauchy_examples(params):
     assert rep["rel_error"] < 1e-8
     rep = verify_cauchy(2, 2, (2.0, 2.3), (0.25, 0.2), params)
     assert rep["rel_error"] < 1e-8
+
+
+def test_cauchy_envelope_keeps_lhs_bits(params):
+    # verify_cauchy builds F only inside the rank-wise range of the G^c
+    # keys; the full F table at the same part cap, summed against G^c in
+    # the same order, must give the same lhs bit for bit (criterion 2 cases)
+    p = params
+    for N, K in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        us = tuple(p.u * (1 + 0.13 * i) for i in range(N))
+        vs = tuple(p.v * (1 - 0.2 * j) for j in range(K))
+        rep = verify_cauchy(N, K, us, vs, p, tol=1e-10)
+        top, L = rep["truncation_L"], 16
+        while L < top:
+            L *= 2
+        cap = ((L,) * N, ())
+        f_table = symfunc.transfer({(): 1.0 + 0.0j}, us, p, False, cap)
+        g_table = symfunc.transfer({(0,) * N: 1.0 + 0.0j}, vs, p, True, cap)
+        by_top = {}
+        for sig in sorted(f_table):
+            if sig in g_table:
+                by_top[sig[0]] = (by_top.get(sig[0], 0.0)
+                                  + f_table[sig] * g_table[sig])
+        lhs = 0.0
+        for m in sorted(by_top):
+            if m <= top:
+                lhs += by_top[m]
+        want = complex(lhs).real if abs(complex(lhs).imag) < 1e-12 else lhs
+        assert rep["lhs"] == want, (N, K)
 
 
 def test_verify_cauchy_rejects_inadmissible():
