@@ -151,8 +151,7 @@ def descent_profile(params: ModelParams, n: int = 1000, eps: float = 0.1) -> dic
     strictly negative bound outside the +/- eps sub-segment around u."""
     z = contour_samples(params, n)
     branch_continuity_check(z, params)
-    re_g = np.real(constants(params).a * log_ratio_s(z, params)
-                   + log_ratio_v(z, params))
+    re_g = np.real(phase_G(z, params))
     idx = int(np.argmax(re_g))
     outside = np.abs(z - params.u) > eps
     delta = float(np.max(re_g[outside]))
@@ -203,14 +202,15 @@ def exponent_rows(z: np.ndarray, wts: np.ndarray, exponents, M: int,
 
 
 def contour_boundary_integral(exponents, M: int,
-                              params: ModelParams) -> complex:
+                              params: ModelParams) -> float:
     """I_C(l; M) = oint_C^k prod_{a<b} (z_a - z_b)/(z_a - q z_b)
                    prod_i base(z_i) exp(l_i L_s(z_i) + M L_v(z_i)) dz_i/(2 pi i),
 
     with adaptive node doubling.  This equals f(l; [v]^M, rho)/Z_M times
     t^{|l|} for integer parts l_i >= 1 (everything normalized so the value
     stays O(1) for parts near a M).  The relative criterion IC_TOL has the
-    absolute escape IC_ATOL for deep-tail values."""
+    absolute escape IC_ATOL for deep-tail values.  The value is real; an
+    imaginary residue above 1e-8 relative raises RuntimeError."""
     exponents = tuple(exponents)
     if len(exponents) == 0 or exponents[-1] < 1:
         raise ValueError(f"contour engine requires parts >= 1, got {exponents}")
@@ -220,8 +220,11 @@ def contour_boundary_integral(exponents, M: int,
         rows = exponent_rows(z, wts, exponents, M, params)
         return tensor_integral(list(rows[:, None]), z, params.q).item()
 
-    return adaptive(evaluate, SEGMENT_NODES, COMPOSITE_MAX_NODES, IC_TOL,
-                    atol=IC_ATOL)
+    val = adaptive(evaluate, SEGMENT_NODES, COMPOSITE_MAX_NODES, IC_TOL,
+                   atol=IC_ATOL)
+    if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
+        raise RuntimeError(f"I_C integral has non-real residue: {val}")
+    return val.real
 
 
 def _w_factors(params: ModelParams) -> tuple[float, float]:
@@ -250,47 +253,34 @@ def A_M(mu, M: int, params: ModelParams) -> float:
             * w_a ** -binom2(k + 1) * w_b ** -binom2(k) * t ** binom2(k))
 
 
-def B_M(mu, M: int, params: ModelParams, route: str = "contour") -> float:
+def B_M(mu, M: int, params: ModelParams) -> float:
     """The boundary factor with its normalization, so that
-    A_M(mu) * B_M(mu) = P(top row = mu) exactly.
-
-    route "contour" uses the composite-contour integral; route "direct" uses
-    the boundary nu-sum and the product partition function (small M only).
-    """
+    A_M(mu) * B_M(mu) = P(top row = mu) exactly, from the composite-contour
+    integral."""
     mu = as_parts(mu)
     k = len(mu)
-    if route == "contour":
-        val = contour_boundary_integral(mu, M, params)
-        if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
-            raise RuntimeError(f"B_M integral has non-real residue: {val}")
-        return bm_prefactor(k, params) * M ** (binom2(k) / 2) * val.real
-    if route == "direct":
-        from .boundary import f_direct
-        from .measure import partition_Z
-        w_a, w_b = _w_factors(params)
-        t = step_ratio(params)
-        f_val = f_direct(mu, params.v, M, params)
-        return (f_val * M ** (binom2(k) / 2) * w_a ** binom2(k + 1)
-                * w_b ** binom2(k) * t ** (sum(mu) - binom2(k))
-                / partition_Z(k, M, params))
-    raise ValueError(f"unknown route {route!r}")
+    return (bm_prefactor(k, params) * M ** (binom2(k) / 2)
+            * contour_boundary_integral(mu, M, params))
+
+
+def bm_parts(x_values, M: int, params: ModelParams) -> tuple[int, ...]:
+    """lambda(M) = scaled_parts(x, M, a, d), the parts B_M_contour integrates
+    at; ValueError unless they are all >= 1."""
+    cst = constants(params)
+    lam = scaled_parts(x_values, M, cst.a, cst.d)
+    if min(lam, default=0) < 1:
+        raise ValueError(f"M = {M} too small: parts {lam} must all be >= 1")
+    return lam
 
 
 def B_M_contour(x_values, M: int, params: ModelParams) -> float:
     """d^k M^{k/2} B_M(lambda(M)) at lambda_i(M) = floor(aM + d sqrt(M) x_{k-i+1});
     converges to d^{-C(k,2)} (2 pi)^{-k/2} prod_{i<j}(x_j - x_i) prod e^{-x_i^2/2}."""
-    xs = tuple(x_values)
-    k = len(xs)
-    cst = constants(params)
-    A_bound = max(abs(x) for x in xs) if xs else 0.0
-    if cst.a * M - A_bound * math.sqrt(M) < 1.0:
-        raise ValueError(f"M = {M} too small: need a M - max|x| sqrt(M) >= 1")
-    lam = scaled_parts(xs, M, cst.a, cst.d)
-    val = contour_boundary_integral(lam, M, params)
-    if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
-        raise RuntimeError(f"B_M integral has non-real residue: {val}")
-    a_k = cst.d ** k * bm_prefactor(k, params)
-    return a_k * M ** (binom2(k + 1) / 2) * val.real
+    lam = bm_parts(x_values, M, params)
+    k = len(lam)
+    a_k = constants(params).d ** k * bm_prefactor(k, params)
+    return (a_k * M ** (binom2(k + 1) / 2)
+            * contour_boundary_integral(lam, M, params))
 
 
 def bm_limit(x_values, k: int, params: ModelParams) -> float:

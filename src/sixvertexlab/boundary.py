@@ -50,17 +50,11 @@ def default_radius(params: ModelParams, v_values) -> float:
     return 0.5 * (params.s + hi)
 
 
-def _check_radius(R: float, params: ModelParams, v_values) -> None:
-    hi = min(1.0 / abs(v) for v in v_values)
-    if not (params.s < R < hi):
-        raise ValueError(f"radius {R} outside admissible band ({params.s}, {hi})")
-
-
 def Gc_contour(lam, v_values, params: ModelParams,
-               radius: float | None = None, tol: float = 1e-9) -> complex:
+               tol: float = 1e-9) -> complex:
     """G^c_lambda(v_1..v_N) for lam with lam_k >= 1, by the k-fold integral
-    over the circle |z| = radius (default_radius if None); independent of
-    the transfer evaluators."""
+    over the circle |z| = default_radius; independent of the transfer
+    evaluators."""
     lam = as_parts(lam)
     v_values = tuple(v_values)
     k = len(lam)
@@ -69,11 +63,7 @@ def Gc_contour(lam, v_values, params: ModelParams,
     if len(v_values) < k:
         raise ValueError(f"need at least k = {k} spectral values")
     s, q = params.s, params.q
-    if max(abs(v) for v in v_values) >= 1.0 / s:
-        raise ValueError("all |v_i| must be below 1/s")
-    if radius is None:
-        radius = default_radius(params, v_values)
-    _check_radius(radius, params, v_values)
+    radius = default_radius(params, v_values)  # refuses any |v_i| >= 1/s
 
     def evaluate(n: int) -> complex:
         z, wts = circle_nodes(radius, n)
@@ -104,7 +94,9 @@ def f_contour(lam, v: float, M: int, params: ModelParams,
         raise ValueError(f"need v in (0, 1/s), got {v}")
     if radius is None:
         radius = default_radius(params, (v,))
-    _check_radius(radius, params, (v,))
+    elif not s < radius < 1.0 / v:
+        raise ValueError(f"radius {radius} outside admissible band "
+                         f"({s}, {1.0 / v})")
 
     def evaluate(n: int) -> complex:
         z, wts = circle_nodes(radius, n)

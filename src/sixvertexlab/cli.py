@@ -23,6 +23,7 @@ object naming the violated invariants; invalid configuration exits 2.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -44,10 +45,10 @@ CANONICAL = {"q": 0.5, "u": 2.0, "v": 0.25}
 ACCEPTANCE_GUE = {"q": 0.5, "u": 1.5 * 2 ** 0.5, "v": 0.7 / (1.5 * 2 ** 0.5)}
 
 
-def _require_int(name: str, value) -> None:
+def _require(name: str, value, kind, what: str) -> None:
     # bool is an int subclass; a float would be truncated or crash downstream
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -66,9 +67,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("seed", "threads", "k", "n_samples"):
-            _require_int(name, getattr(self, name))
+            _require(name, getattr(self, name), int, "an integer")
         for m in self.m_grid:
-            _require_int("m_grid entry", m)
+            _require("m_grid entry", m, int, "an integer")
+        for name in ("tol", "pmf_tol"):
+            _require(name, getattr(self, name), (int, float), "a real")
         if not 1 <= self.k <= 3:
             raise ValueError(f"k must be 1, 2 or 3 (the pmf engines' range), "
                              f"got {self.k}")
@@ -80,6 +83,10 @@ class ExperimentConfig:
         if self.threads < 0:
             raise ValueError(f"threads must be >= 0 (0 = all cores), "
                              f"got {self.threads}")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
+        if not 0 < self.pmf_tol < 1:
+            raise ValueError(f"pmf_tol must be in (0, 1), got {self.pmf_tol}")
 
     def params(self) -> ModelParams:
         return ModelParams(q=self.q, u=self.u, v=self.v)
@@ -102,6 +109,8 @@ def _load_config(path: str | None, overrides: dict, defaults: dict) -> Experimen
 class CheckTable:
     """Collects (name, value, reference, error, tol, passed) rows."""
 
+    COLUMNS = ("check", "value", "reference", "error", "tol", "passed", "note")
+
     def __init__(self):
         self.rows: list[dict] = []
 
@@ -116,18 +125,14 @@ class CheckTable:
         self.add(name, *result[:3], tol)
 
     def add_flag(self, name: str, passed: bool, note: str = "") -> None:
-        self.rows.append({"check": name, "value": int(passed), "reference": 1,
-                          "error": 0.0 if passed else 1.0, "tol": 0.0,
-                          "passed": bool(passed), "note": note})
+        self.add(name, int(passed), 1, 0.0 if passed else 1.0, 0.0, note)
 
     def failures(self) -> list[dict]:
         return [r for r in self.rows if not r["passed"]]
 
     def write(self, path: str) -> None:
-        write_csv(path, ["check", "value", "reference", "error", "tol",
-                         "passed", "note"],
-                  [[r["check"], r["value"], r["reference"], r["error"],
-                    r["tol"], r["passed"], r["note"]] for r in self.rows])
+        write_csv(path, self.COLUMNS,
+                  [[r[c] for c in self.COLUMNS] for r in self.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +218,9 @@ def cmd_constants(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
     table.add_flag("constants-values",
                    all(math.isfinite(x) for x in (cst.a, cst.b, cst.c, cst.d)),
                    note=f"a={cst.a!r} b={cst.b!r} c={cst.c!r} d={cst.d!r}")
-    bad, _, _, signs = checks.sign_pattern(
-        checks.random_points(cfg.seed + 1, 50))
+    bad = checks.sign_pattern(checks.random_points(cfg.seed + 1, 50))[2]
     table.add_flag("sign-pattern(+,-,+,+) on 50-point grid", bad == 0,
-                   note=f"{bad} bad, {signs['raised']} raised" if bad else "")
+                   note=f"{bad} raised" if bad else "")
 
     for name, result in checks.critical_points(p).items():
         # G'' is checked relative to 2c, the rest absolutely
@@ -233,10 +237,29 @@ def cmd_constants(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
     return table
 
 
+# (kind, k, x) of the bm-converge rows, each taken at every M of the grid
+BM_ROWS = (("B", 1, (0.0,)), ("B", 1, (1.0,)), ("B", 2, (-1.0, 1.0)),
+           ("A", 2, (-1.0, 1.0)))
+
+
+def _check_grid(subcommand: str, cfg: ExperimentConfig) -> None:
+    """gue-compare needs an M >= 50.  At every M, bm-converge needs B row
+    parts >= 1 (the guard of B_M_contour) and A row parts >= 0."""
+    if subcommand == "gue-compare" and max(cfg.m_grid) < 50:
+        raise ValueError(f"gue-compare needs max(m_grid) >= 50, "
+                         f"got {list(cfg.m_grid)}")
+    p = cfg.params()
+    if subcommand == "bm-converge":
+        for M, (kind, _, xs) in itertools.product(cfg.m_grid, BM_ROWS):
+            if kind == "B":
+                asy.bm_parts(xs, M, p)
+            elif asy.scaled_parts(xs, M, asy.constants(p).a, 1.0)[-1] < 0:
+                raise ValueError(f"M = {M} too small: A row parts must be >= 0")
+
+
 def cmd_bm_converge(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
     p = cfg.params()
     table = CheckTable()
-    rows = []
 
     def one(job):
         kind, k, xs, M = job
@@ -249,12 +272,7 @@ def cmd_bm_converge(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
             lim = asy.am_limit(xs)
         return [M, k, list(xs), kind, val, lim, abs(val - lim)]
 
-    jobs = []
-    for M in cfg.m_grid:
-        jobs.append(("B", 1, (0.0,), M))
-        jobs.append(("B", 1, (1.0,), M))
-        jobs.append(("B", 2, (-1.0, 1.0), M))
-        jobs.append(("A", 2, (-1.0, 1.0), M))
+    jobs = [(kind, k, xs, M) for M in cfg.m_grid for kind, k, xs in BM_ROWS]
     rows = parallel_map(one, jobs, cfg.worker_count())
     write_csv(os.path.join(out_dir, "bm_convergence.csv"),
               ["M", "k", "x", "kind", "computed", "limit", "abs_error"], rows)
@@ -397,7 +415,7 @@ def main(argv=None) -> int:
                  "out": args.out}
     try:
         cfg = _load_config(args.config, overrides, defaults)
-        cfg.params()  # validate the parameter chain eagerly
+        _check_grid(args.subcommand, cfg)  # also checks the parameter chain
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"subcommand": args.subcommand,
                           "validation_error": str(exc)}))

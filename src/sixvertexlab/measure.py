@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, product
 
 import numpy as np
 
@@ -260,46 +261,25 @@ GT_CAP = 500_000
 
 
 def enumerate_gt_patterns(top_increasing) -> list[HalfStrictGTPattern]:
-    """All half-strict patterns with the given (strictly increasing) top row."""
+    """All half-strict patterns with the given (strictly increasing) top row,
+    in lexicographic order of the rows read downward; raises
+    EnumerationCapError if there are more than GT_CAP.  Each row below is a
+    product over the intervals [x_i, x_{i+1}] of the row above it, kept
+    when strictly increasing."""
     top = tuple(top_increasing)
     if any(a >= b for a, b in zip(top, top[1:])):
         raise ValueError(f"top row must be strictly increasing, got {top}")
-
-    def shrink(upper: tuple[int, ...]):
-        j = len(upper) - 1
-        if j == 0:
-            yield ()
-            return
-
-        def rec(i: int, prev: int, acc: list[int]):
-            if i == j:
-                yield tuple(acc)
-                return
-            lo_i = max(upper[i], prev + 1)
-            for x in range(lo_i, upper[i + 1] + 1):
-                acc.append(x)
-                yield from rec(i + 1, x, acc)
-                acc.pop()
-
-        yield from rec(0, -10 ** 9, [])
-
-    full: list[HalfStrictGTPattern] = []
-
-    def rec_pattern(rows_desc: list[tuple[int, ...]]):
-        if len(full) > GT_CAP:
-            raise EnumerationCapError(
-                f"|GT_lambda| exceeds enumeration cap {GT_CAP} for top {top}")
-        bottom = rows_desc[-1]
-        if len(bottom) == 1:
-            full.append(HalfStrictGTPattern(rows=tuple(reversed(rows_desc))))
-            return
-        for nxt in shrink(bottom):
-            rows_desc.append(nxt)
-            rec_pattern(rows_desc)
-            rows_desc.pop()
-
-    rec_pattern([top])
-    return full
+    chains = iter([(top,)])
+    for _ in range(len(top) - 1):
+        chains = (rows + (row,) for rows in chains
+                  for row in product(*(range(a, b + 1) for a, b
+                                       in zip(rows[-1], rows[-1][1:])))
+                  if all(a < b for a, b in zip(row, row[1:])))
+    full = list(islice(chains, GT_CAP + 1))
+    if len(full) > GT_CAP:
+        raise EnumerationCapError(
+            f"|GT_lambda| exceeds enumeration cap {GT_CAP} for top {top}")
+    return [HalfStrictGTPattern(rows=rows[::-1]) for rows in full]
 
 
 def _pattern_row_grid(bottom: tuple[int, ...], top: tuple[int, ...],
@@ -362,19 +342,16 @@ def gibbs_pattern_weight(pattern: HalfStrictGTPattern,
 
 
 def conditional_lower_rows_batch(lam, params: ModelParams, count: int,
-                                 seed: int | None = None,
-                                 rng: np.random.Generator | None = None
+                                 rng: np.random.Generator
                                  ) -> list[HalfStrictGTPattern]:
     """count exact draws of the lower rows given the top row lam (a strict
-    signature with smallest part >= 1): enumerate GT_lambda once, weight by
-    the six-vertex census, and inverse-CDF sample."""
+    signature with smallest part >= 1), from the required generator rng:
+    enumerate GT_lambda once, weight by the six-vertex census, and
+    inverse-CDF sample."""
     lam = as_parts(lam)
     if not all(a > b for a, b in zip(lam, lam[1:])) or lam[-1] < 1:
         raise ValueError(f"top row must be strict with parts >= 1, got {lam}")
-    top = tuple(sorted(lam))
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    patterns = enumerate_gt_patterns(top)
+    patterns = enumerate_gt_patterns(sorted(lam))
     weights = np.array([gibbs_pattern_weight(pat, params) for pat in patterns])
     cdf = np.cumsum(weights)
     idx = np.searchsorted(cdf, rng.random(count) * cdf[-1], side="right")
@@ -382,11 +359,11 @@ def conditional_lower_rows_batch(lam, params: ModelParams, count: int,
     return [patterns[i] for i in idx]
 
 
-def conditional_lower_rows(lam, params: ModelParams, seed: int | None = None,
-                           rng: np.random.Generator | None = None
-                           ) -> HalfStrictGTPattern:
-    """One exact draw of the lower rows given the top row lam."""
-    return conditional_lower_rows_batch(lam, params, 1, seed=seed, rng=rng)[0]
+def conditional_lower_rows(lam, params: ModelParams,
+                           rng: np.random.Generator) -> HalfStrictGTPattern:
+    """One exact draw of the lower rows given the top row lam, from the
+    required generator rng."""
+    return conditional_lower_rows_batch(lam, params, 1, rng)[0]
 
 
 def conditional_k2_weights(params: ModelParams) -> tuple[float, float, float]:

@@ -8,9 +8,8 @@ Collections live on the window Z_{>=0} x {1..n}.  Two boundary families:
 * Gc-type: N paths enter at the bottom at mu and exit the top at lam; no
   left entries.
 
-No two paths ever share a horizontal edge (j in {0, 1}); sharing vertical
-edges is permitted in the data unless the strict six-vertex filter is
-requested.  Enumeration walks row by row over cross-section signatures,
+No two paths ever share a horizontal edge (j in {0, 1}); they may share
+vertical edges.  Enumeration walks row by row over cross-section signatures,
 cuts a branch inside the row recursion as soon as a part can no longer reach
 its rank in lam, and builds each row's vertex grid along the way.
 
@@ -101,7 +100,7 @@ class PathCollection:
 
 
 def _row_configurations(bottom: dict[int, int], left_entry: bool, n_cols: int,
-                        max_mult: int, hi, lo):
+                        hi, lo):
     """All ways one row can route its paths: yields (top_parts, vertex_row).
 
     bottom maps column -> incoming vertical multiplicity; a left entry adds a
@@ -135,7 +134,7 @@ def _row_configurations(bottom: dict[int, int], left_entry: bool, n_cols: int,
         i1 = bottom.get(x, 0)
         for j2 in (0, 1):
             i2 = i1 + h - j2
-            if i2 < 0 or i2 > max_mult or i2 and x < lo[j + i2 - 1]:
+            if i2 < 0 or i2 and x < lo[j + i2 - 1]:
                 continue
             verts[x] = (i1, h, i2, j2)
             if i2:
@@ -149,13 +148,21 @@ def _row_configurations(bottom: dict[int, int], left_entry: bool, n_cols: int,
     return results
 
 
-def _enumerate_chains(mu: tuple[int, ...], lam: tuple[int, ...], n: int,
-                      family: str, max_mult: int) -> Iterator[PathCollection]:
+def _enumerate_chains(mu, lam, n: int, family: str) -> list[PathCollection]:
+    if n < 0:
+        raise ValueError(f"row count must be nonnegative, got {n}")
+    mu, lam = as_parts(mu), as_parts(lam)
+    left_entry = family == "F"
+    if len(lam) != len(mu) + n * left_entry:
+        raise ValueError(f"{family}: need len(lam) = len(mu)"
+                         f"{' + n' if left_entry else ''}, got len(lam) = "
+                         f"{len(lam)}, len(mu) = {len(mu)}, n = {n}")
+    if (mu and mu[-1] < 0) or (lam and lam[-1] < 0):
+        raise ValueError("boundary signatures must be nonnegative")
     # Paths only move right, so no collection exists unless mu_i <= lam_i.
     if any(m > c for m, c in zip(mu, lam)):
-        return
+        return []
     n_cols = (lam[0] + 2) if lam else (mu[0] + 2 if mu else 1)
-    left_entry = family == "F"
     stack_rows: list[tuple] = []
 
     def rec(bottom_parts: tuple[int, ...], row: int) -> Iterator[PathCollection]:
@@ -170,48 +177,25 @@ def _enumerate_chains(mu: tuple[int, ...], lam: tuple[int, ...], n: int,
         total, rows_left = len(bottom_parts) + left_entry, n - row - 1
         lo = lam[rows_left:rows_left + total] if left_entry else (0,) * total
         for top, verts in _row_configurations(multiplicities(bottom_parts),
-                                              left_entry, n_cols, max_mult,
+                                              left_entry, n_cols,
                                               lam[:total][::-1], lo[::-1]):
             stack_rows.append(verts)
             yield from rec(top, row + 1)
             stack_rows.pop()
 
-    yield from rec(mu, 0)
+    return list(rec(mu, 0))
 
 
-def enumerate_F_collections(mu, lam, n: int,
-                            strict_six_vertex: bool = False) -> list[PathCollection]:
+def enumerate_F_collections(mu, lam, n: int) -> list[PathCollection]:
     """All F-type collections routing mu (length N) to lam (length N + n)
     across n rows with one left entry per row.  Incompatible boundaries give
-    the empty list.
-
-    strict_six_vertex restricts vertical multiplicities to at most one; at
-    s = q^{-1/2} the excluded configurations all carry weight zero.
-    """
-    if n < 0:
-        raise ValueError(f"row count must be nonnegative, got {n}")
-    mu, lam = as_parts(mu), as_parts(lam)
-    if len(lam) != len(mu) + n:
-        raise ValueError(f"need len(lam) = len(mu) + n, got {len(lam)} vs "
-                         f"{len(mu)} + {n}")
-    if (mu and mu[-1] < 0) or (lam and lam[-1] < 0):
-        raise ValueError("boundary signatures must be nonnegative")
-    max_mult = 1 if strict_six_vertex else len(lam)
-    return list(_enumerate_chains(mu, lam, n, "F", max_mult))
+    the empty list."""
+    return _enumerate_chains(mu, lam, n, "F")
 
 
-def enumerate_Gc_collections(mu, lam, n: int,
-                             strict_six_vertex: bool = False) -> list[PathCollection]:
+def enumerate_Gc_collections(mu, lam, n: int) -> list[PathCollection]:
     """All Gc-type collections routing mu to lam (same length) across n rows."""
-    if n < 0:
-        raise ValueError(f"row count must be nonnegative, got {n}")
-    mu, lam = as_parts(mu), as_parts(lam)
-    if len(lam) != len(mu):
-        raise ValueError(f"length mismatch: len(lam)={len(lam)}, len(mu)={len(mu)}")
-    if (mu and mu[-1] < 0) or (lam and lam[-1] < 0):
-        raise ValueError("boundary signatures must be nonnegative")
-    max_mult = 1 if strict_six_vertex else max(len(lam), 1)
-    return list(_enumerate_chains(mu, lam, n, "Gc", max_mult))
+    return _enumerate_chains(mu, lam, n, "Gc")
 
 
 def collection_weight(pc: PathCollection, spectral, params: ModelParams,

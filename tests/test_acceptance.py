@@ -186,7 +186,8 @@ def test_criterion_13_gibbs_conditional():
         pats = measure.enumerate_gt_patterns(tuple(sorted(lam)))
         weights = np.array([measure.gibbs_pattern_weight(q_, p) for q_ in pats])
         probs = weights / weights.sum()
-        draws = measure.conditional_lower_rows_batch(lam, p, n, seed=131)
+        draws = measure.conditional_lower_rows_batch(
+            lam, p, n, np.random.default_rng(131))
         counts = {}
         for pat in draws:
             key = pat.rows[:-1]

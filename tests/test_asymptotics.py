@@ -117,8 +117,11 @@ def test_bm_contour_k2_limit(params):
 
 
 def test_bm_requires_large_M(params):
-    with pytest.raises(ValueError):
-        asy.B_M_contour((5.0,), 2, params)
+    # the guard checks the built parts: (-5,) at M = 2 gives (-8,), and
+    # (-1, 1) at M = 13 gives (8, 0), since d = 1.097 scales the x
+    for xs, M in [((-5.0,), 2), ((-1.0, 1.0), 13)]:
+        with pytest.raises(ValueError, match="too small"):
+            asy.B_M_contour(xs, M, params)
 
 
 def test_am_convergence_and_bound(params):
@@ -149,9 +152,8 @@ def test_am_times_bm_is_the_pmf(params):
             if prob < 1e-12:
                 continue
             am = asy.A_M(atom, M, params)
-            for route in ("contour", "direct"):
-                bm = asy.B_M(atom, M, params, route=route)
-                assert am * bm == pytest.approx(prob, rel=1e-8)
+            bm = asy.B_M(atom, M, params)
+            assert am * bm == pytest.approx(prob, rel=1e-8)
 
 
 def test_am_times_bm_is_the_contour_pmf(params):

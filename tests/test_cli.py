@@ -115,19 +115,28 @@ def test_non_integer_config_exit_2(tmp_path, capsys, bad):
     assert not (tmp_path / "sample").exists()
 
 
-@pytest.mark.parametrize("bad, message", [
-    ({"m_grid": []}, "m_grid must be"), ({"m_grid": [30, 0]}, "m_grid must be"),
-    ({"n_samples": -5}, "n_samples must be"), ({"threads": -1}, "threads must be")],
-    ids=["empty-m_grid", "m_grid-0", "negative-n_samples", "negative-threads"])
-def test_out_of_range_config_exit_2(tmp_path, capsys, bad, message):
-    # an empty or non-positive count is refused before any engine runs
+@pytest.mark.parametrize("subcommand, bad, message", [
+    ("sample", {"m_grid": []}, "m_grid must be"),
+    ("sample", {"m_grid": [30, 0]}, "m_grid must be"),
+    ("sample", {"n_samples": -5}, "n_samples must be"),
+    ("sample", {"threads": -1}, "threads must be"),
+    ("sample", {"pmf_tol": 0}, "pmf_tol must be"),
+    ("identities", {"tol": "x"}, "tol must be a real"),
+    ("gue-compare", {"m_grid": [30]}, "max(m_grid) >= 50"),
+    ("bm-converge", {"m_grid": [5]}, "too small")],
+    ids=["empty-m_grid", "m_grid-0", "negative-n_samples", "negative-threads",
+         "sample-pmf_tol-0", "identities-tol-string", "gue-compare-max-M-30",
+         "bm-converge-M-5"])
+def test_out_of_range_config_exit_2(tmp_path, capsys, subcommand, bad,
+                                    message):
+    # an out-of-range value is refused before any engine runs
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(bad))
-    rc = main(["sample", "--config", str(cfg), "--out", str(tmp_path)])
+    rc = main([subcommand, "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
     out = json.loads(capsys.readouterr().out)
     assert message in out["validation_error"]
-    assert not (tmp_path / "sample").exists()
+    assert not (tmp_path / subcommand).exists()
 
 
 def test_constants_values_must_be_finite(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,8 @@ import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "sixvertexlab"
-ALLOWED = {"paths": {"core", "weights"}, "quadrature": set()}
+ALLOWED = {"paths": {"core", "weights"}, "quadrature": set(),
+           "asymptotics": {"core", "quadrature", "symfunc"}}
 
 
 def package_imports(module: str) -> set[str]:

@@ -201,6 +201,29 @@ def test_gt_enumeration_count():
     assert sorted(p.rows[0][0] for p in pats) == [2, 3, 4, 5, 6]
 
 
+def test_gt_enumeration_order_and_cap(monkeypatch):
+    # brute force: all strict rows of each length in the top's range, kept
+    # when consecutive rows interlace, sorted by the rows read downward (the
+    # order the conditional draws index into)
+    def interlaces(lower, upper):
+        return all(upper[i] <= x <= upper[i + 1] for i, x in enumerate(lower))
+
+    for top in [(4,), (2, 5), (1, 3, 6), (1, 4, 6, 9)]:
+        span = range(top[0], top[-1] + 1)
+        chains = [rows + (top,) for rows in itertools.product(
+            *(itertools.combinations(span, j) for j in range(1, len(top))))]
+        want = sorted((c for c in chains
+                       if all(interlaces(*pair) for pair in zip(c, c[1:]))),
+                      key=lambda c: c[::-1])
+        assert [p.rows for p in enumerate_gt_patterns(top)] == want
+    n = len(enumerate_gt_patterns((1, 3, 6)))
+    monkeypatch.setattr(measure, "GT_CAP", n)
+    assert len(enumerate_gt_patterns((1, 3, 6))) == n
+    monkeypatch.setattr(measure, "GT_CAP", n - 1)
+    with pytest.raises(measure.EnumerationCapError):
+        enumerate_gt_patterns((1, 3, 6))
+
+
 def test_gibbs_counts_window_area(params):
     for pat in enumerate_gt_patterns((1, 4)):
         counts = gibbs_vertex_counts(pat)
@@ -229,7 +252,7 @@ def test_conditional_k2_weights_match_enumeration(params):
 
 
 def test_conditional_sampler_k1_trivial(params):
-    pat = conditional_lower_rows((4,), params, seed=0)
+    pat = conditional_lower_rows((4,), params, np.random.default_rng(0))
     assert pat.rows == ((4,),)
 
 

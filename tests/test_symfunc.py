@@ -159,11 +159,16 @@ def test_conjugation_relation_strict(params):
 
 
 def test_row_weight_matches_successors(params):
-    for bottom in [(), (3,), (4, 1)]:
-        for top, wval in symfunc._row_successors(bottom, 2.0, params.q, params.s,
-                                                 False, (7,) * 3, (0,) * 3):
-            assert row_weight(top, bottom, 2.0, params) == pytest.approx(
-                wval, rel=1e-12)
+    for bottom, spectral, conjugated in [
+            ((), 2.0, False), ((3,), 2.0, False), ((4, 1), 2.0, False),
+            ((3, 0), 0.25, True), ((4, 2), 0.25, True),
+            ((5, 3, 1), 0.25, True), ((3, 3), 0.25, True)]:
+        succ = symfunc._row_successors(bottom, spectral, params.q, params.s,
+                                       conjugated, (7,) * 3, (0,) * 3)
+        assert succ
+        for top, wval in succ:
+            assert row_weight(top, bottom, spectral, params,
+                              conjugated) == pytest.approx(wval, rel=1e-12)
     assert row_weight((2, 1), (3,), 2.0, params) == 0.0  # paths cannot move left
 
 
