@@ -243,11 +243,11 @@ BM_ROWS = (("B", 1, (0.0,)), ("B", 1, (1.0,)), ("B", 2, (-1.0, 1.0)),
 
 
 def _check_grid(subcommand: str, cfg: ExperimentConfig) -> None:
-    """gue-compare needs an M >= 50.  At every M, bm-converge needs B row
-    parts >= 1 (the guard of B_M_contour) and A row parts >= 0."""
-    if subcommand == "gue-compare" and max(cfg.m_grid) < 50:
-        raise ValueError(f"gue-compare needs max(m_grid) >= 50, "
-                         f"got {list(cfg.m_grid)}")
+    """sample takes one M; gue-compare and bm-converge compare consecutive
+    M, so they need two.  At every M, bm-converge needs B row parts >= 1
+    (the guard of B_M_contour) and A row parts >= 0."""
+    if subcommand == "sample" and len(cfg.m_grid) > 1:
+        raise ValueError(f"sample takes one M, got {list(cfg.m_grid)}")
     p = cfg.params()
     if subcommand == "bm-converge":
         for M, (kind, _, xs) in itertools.product(cfg.m_grid, BM_ROWS):
@@ -255,6 +255,9 @@ def _check_grid(subcommand: str, cfg: ExperimentConfig) -> None:
                 asy.bm_parts(xs, M, p)
             elif asy.scaled_parts(xs, M, asy.constants(p).a, 1.0)[-1] < 0:
                 raise ValueError(f"M = {M} too small: A row parts must be >= 0")
+    if subcommand in ("gue-compare", "bm-converge") and len(cfg.m_grid) < 2:
+        raise ValueError(f"{subcommand} needs at least two M, "
+                         f"got {list(cfg.m_grid)}")
 
 
 def cmd_bm_converge(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
@@ -304,25 +307,20 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
     p = cfg.params()
     table = CheckTable()
     k = cfg.k
-    M = cfg.m_grid[0]
-    pmf = measure.top_row_pmf(k, M, p, tol=cfg.pmf_tol)
+    pmf = measure.top_row_pmf(k, cfg.m_grid[0], p, tol=cfg.pmf_tol)
     table.add("pmf-total-mass", pmf.total_mass, 1.0,
               abs(pmf.total_mass - 1.0), cfg.pmf_tol)
     write_csv(os.path.join(out_dir, "top_row_pmf.csv"),
               [f"mu_{i + 1}" for i in range(k)] + ["probability"],
               [list(atom) + [prob] for atom, prob in zip(pmf.atoms, pmf.probs)])
 
-    n = min(cfg.n_samples, 2000)
-    tops = measure.sample_top_row(pmf, cfg.seed, n)
+    tops = measure.sample_top_row(pmf, cfg.seed, cfg.n_samples)
     rng = np.random.default_rng(cfg.seed + 1)
     sample_rows = []
     grids = []
     interlace_ok = True
     for i, sig in enumerate(tops):
-        if k == 1:
-            pat = measure.HalfStrictGTPattern(rows=(tuple(sig.parts),))
-        else:
-            pat = measure.conditional_lower_rows(sig, p, rng=rng)
+        pat = measure.conditional_lower_rows(sig, p, rng=rng)
         ok = _pattern_ok(pat, sig.parts)
         interlace_ok &= ok
         for j, row in enumerate(pat.rows, start=1):
@@ -351,10 +349,9 @@ def _pattern_ok(pat, top_desc: tuple[int, ...]) -> bool:
 def cmd_gue_compare(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
     p = cfg.params()
     table = CheckTable()
-    grid1 = tuple(m for m in (50, 100, 200, 400) if m <= max(cfg.m_grid))
-    rep1 = gue.compare_corners_limit(1, grid1, p, 0, seed=cfg.seed,
+    rep1 = gue.compare_corners_limit(1, cfg.m_grid, p, 0, seed=cfg.seed,
                                     pmf_tol=cfg.pmf_tol)
-    rep2 = gue.compare_corners_limit(2, grid1, p, cfg.n_samples,
+    rep2 = gue.compare_corners_limit(2, cfg.m_grid, p, cfg.n_samples,
                                     seed=cfg.seed + 1, pmf_tol=cfg.pmf_tol)
     rows = []
     for rep in (rep1, rep2):
@@ -367,7 +364,7 @@ def cmd_gue_compare(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
                {"k1": rep1, "k2": rep2})
 
     ks1 = {r["M"]: r["ks"] for r in rep1["rows"]}
-    final_m = max(grid1)
+    final_m = max(cfg.m_grid)
     table.add_flag("k1-KS-decreasing", rep1["monotone_in_M"])
     table.add("k1-KS-final", ks1[final_m], 0.0, ks1[final_m], 0.05,
               note="threshold is an artifact choice (no finite-M rate)")
@@ -391,7 +388,7 @@ SUBCOMMANDS = {
     "boundary": (cmd_boundary, {}),
     "constants": (cmd_constants, {}),
     "bm-converge": (cmd_bm_converge, {}),
-    "sample": (cmd_sample, {"m_grid": (30,), "k": 2}),
+    "sample": (cmd_sample, {"m_grid": (30,), "k": 2, "n_samples": 2000}),
     "gue-compare": (cmd_gue_compare,
                     {**ACCEPTANCE_GUE, "m_grid": (50, 100, 200, 400)}),
 }

@@ -24,8 +24,7 @@ import numpy as np
 
 from .asymptotics import constants
 from .core import ModelParams
-from .measure import (conditional_lower_rows_batch,
-                      sample_conditional_k2, top_row_pmf)
+from .measure import sample_lower_rows, top_row_pmf
 
 
 def corners_batch(k: int, n: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -167,26 +166,6 @@ def ks_two_sample(a, b) -> float:
 # the main comparison
 
 
-def _gibbs_lower_rows_grouped(tops_desc: np.ndarray, params: ModelParams,
-                              rng: np.random.Generator):
-    """Exact lower-row draws for k = 3 tops, grouped by distinct top so each
-    pattern set is enumerated once; returns descending (n,1) and (n,2)
-    arrays."""
-    n = len(tops_desc)
-    row1 = np.empty((n, 1), dtype=np.int64)
-    row2 = np.empty((n, 2), dtype=np.int64)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, top in enumerate(map(tuple, tops_desc.tolist())):
-        groups.setdefault(top, []).append(i)
-    for top in sorted(groups):
-        idxs = groups[top]
-        pats = conditional_lower_rows_batch(top, params, len(idxs), rng=rng)
-        for i, pat in zip(idxs, pats):
-            row1[i] = pat.rows[0][::-1]
-            row2[i] = pat.rows[1][::-1]
-    return row1, row2
-
-
 def _interlace_violations(lower: np.ndarray, upper: np.ndarray) -> int:
     """Samples whose descending lower row (n, j) breaks upper[:, i + 1] <=
     lower[:, i] <= upper[:, i] against the descending upper row (n, j + 1)."""
@@ -206,14 +185,13 @@ def compare_corners_limit(k: int, M_grid, params: ModelParams, n_samples: int,
                          seed: int, pmf_tol: float = 1e-6) -> dict:
     """Rescaled vertex-model rows against GUE corners, per coordinate and M.
 
-    k = 1 compares the exact rescaled pmf with the standard normal CDF; k >= 2
-    draws n_samples from the exact top-row pmf, fills lower rows through the
-    six-vertex Gibbs conditional, and compares each coordinate with minor
-    eigenvalue samples by two-sample KS (plus the trace statistic).  Also
-    checks that every sampled vertex-model array interlaces.
+    k = 1 compares the exact rescaled pmf with the standard normal CDF; k = 2
+    and 3 draw n_samples from the exact top-row pmf, fill lower rows from the
+    six-vertex Gibbs conditional (sample_lower_rows), and compare each
+    coordinate with minor eigenvalue samples by two-sample KS (plus the trace
+    statistic).  Also checks that every sampled vertex-model array interlaces;
+    top_row_pmf refuses k > 3.
     """
-    if k > 3:
-        raise ValueError("comparison harness supports k <= 3")
     rows = []
     interlace_violations = 0
     rng_master = np.random.default_rng(seed)
@@ -239,24 +217,15 @@ def compare_corners_limit(k: int, M_grid, params: ModelParams, n_samples: int,
         ks = ks_two_sample(y_top.sum(axis=1), gue_levels[k - 1].sum(axis=1))
         rows.append({"M": M, "coordinate": f"trace[{k}]", "ks": ks,
                      "n_samples": n_samples, "exact": False})
-        if k == 2:
-            mid = sample_conditional_k2(tops, params, rng)
-            interlace_violations += _interlace_violations(mid[:, None], tops)
-            y_mid = rescale_parts(mid[:, None], M, params)[:, 0]
-            ks = ks_two_sample(y_mid, gue_levels[0][:, 0])
-            rows.append({"M": M, "coordinate": "Y[1,1]", "ks": ks,
-                         "n_samples": n_samples, "exact": False})
-        elif k == 3:
-            row1, row2 = _gibbs_lower_rows_grouped(tops, params, rng)
-            interlace_violations += (_interlace_violations(row2, tops)
-                                     + _interlace_violations(row1, row2))
-            for j, arr in ((1, row1), (2, row2)):
-                ys = rescale_parts(arr, M, params)
-                for i in range(j):
-                    ks = ks_two_sample(ys[:, i], gue_levels[j - 1][:, i])
-                    rows.append({"M": M, "coordinate": f"Y[{j},{i + 1}]",
-                                 "ks": ks, "n_samples": n_samples,
-                                 "exact": False})
+        lower = sample_lower_rows(tops, params, rng)
+        interlace_violations += sum(map(_interlace_violations, lower,
+                                        lower[1:] + [tops]))
+        for j, arr in enumerate(lower, start=1):
+            ys = rescale_parts(arr, M, params)
+            for i in range(j):
+                ks = ks_two_sample(ys[:, i], gue_levels[j - 1][:, i])
+                rows.append({"M": M, "coordinate": f"Y[{j},{i + 1}]",
+                             "ks": ks, "n_samples": n_samples, "exact": False})
     by_coord: dict[str, list[tuple[int, float]]] = {}
     for row in rows:
         by_coord.setdefault(row["coordinate"], []).append((row["M"], row["ks"]))

@@ -23,9 +23,10 @@ supported on signatures with distinct parts >= 1.  Two routes build the pmf:
 
 Lower rows given the top row follow the six-vertex Gibbs property: the
 conditional law on half-strict Gelfand-Tsetlin patterns with fixed top row
-is proportional to w1^{N1} ... w6^{N6}, the N_i counting vertex types over
-the window [1, lam_max] x [1, k].  Conditional sampling is exact enumeration
-over GT_lambda (no Markov chain mixing questions at desk scale).
+is proportional to w1^{N1} ... w6^{N6} over the window [1, lam_max] x [1, k]
+(gibbs_pattern_weight on enumerate_gt_patterns, kept as the oracle).  That
+weight is a product of per-gap factors, and sample_lower_rows inverts it
+exactly, with no enumeration and no Markov chain.
 """
 
 from __future__ import annotations
@@ -345,56 +346,88 @@ def conditional_lower_rows_batch(lam, params: ModelParams, count: int,
                                  rng: np.random.Generator
                                  ) -> list[HalfStrictGTPattern]:
     """count exact draws of the lower rows given the top row lam (a strict
-    signature with smallest part >= 1), from the required generator rng:
-    enumerate GT_lambda once, weight by the six-vertex census, and
-    inverse-CDF sample."""
+    signature with smallest part >= 1, k <= 3), from the required generator
+    rng, by sample_lower_rows; one pattern object per distinct draw."""
     lam = as_parts(lam)
     if not all(a > b for a, b in zip(lam, lam[1:])) or lam[-1] < 1:
         raise ValueError(f"top row must be strict with parts >= 1, got {lam}")
-    patterns = enumerate_gt_patterns(sorted(lam))
-    weights = np.array([gibbs_pattern_weight(pat, params) for pat in patterns])
-    cdf = np.cumsum(weights)
-    idx = np.searchsorted(cdf, rng.random(count) * cdf[-1], side="right")
-    idx = np.minimum(idx, len(patterns) - 1)
-    return [patterns[i] for i in idx]
+    tops = np.tile(np.array(lam, dtype=np.int64), (count, 1))
+    rows = sample_lower_rows(tops, params, rng) + [tops]
+    keys = list(zip(*(map(tuple, row[:, ::-1].tolist()) for row in rows)))
+    pats = {key: HalfStrictGTPattern(rows=key) for key in set(keys)}
+    return [pats[key] for key in keys]
 
 
 def conditional_lower_rows(lam, params: ModelParams,
                            rng: np.random.Generator) -> HalfStrictGTPattern:
-    """One exact draw of the lower rows given the top row lam, from the
-    required generator rng."""
+    """One draw of conditional_lower_rows_batch."""
     return conditional_lower_rows_batch(lam, params, 1, rng)[0]
 
 
 def conditional_k2_weights(params: ModelParams) -> tuple[float, float, float]:
     """Relative Gibbs weights of the middle entry c given a k = 2 top row
     (l1 < l2): (c = l1, interior, c = l2) -> (w2, w5 w6, w3 w4), after
-    cancelling the c-independent factors."""
+    cancelling the c-independent factors.  They are the per-gap factors of
+    every lower-row entry between its upper neighbours."""
     w1, w2, w3, w4, w5, w6 = six_vertex_weights(params)
     return w2, w5 * w6, w3 * w4
 
 
+def _split_k2(r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+              weights: tuple[float, float, float]) -> np.ndarray:
+    """The entry between upper neighbours lo < hi where the residual r in
+    [0, Z1) falls: lo, the interior lo + 1 .. hi - 1 (uniform), then hi."""
+    w_low, w_mid, _ = weights
+    n_mid = np.maximum(hi - lo - 1, 0)
+    total_mid = n_mid * w_mid
+    frac = np.zeros_like(r)
+    np.divide(r - w_low, total_mid, out=frac, where=total_mid > 0)
+    mid = lo + 1 + np.floor(frac * np.maximum(n_mid, 1)).astype(np.int64)
+    return np.where(r < w_low, lo, np.where(r < w_low + total_mid,
+                                            np.minimum(mid, hi - 1), hi))
+
+
+def sample_lower_rows(tops_desc: np.ndarray, params: ModelParams,
+                      rng: np.random.Generator) -> list[np.ndarray]:
+    """Exact lower rows for the (n, k) descending strict tops, k <= 3: the
+    descending rows mu^1, ..., mu^{k-1} as (n, j) arrays.  Each lower-row
+    entry between upper neighbours L < R takes the factor phi = w2 at L,
+    w3 w4 at R and w5 w6 in between.  One uniform per sample (one
+    rng.random(n)) is inverted in enumerate_gt_patterns' order: at k = 3,
+    mu^2 = (x, y) from a table per distinct top weighted phi(x) phi(y)
+    Z1(y - x), then the residual over phi(x) phi(y) by the k = 2 split."""
+    tops = np.asarray(tops_desc, dtype=np.int64)
+    n, k = tops.shape
+    if k > 3:
+        raise ValueError(f"sample_lower_rows supports k <= 3, got k = {k}")
+    ws = conditional_k2_weights(params)
+
+    def z1(lo, hi):  # the range of _split_k2
+        return ws[0] + np.maximum(hi - lo - 1, 0) * ws[1] + ws[2]
+
+    u = rng.random(n)
+    if k == 1:
+        return []
+    if k == 2:
+        lo, hi = tops[:, 1], tops[:, 0]
+        return [_split_k2(u * z1(lo, hi), lo, hi, ws)[:, None]]
+    x, y, res = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n)
+    distinct, which = np.unique(tops, axis=0, return_inverse=True)
+    order = np.argsort(which.reshape(-1), kind="stable")
+    groups = np.split(order, np.cumsum(np.bincount(which.reshape(-1)))[:-1])
+    for (c, b, a), idx in zip(distinct.tolist(), groups):
+        xy = np.mgrid[a:b + 1, b:c + 1].reshape(2, -1)
+        xs, ys = xy[:, xy[0] < xy[1]]
+        phi = (np.where(xs == a, ws[0], np.where(xs == b, ws[2], ws[1]))
+               * np.where(ys == b, ws[0], np.where(ys == c, ws[2], ws[1])))
+        cdf = np.concatenate([[0.0], np.cumsum(phi * z1(xs, ys))])
+        r = u[idx] * cdf[-1]
+        j = np.minimum(np.searchsorted(cdf, r, side="right"), len(xs)) - 1
+        x[idx], y[idx], res[idx] = xs[j], ys[j], (r - cdf[j]) / phi[j]
+    return [_split_k2(res, x, y, ws)[:, None], np.stack([y, x], axis=1)]
+
+
 def sample_conditional_k2(tops_desc: np.ndarray, params: ModelParams,
                           rng: np.random.Generator) -> np.ndarray:
-    """Vectorized middle-row draws for k = 2 tops (descending pairs lam1 > lam2);
-    returns the sampled c with lam2 <= c <= lam1."""
-    lam1 = tops_desc[:, 0].astype(np.int64)
-    lam2 = tops_desc[:, 1].astype(np.int64)
-    w_low, w_mid, w_high = conditional_k2_weights(params)
-    gap = lam1 - lam2
-    total_low = np.full(len(lam1), w_low)
-    total_mid = np.maximum(gap - 1, 0) * w_mid
-    total_high = w_high * np.ones(len(lam1))
-    total = total_low + total_mid + total_high
-    r = rng.random(len(lam1)) * total
-    c = np.where(r < total_low, lam2, 0)
-    in_mid = (r >= total_low) & (r < total_low + total_mid)
-    # uniform over the interior lam2+1 .. lam1-1
-    frac = np.zeros_like(r)
-    np.divide(r - total_low, np.maximum(total_mid, 1e-300), out=frac,
-              where=total_mid > 0)
-    mid_val = lam2 + 1 + np.floor(frac * np.maximum(gap - 1, 1)).astype(np.int64)
-    mid_val = np.minimum(mid_val, lam1 - 1)
-    c = np.where(in_mid, mid_val, c)
-    c = np.where(r >= total_low + total_mid, lam1, c)
-    return c
+    """The middle entries lam2 <= c <= lam1 for descending k = 2 tops."""
+    return sample_lower_rows(tops_desc, params, rng)[0][:, 0]

@@ -122,11 +122,13 @@ def test_non_integer_config_exit_2(tmp_path, capsys, bad):
     ("sample", {"threads": -1}, "threads must be"),
     ("sample", {"pmf_tol": 0}, "pmf_tol must be"),
     ("identities", {"tol": "x"}, "tol must be a real"),
-    ("gue-compare", {"m_grid": [30]}, "max(m_grid) >= 50"),
-    ("bm-converge", {"m_grid": [5]}, "too small")],
+    ("gue-compare", {"m_grid": [30]}, "needs at least two M"),
+    ("bm-converge", {"m_grid": [5]}, "too small"),
+    ("bm-converge", {"m_grid": [1600]}, "needs at least two M"),
+    ("sample", {"m_grid": [30, 40]}, "sample takes one M")],
     ids=["empty-m_grid", "m_grid-0", "negative-n_samples", "negative-threads",
          "sample-pmf_tol-0", "identities-tol-string", "gue-compare-max-M-30",
-         "bm-converge-M-5"])
+         "bm-converge-M-5", "bm-converge-one-M", "sample-two-M"])
 def test_out_of_range_config_exit_2(tmp_path, capsys, subcommand, bad,
                                     message):
     # an out-of-range value is refused before any engine runs
@@ -137,6 +139,29 @@ def test_out_of_range_config_exit_2(tmp_path, capsys, subcommand, bad,
     out = json.loads(capsys.readouterr().out)
     assert message in out["validation_error"]
     assert not (tmp_path / subcommand).exists()
+
+
+def test_sample_honours_n_samples(tmp_path, capsys):
+    # every configured draw is written, and the sidecar echoes the count
+    cfg = tmp_path / "n.json"
+    cfg.write_text(json.dumps({"n_samples": 2500}))
+    rc = main(["sample", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 0
+    with open(tmp_path / "sample" / "samples.csv") as fh:
+        ids = {int(row["sample_id"]) for row in csv.DictReader(fh)}
+    assert ids == set(range(2500))
+    sidecar = json.loads(read(tmp_path / "sample" / "sidecar.json"))
+    assert sidecar["config"]["n_samples"] == 2500
+
+
+def test_gue_compare_runs_its_grid(tmp_path, capsys):
+    # the configured M, not a fixed grid cut at max(m_grid)
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"m_grid": [60, 120], "n_samples": 2000}))
+    main(["gue-compare", "--config", str(cfg), "--out", str(tmp_path)])
+    with open(tmp_path / "gue-compare" / "gue_compare.csv") as fh:
+        grid = {int(row["M"]) for row in csv.DictReader(fh)}
+    assert grid == {60, 120}
 
 
 def test_constants_values_must_be_finite(tmp_path, capsys, monkeypatch):

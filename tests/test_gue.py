@@ -141,17 +141,12 @@ def test_interlace_count_sees_shifted_lower_rows(monkeypatch):
     # lower rows drawn for the top shifted up by its largest part never
     # interlace with the sampled top, so every sample is a violation
     p = ModelParams(q=0.5, u=2.0, v=0.25)
-    real_k3 = gue.conditional_lower_rows_batch
-    real_k2 = gue.sample_conditional_k2
+    real = gue.sample_lower_rows
 
-    def shifted_k3(top, params, count, rng=None):
-        return real_k3(tuple(x + top[0] for x in top), params, count, rng=rng)
+    def shifted(tops_desc, params, rng):
+        return real(tops_desc + tops_desc[:, :1], params, rng)
 
-    def shifted_k2(tops_desc, params, rng):
-        return real_k2(tops_desc + tops_desc[:, :1], params, rng)
-
-    monkeypatch.setattr(gue, "conditional_lower_rows_batch", shifted_k3)
-    monkeypatch.setattr(gue, "sample_conditional_k2", shifted_k2)
+    monkeypatch.setattr(gue, "sample_lower_rows", shifted)
     assert compare_corners_limit(3, (5,), p, 100,
                                  seed=104)["interlace_violations"] == 100
     assert compare_corners_limit(2, (20,), p, 100,

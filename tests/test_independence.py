@@ -3,7 +3,9 @@ uses only the model and its weights, and the contour-quadrature engine uses
 nothing from the package.  Strict tuples come from one enumerator in core:
 no other module lists them with itertools.combinations.  General-state rows
 run through one loop in symfunc: one function applies a row and one function
-chains rows."""
+chains rows.  The Gibbs census weights are the oracle of the lower-row
+sampler: no function outside them lists or weights patterns.
+"""
 
 import ast
 import pathlib
@@ -51,14 +53,16 @@ def test_only_core_enumerates_combinations():
 
 
 def _callers(tree: ast.AST, name: str) -> set[str]:
-    """The innermost functions that call name (a bare name) in tree."""
+    """The innermost functions that call name (bare or as an attribute) in
+    tree."""
     out = set()
 
     def visit(node: ast.AST, func: str):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == name):
+        called = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and name in (
+                getattr(called, "id", None), getattr(called, "attr", None)):
             out.add(func)
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -81,3 +85,13 @@ def test_one_general_state_row_loop():
     for name in row_helpers:
         callers = _callers(tree, name)
         assert len(callers) <= 1, f"{sorted(callers)} all call {name}"
+
+
+def test_gibbs_oracle_stays_apart_from_the_sampler():
+    oracle = {"enumerate_gt_patterns", "gibbs_vertex_counts",
+              "gibbs_pattern_weight"}
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for name in oracle:
+            callers = _callers(tree, name) - oracle
+            assert not callers, f"{path.name}: {sorted(callers)} call {name}"

@@ -11,11 +11,12 @@ from sixvertexlab.measure import (HalfStrictGTPattern,
                                   enumerate_gt_patterns, gibbs_pattern_weight,
                                   gibbs_vertex_counts, partition_Z,
                                   pattern_to_collection,
-                                  sample_conditional_k2, sample_top_row,
-                                  top_row_pmf)
+                                  sample_conditional_k2, sample_lower_rows,
+                                  sample_top_row, top_row_pmf)
 from sixvertexlab.paths import collection_weight
 from sixvertexlab.quadrature import cross_kernel
 from sixvertexlab.symfunc import F_eval
+from sixvertexlab.weights import six_vertex_weights
 
 
 def test_partition_Z_examples(params):
@@ -249,6 +250,55 @@ def test_conditional_k2_weights_match_enumeration(params):
     assert raw[2] / base == pytest.approx(w_low / w_mid, rel=1e-12)
     assert raw[4] / base == pytest.approx(1.0, rel=1e-12)
     assert raw[5] / base == pytest.approx(w_high / w_mid, rel=1e-12)
+
+
+GIBBS_POINTS = [ModelParams(q=0.5, u=2.0, v=0.25),
+                ModelParams(q=0.3, u=2.4, v=0.2)]
+
+
+@pytest.mark.parametrize("p", GIBBS_POINTS, ids=["display", "q.3"])
+def test_gibbs_weight_is_a_product_of_gap_factors(p):
+    # each lower-row entry x between its upper neighbours L < R takes w2 at
+    # x = L, w3 w4 at x = R and w5 w6 in between; the census weight over
+    # that product is one constant per top
+    w1, w2, w3, w4, w5, w6 = six_vertex_weights(p)
+    for top in [(1, 3, 6), (2, 5, 9), (3, 4, 8), (1, 2, 3), (1, 4, 6, 9)]:
+        ratios = []
+        for pat in enumerate_gt_patterns(top):
+            prod = 1.0
+            for lower, upper in zip(pat.rows, pat.rows[1:]):
+                for x, lo, hi in zip(lower, upper, upper[1:]):
+                    prod *= w2 if x == lo else w3 * w4 if x == hi else w5 * w6
+            ratios.append(gibbs_pattern_weight(pat, p) / prod)
+        assert np.allclose(ratios, ratios[0], rtol=1e-13, atol=0), top
+
+
+@pytest.mark.parametrize("p", GIBBS_POINTS, ids=["display", "q.3"])
+def test_lower_row_draws_invert_the_census_cdf(p):
+    # one batch over every strict k = 3 top with parts in [1, 9] and every
+    # k = 2 top with parts in [1, 30], 50 draws each in sample order: each
+    # draw is the enumerator's pattern at which its uniform falls in the
+    # cumulative census weights
+    for k, hi in ((3, 9), (2, 30)):
+        tops = np.array([t[::-1] for t in itertools.combinations(
+            range(1, hi + 1), k)] * 50)
+        got = np.hstack(sample_lower_rows(tops, p, np.random.default_rng(k)))
+        u = np.random.default_rng(k).random(len(tops))
+        want = np.empty_like(got)
+        distinct, which = np.unique(tops, axis=0, return_inverse=True)
+        for t, top in enumerate(distinct.tolist()):
+            pats = enumerate_gt_patterns(top[::-1])
+            cdf = np.cumsum([gibbs_pattern_weight(q_, p) for q_ in pats])
+            sel = which.reshape(-1) == t
+            idx = np.searchsorted(cdf, u[sel] * cdf[-1], side="right")
+            want[sel] = [np.hstack([row[::-1] for row in pats[i].rows[:-1]])
+                         for i in np.minimum(idx, len(pats) - 1)]
+        assert np.array_equal(got, want)
+
+
+def test_lower_rows_refuse_k_above_3(params):
+    with pytest.raises(ValueError, match="k <= 3"):
+        conditional_lower_rows((9, 6, 4, 1), params, np.random.default_rng(0))
 
 
 def test_conditional_sampler_k1_trivial(params):
