@@ -244,8 +244,8 @@ BM_ROWS = (("B", 1, (0.0,)), ("B", 1, (1.0,)), ("B", 2, (-1.0, 1.0)),
 
 def _check_grid(subcommand: str, cfg: ExperimentConfig) -> None:
     """sample takes one M; gue-compare and bm-converge compare consecutive
-    M, so they need two.  At every M, bm-converge needs B row parts >= 1
-    (the guard of B_M_contour) and A row parts >= 0."""
+    M, so they need two distinct ones.  At every M, bm-converge needs B row
+    parts >= 1 (the guard of B_M_contour) and A row parts >= 0."""
     if subcommand == "sample" and len(cfg.m_grid) > 1:
         raise ValueError(f"sample takes one M, got {list(cfg.m_grid)}")
     p = cfg.params()
@@ -258,6 +258,9 @@ def _check_grid(subcommand: str, cfg: ExperimentConfig) -> None:
     if subcommand in ("gue-compare", "bm-converge") and len(cfg.m_grid) < 2:
         raise ValueError(f"{subcommand} needs at least two M, "
                          f"got {list(cfg.m_grid)}")
+    repeated = [M for M in cfg.m_grid if cfg.m_grid.count(M) > 1]
+    if subcommand in ("gue-compare", "bm-converge") and repeated:
+        raise ValueError(f"m_grid repeats M = {repeated[0]}")
 
 
 def cmd_bm_converge(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
@@ -315,17 +318,19 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
               [list(atom) + [prob] for atom, prob in zip(pmf.atoms, pmf.probs)])
 
     tops = measure.sample_top_row(pmf, cfg.seed, cfg.n_samples)
-    rng = np.random.default_rng(cfg.seed + 1)
+    top_arr = np.array([sig.parts for sig in tops], dtype=np.int64)
+    rows = measure.sample_lower_rows(top_arr, p,
+                                     np.random.default_rng(cfg.seed + 1))
     sample_rows = []
     grids = []
     interlace_ok = True
-    for i, sig in enumerate(tops):
-        pat = measure.conditional_lower_rows(sig, p, rng=rng)
-        ok = _pattern_ok(pat, sig.parts)
-        interlace_ok &= ok
-        for j, row in enumerate(pat.rows, start=1):
+    for i, pat_rows in enumerate(zip(*(map(tuple, row[:, ::-1].tolist())
+                                       for row in rows + [top_arr]))):
+        pat = _pattern_ok(pat_rows)
+        interlace_ok &= pat is not None
+        for j, row in enumerate(pat_rows, start=1):
             sample_rows.append([i, j, list(row)])
-        if i < 3 and ok:
+        if i < 3 and pat is not None:
             grids.append(measure.pattern_to_collection(pat).to_json_grid())
     write_csv(os.path.join(out_dir, "samples.csv"),
               ["sample_id", "row_j", "entries"], sample_rows)
@@ -336,14 +341,13 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
     return table
 
 
-def _pattern_ok(pat, top_desc: tuple[int, ...]) -> bool:
-    """The pattern ends in the sampled top row and its rows pass the
-    half-strict interlacing validation again."""
+def _pattern_ok(rows):
+    """The pattern with these rows (the last one the sampled top), or None
+    when they fail the half-strict interlacing validation."""
     try:
-        measure.HalfStrictGTPattern(rows=tuple(pat.rows))
+        return measure.HalfStrictGTPattern(rows=rows)
     except ValueError:
-        return False
-    return pat.rows[-1] == tuple(sorted(top_desc))
+        return None
 
 
 def cmd_gue_compare(cfg: ExperimentConfig, out_dir: str) -> CheckTable:

@@ -44,7 +44,8 @@ from .core import (ModelParams, Signature, admissible_ratio, as_parts,
                    q_pochhammer, strict_atoms)
 from .paths import PathCollection
 from .quadrature import (COMPOSITE_MAX_NODES, SEGMENT_NODES, adaptive,
-                         composite_nodes, kernel_factor, tensor_integral)
+                         composite_nodes, cross_kernel, kernel_factor,
+                         tensor_integral)
 from .symfunc import F_scaled_closed, StrictRow
 from .weights import SIX_VERTEX_TYPES, six_vertex_weights
 
@@ -120,30 +121,37 @@ def sample_top_row(pmf: TopRowPMF, seed: int, count: int) -> list[Signature]:
 
 
 def _ic_window(atoms: np.ndarray, lo: int, hi: int, M: int,
-               params: ModelParams, memo: dict[int, tuple]) -> np.ndarray:
+               params: ModelParams, memo: dict[int, list]) -> np.ndarray:
     """Normalized boundary integrals I_C(mu; M) at the strict atoms mu in
-    [lo, hi].  memo maps a node count to (box, factor): the exponent box
-    (indexed by mu - lo) last taken at it for this lo, and at k = 3 the
-    cross-kernel factor of its node set (None at k <= 2).  A move of lo
-    clears the memo.  Only slices with a new largest part are integrated;
-    at k = 3 only their strict entries.  The stopping rule sees only the
-    atoms' entries."""
+    [lo, hi].  memo maps a node count to [z, wts, kernel, factor, lo, rows,
+    box]: its node set with the cross kernel (None at k = 1) and at k = 3
+    its factor (None at k <= 2), built once; then the exponent rows of lo,
+    lo + 1, ... taken so far and the box of integrals indexed by mu - lo.
+    A move of lo drops the rows and the box and keeps the node set.  Only
+    new exponents get rows and only slices with a new largest part are
+    integrated; at k = 3 only their strict entries.  The stopping rule sees
+    only the atoms' entries."""
     k = atoms.shape[1]
     m_vals = np.arange(lo, hi + 1)
     idx = tuple((atoms - lo).T)
 
     def evaluate(n: int) -> np.ndarray:
-        z, wts = composite_nodes(params.u, M, n)
-        rows = exponent_rows(z, wts, m_vals, M, params)
-        old, factor = memo.get(n, (np.zeros((0,) * k), None))
-        if factor is None and k == 3:
-            factor = kernel_factor(z, params.q)
-        done = old.shape[0]
+        if n not in memo:
+            z, wts = composite_nodes(params.u, M, n)
+            memo[n] = [z, wts, cross_kernel(z, params.q) if k > 1 else None,
+                       kernel_factor(z, params.q) if k == 3 else None,
+                       None, None, None]
+        z, wts, kern, factor, at, rows, old = memo[n]
+        if at != lo:
+            rows, old = np.zeros((0, len(z))), np.zeros((0,) * k)
+        done = len(rows)
+        rows = np.concatenate(
+            [rows, exponent_rows(z, wts, m_vals[done:], M, params)])
         out = np.zeros((len(m_vals),) * k)
         out[(slice(done),) * k] = old
         out[done:] = tensor_integral([rows[done:]] + [rows] * (k - 1), z,
-                                     params.q, factor, done).real
-        memo[n] = (out, factor)
+                                     params.q, factor, done, kern).real
+        memo[n][4:] = lo, rows, out
         return out[idx]
 
     return adaptive(evaluate, SEGMENT_NODES, COMPOSITE_MAX_NODES, QUAD_TOL)
@@ -161,7 +169,7 @@ def _F_transfer_window(k: int, hi: int, params: ModelParams) -> np.ndarray:
 
 
 def _pmf_window(k: int, M: int, params: ModelParams, lo: int, hi: int,
-                route: str, memo: dict[int, tuple]
+                route: str, memo: dict[int, list]
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The atoms of the window [lo, hi] (colex rows) and their probabilities."""
     atoms = strict_atoms(k, lo, hi)
@@ -187,9 +195,11 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
     off 1 by more than tol raises MassDeficitError; passing this check
     exercises every formula in the package at once.
 
-    The contour route keeps its window integrals across extensions and, while
-    lo stays put, integrates only the slices of new largest parts.  Its
-    atoms below about 2e-13 max p are quadrature noise and can be negative.
+    The contour route keeps each node set and its kernel across extensions.
+    While lo stays put it also keeps the exponent rows and integrals, and
+    takes only new exponents' rows and new largest parts' slices; a move of
+    lo drops the rows and integrals.  Its atoms below about 2e-13 max p are
+    quadrature noise and can be negative.
     """
     if k > 3:
         raise ValueError("top_row_pmf supports k <= 3")
@@ -201,14 +211,12 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
     lo = max(1, math.floor(center - 7.0 * width)) if route == "contour" else 1
     hi = max(lo + k, math.ceil(center + 7.0 * width), geom_hi)
     step = max(4, math.ceil(2.0 * width))
-    memo: dict[int, tuple] = {}
+    memo: dict[int, list] = {}
     atoms, probs = _pmf_window(k, M, params, lo, hi, route, memo)
     mass = float(probs.sum())
     while hi < MAX_PART:
-        new_lo = max(1, lo - step) if route == "contour" else lo
-        if new_lo != lo:
-            memo.clear()
-        lo, hi = new_lo, hi + step
+        lo = max(1, lo - step) if route == "contour" else lo
+        hi += step
         atoms, probs = _pmf_window(k, M, params, lo, hi, route, memo)
         new_mass = float(probs.sum())
         gained = abs(new_mass - mass)

@@ -99,7 +99,9 @@ def composite_nodes(u: float, M: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def cross_kernel(z: np.ndarray, q: float) -> np.ndarray:
     """K[a, b] = (z_a - z_b)/(z_a - q z_b) on the nodes z."""
-    return (z[:, None] - z[None, :]) / (z[:, None] - q * z[None, :])
+    kern = z[:, None] - z[None, :]
+    kern /= z[:, None] - q * z[None, :]
+    return kern
 
 
 def kernel_factor(z: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +113,7 @@ def kernel_factor(z: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tensor_integral(cols, z: np.ndarray, q: float, factor=None,
-                    offset: int = 0) -> np.ndarray:
+                    offset: int = 0, kern=None) -> np.ndarray:
     """out[m_1, ..., m_k] = sum over nodes n_1..n_k of
     prod_{a<b} (z_a - z_b)/(z_a - q z_b) prod_i cols[i][m_i, n_i],
 
@@ -125,11 +127,12 @@ def tensor_integral(cols, z: np.ndarray, q: float, factor=None,
     from box index offset on.  Only the strict entries i1 > i2 > i3, with
     i1 = offset + member index, are computed, and every other entry is 0.
     Member i1 costs O(N r^2 + r N^2 + i1 N^2) for N nodes and rank r, in
-    place of O(N^3 + W N^2)."""
+    place of O(N^3 + W N^2).  A given kern is cross_kernel(z, q), kept by
+    the caller for its node set."""
     k = len(cols)
     if k == 1:
         return cols[0].sum(axis=1)
-    kern = cross_kernel(z, q)
+    kern = cross_kernel(z, q) if kern is None else kern
     if k == 2:
         return cols[0] @ kern @ cols[1].T
     if k == 3:

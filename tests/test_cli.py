@@ -9,7 +9,7 @@ import pytest
 from sixvertexlab import asymptotics, checks, cli, measure
 from sixvertexlab.cli import main
 
-REAL_LOWER_ROWS = measure.conditional_lower_rows
+REAL_LOWER_ROWS = measure.sample_lower_rows
 
 
 def read(path):
@@ -125,10 +125,13 @@ def test_non_integer_config_exit_2(tmp_path, capsys, bad):
     ("gue-compare", {"m_grid": [30]}, "needs at least two M"),
     ("bm-converge", {"m_grid": [5]}, "too small"),
     ("bm-converge", {"m_grid": [1600]}, "needs at least two M"),
-    ("sample", {"m_grid": [30, 40]}, "sample takes one M")],
+    ("sample", {"m_grid": [30, 40]}, "sample takes one M"),
+    ("bm-converge", {"m_grid": [400, 400]}, "repeats M = 400"),
+    ("gue-compare", {"m_grid": [60, 120, 60]}, "repeats M = 60")],
     ids=["empty-m_grid", "m_grid-0", "negative-n_samples", "negative-threads",
          "sample-pmf_tol-0", "identities-tol-string", "gue-compare-max-M-30",
-         "bm-converge-M-5", "bm-converge-one-M", "sample-two-M"])
+         "bm-converge-M-5", "bm-converge-one-M", "sample-two-M",
+         "bm-converge-repeated-M", "gue-compare-repeated-M"])
 def test_out_of_range_config_exit_2(tmp_path, capsys, subcommand, bad,
                                     message):
     # an out-of-range value is refused before any engine runs
@@ -194,19 +197,27 @@ def test_sign_pattern_refusal_is_a_failed_row(tmp_path, capsys, monkeypatch):
         ["sign-pattern(+,-,+,+) on 50-point grid"]
 
 
-def _shifted_top(sig, p, rng):
-    # a valid pattern, but for a top row other than the sampled one
-    return REAL_LOWER_ROWS(tuple(x + 1 for x in sig.parts), p, rng=rng)
+def _shifted_top(tops, p, rng):
+    # valid lower rows, but for top rows other than the sampled ones
+    return REAL_LOWER_ROWS(tops + 1, p, rng)
 
 
-def _not_interlacing(sig, p, rng):
-    top = tuple(sorted(sig.parts))
-    return types.SimpleNamespace(rows=((top[0] - 1,), top))
+def _not_interlacing(tops, p, rng):
+    # a k = 2 middle entry below the top's smallest part, in every sample
+    return [tops[:, 1:] - 1]
 
 
-@pytest.mark.parametrize("fake", [_shifted_top, _not_interlacing])
+def _last_corrupted(tops, p, rng):
+    # only the last sample's middle entry leaves its interval
+    rows = REAL_LOWER_ROWS(tops, p, rng)
+    rows[0][-1] = tops[-1, 1] - 1
+    return rows
+
+
+@pytest.mark.parametrize("fake", [_shifted_top, _not_interlacing,
+                                  _last_corrupted])
 def test_sample_checks_every_pattern(tmp_path, capsys, monkeypatch, fake):
-    monkeypatch.setattr(measure, "conditional_lower_rows", fake)
+    monkeypatch.setattr(measure, "sample_lower_rows", fake)
     rc = main(["sample", "--out", str(tmp_path)])
     assert rc == 1
     out = json.loads(capsys.readouterr().out)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -92,14 +93,48 @@ def test_pmf_extension_matches_fresh_window(params, monkeypatch):
     assert np.max(np.abs(probs - fresh)) <= 1e-15 * np.max(probs)
 
 
+def _count_memo_builds(monkeypatch):
+    """Per node count of the contour route: the cross kernels and kernel
+    factors built, and the exponents given rows."""
+    counts = {"kernel": Counter(), "factor": Counter(), "rows": Counter()}
+
+    def counted(name, fn, size):
+        def wrapped(z, *args):
+            counts[name][len(z)] += size(args)
+            return fn(z, *args)
+        monkeypatch.setattr(measure, fn.__name__, wrapped)
+
+    counted("kernel", measure.cross_kernel, lambda args: 1)
+    counted("factor", measure.kernel_factor, lambda args: 1)
+    counted("rows", measure.exponent_rows, lambda args: len(args[1]))
+    return counts
+
+
+@pytest.mark.parametrize("k, M", [(2, 100), (3, 10)])
+def test_pmf_memo_builds_each_node_set_once(params, monkeypatch, k, M):
+    # every node count builds its kernel (and k = 3 factor) once per pmf,
+    # and takes each exponent's row once over all extensions
+    counts = _count_memo_builds(monkeypatch)
+    calls = _record_windows(monkeypatch)
+    pmf = top_row_pmf(k, M, params)
+    lo, hi = pmf.window
+    assert len(calls) >= 3 and len({lo for lo, _ in calls}) == 1
+    assert counts["kernel"] and set(counts["kernel"].values()) == {1}
+    assert counts["factor"] == (counts["kernel"] if k == 3 else Counter())
+    assert counts["rows"] == {n: hi - lo + 1 for n in counts["kernel"]}
+
+
 def test_pmf_window_when_lo_moves(monkeypatch):
     # k = 2, M = 400 at the gue-compare point: lo moves down on extension,
-    # so the memo starts over; the window and atoms are pinned
+    # so the rows and integrals start over, while each node set's kernel is
+    # built once; the window and atoms are pinned
     u = 1.5 * 2 ** 0.5
     p = ModelParams(q=0.5, u=u, v=0.7 / u)
+    counts = _count_memo_builds(monkeypatch)
     calls = _record_windows(monkeypatch)
     pmf = top_row_pmf(2, 400, p)
     assert len({lo for lo, _ in calls}) >= 2
+    assert counts["kernel"] and set(counts["kernel"].values()) == {1}
     assert pmf.window == (41, 917)
     assert pmf.atoms == tuple((m1, m2) for m2 in range(41, 918)
                               for m1 in range(m2 + 1, 918))
