@@ -4,8 +4,8 @@ The reference measure is on Hermitian matrices with density proportional to
 e^{-Tr(X^2)/2}: real diagonal of variance 1, complex off-diagonal entries of
 total variance 1 (this is the normalization under which the eigenvalue
 density carries the constants (2 pi)^{-k/2} / prod_{i<1..k-1} i!).  Corners
-samples collect the ascending eigenvalues of every leading principal minor;
-they interlace by construction.
+samples collect the ascending eigenvalues of every leading principal minor:
+levels 1-2 in closed form (interlacing exactly) and levels r >= 3 by LAPACK.
 
 The comparison harness rescales vertex-model rows by (lambda - a M)/(d
 sqrt(M)) (largest part to the last coordinate, since signatures sort
@@ -29,7 +29,8 @@ from .measure import sample_lower_rows, top_row_pmf
 
 def corners_batch(k: int, n: int, rng: np.random.Generator) -> list[np.ndarray]:
     """n corners samples at once; entry r-1 holds an (n, r) array of ascending
-    minor eigenvalues."""
+    minor eigenvalues.  Levels 1 and 2 are closed-form (level 1 interlaces
+    with level 2 exactly in floating point); levels r >= 3 use eigvalsh."""
     diag = rng.normal(size=(n, k))
     x = np.zeros((n, k, k), dtype=complex)
     idx = np.arange(k)
@@ -40,7 +41,20 @@ def corners_batch(k: int, n: int, rng: np.random.Generator) -> list[np.ndarray]:
             z = rng.normal(scale=scale, size=n) + 1j * rng.normal(scale=scale, size=n)
             x[:, i, j] = z
             x[:, j, i] = np.conj(z)
-    return [np.linalg.eigvalsh(x[:, :r, :r]) for r in range(1, k + 1)]
+    pair = [_pair_spectrum(diag[:, 0], diag[:, 1], x[:, 0, 1])] if k > 1 else []
+    return [diag[:, :1]] + pair + [np.linalg.eigvalsh(x[:, :r, :r])
+                                   for r in range(3, k + 1)]
+
+
+def _pair_spectrum(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (n, 2) of [[a, b], [conj b, d]] as min(a, d) - t
+    and max(a, d) + t, t = |b|^2/(|h| + sqrt(h^2 + |b|^2)) >= 0, 2h = a - d,
+    a form free of cancellation."""
+    bb = b.real ** 2 + b.imag ** 2
+    h = np.abs(a - d) / 2
+    den = h + np.sqrt(h * h + bb)
+    t = bb / np.where(den > 0, den, 1.0)  # den = 0 only where bb = 0
+    return np.stack([np.minimum(a, d) - t, np.maximum(a, d) + t], axis=1)
 
 
 def hermite_density(x_values, k: int) -> float:
@@ -113,10 +127,6 @@ class EmpiricalDistribution:
             raise ValueError("empirical distribution needs at least one point")
         if self.weights is not None and len(self.weights) != len(self.points):
             raise ValueError("weights must match points")
-
-    @classmethod
-    def from_samples(cls, samples) -> "EmpiricalDistribution":
-        return cls(points=tuple(float(x) for x in np.sort(np.asarray(samples))))
 
     @classmethod
     def from_atoms(cls, atoms, probs) -> "EmpiricalDistribution":

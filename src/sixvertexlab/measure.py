@@ -138,8 +138,8 @@ def _ic_window(atoms: np.ndarray, lo: int, hi: int, M: int,
     def evaluate(n: int) -> np.ndarray:
         if n not in memo:
             z, wts = composite_nodes(params.u, M, n)
-            memo[n] = [z, wts, cross_kernel(z, params.q) if k > 1 else None,
-                       kernel_factor(z, params.q) if k == 3 else None,
+            kern = cross_kernel(z, params.q) if k > 1 else None
+            memo[n] = [z, wts, kern, kernel_factor(kern) if k == 3 else None,
                        None, None, None]
         z, wts, kern, factor, at, rows, old = memo[n]
         if at != lo:

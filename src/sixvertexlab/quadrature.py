@@ -104,10 +104,10 @@ def cross_kernel(z: np.ndarray, q: float) -> np.ndarray:
     return kern
 
 
-def kernel_factor(z: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """U (len(z), r) and V (r, len(z)) with K ~ U V: the SVD of the cross
-    kernel truncated to its singular values above RANK_RTOL * sigma_0."""
-    u, sigma, vh = np.linalg.svd(cross_kernel(z, q))
+def kernel_factor(kern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U (N, r) and V (r, N) with K ~ U V: the SVD of the N x N cross kernel
+    kern truncated to its singular values above RANK_RTOL * sigma_0."""
+    u, sigma, vh = np.linalg.svd(kern)
     r = int(np.count_nonzero(sigma > RANK_RTOL * sigma[0]))
     return u[:, :r] * sigma[:r], vh[:r].copy()
 
@@ -122,13 +122,13 @@ def tensor_integral(cols, z: np.ndarray, q: float, factor=None,
     axis one member at a time, in O(len(z)^3) flops per member and
     O(len(z)^2) memory.
 
-    With factor = kernel_factor(z, q) (k = 3 only) the axes are one exponent
+    With factor = kernel_factor(kern) (k = 3 only) the axes are one exponent
     window: cols[1] and cols[2] are the whole window and cols[0] its members
     from box index offset on.  Only the strict entries i1 > i2 > i3, with
     i1 = offset + member index, are computed, and every other entry is 0.
     Member i1 costs O(N r^2 + r N^2 + i1 N^2) for N nodes and rank r, in
     place of O(N^3 + W N^2).  A given kern is cross_kernel(z, q), kept by
-    the caller for its node set."""
+    the caller for its node set, which also factors it once."""
     k = len(cols)
     if k == 1:
         return cols[0].sum(axis=1)

@@ -11,6 +11,11 @@ from sixvertexlab.gue import (EmpiricalDistribution, compare_corners_limit,
                               ks_distance, ks_two_sample, normal_cdf)
 
 
+def from_samples(samples) -> EmpiricalDistribution:
+    return EmpiricalDistribution(
+        points=tuple(float(x) for x in np.sort(np.asarray(samples))))
+
+
 def accept_params():
     # acceptance parameter point: u = 1.5 s, u v = 0.7 (well inside the
     # admissible region, where desk-scale M already sits close to the limit)
@@ -26,6 +31,35 @@ def test_corners_sample_structure():
     for lower, upper in zip(levels, levels[1:]):
         assert np.all(np.diff(upper) > 0)
         assert np.all((upper[:, :-1] <= lower) & (lower <= upper[:, 1:]))
+
+
+def test_closed_form_minors_match_eigvalsh():
+    # the same draws in the same order: level 1 is the first diagonal entry
+    # bit for bit, level 2 matches LAPACK on the same 2 x 2 minors, level 1
+    # interlaces with level 2 exactly and level 2 is strictly increasing
+    n = 100_000
+    levels = corners_batch(2, n, np.random.default_rng(24))
+    rng = np.random.default_rng(24)
+    diag = rng.normal(size=(n, 2))
+    b = (rng.normal(scale=math.sqrt(0.5), size=n)
+         + 1j * rng.normal(scale=math.sqrt(0.5), size=n))
+    minors = np.stack([np.stack([diag[:, 0], b], axis=1),
+                       np.stack([np.conj(b), diag[:, 1]], axis=1)], axis=1)
+    assert np.array_equal(levels[0], diag[:, :1])
+    assert np.max(np.abs(levels[1] - np.linalg.eigvalsh(minors))) <= 1e-14
+    lo, hi = levels[1][:, 0], levels[1][:, 1]
+    assert np.all((lo <= levels[0][:, 0]) & (levels[0][:, 0] <= hi))
+    assert np.all(lo < hi)
+
+
+def test_pair_spectrum_degenerate_inputs():
+    # a = d with b = 0 (zero denominator), and |b| = 1e-20 with a - d = 1
+    with np.errstate(all="raise"):
+        got = gue._pair_spectrum(np.array([0.3, 1.0]), np.array([0.3, 0.0]),
+                                 np.array([0j, 1e-20 + 0j]))
+    assert np.all(np.isfinite(got))
+    assert got[0].tolist() == [0.3, 0.3]
+    assert got[1, 0] <= 0.0 < 1.0 <= got[1, 1]
 
 
 def test_gue_k1_is_standard_normal():
@@ -64,7 +98,7 @@ def test_top_density_matches_sampler_k2():
     levels = corners_batch(2, 100_000, rng)
     t, cdfs = hermite_marginal_cdfs(2)
     for coord in (0, 1):
-        emp = EmpiricalDistribution.from_samples(levels[1][:, coord])
+        emp = from_samples(levels[1][:, coord])
         ks = ks_distance(emp, lambda x, c=cdfs[coord]: np.interp(x, t, c))
         assert ks < 0.01
 
@@ -75,7 +109,7 @@ def test_ks_distance_self_consistency():
     trials = 60
     n = 2000
     for _ in range(trials):
-        emp = EmpiricalDistribution.from_samples(rng.normal(size=n))
+        emp = from_samples(rng.normal(size=n))
         if ks_distance(emp, normal_cdf) < 3 * 1.36 / math.sqrt(n):
             passes += 1
     assert passes / trials >= 0.99
@@ -92,14 +126,14 @@ def test_ks_glivenko_cantelli_trend():
     rng = np.random.default_rng(31)
     dists = []
     for n in (10 ** 3, 10 ** 4, 10 ** 5):
-        emp = EmpiricalDistribution.from_samples(rng.normal(size=n))
+        emp = from_samples(rng.normal(size=n))
         dists.append(ks_distance(emp, normal_cdf))
     assert dists[0] > dists[1] > dists[2]
 
 
 def test_ks_rejects_small_samples():
     with pytest.raises(ValueError):
-        ks_distance(EmpiricalDistribution.from_samples([1.0, 2.0]), normal_cdf)
+        ks_distance(from_samples([1.0, 2.0]), normal_cdf)
 
 
 def test_ks_two_sample_identical():

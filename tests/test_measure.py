@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sixvertexlab import measure
+from sixvertexlab import measure, quadrature
 from sixvertexlab.core import ModelParams, Signature
 from sixvertexlab.measure import (HalfStrictGTPattern,
                                   conditional_lower_rows, conditional_k2_weights,
@@ -15,7 +15,6 @@ from sixvertexlab.measure import (HalfStrictGTPattern,
                                   sample_conditional_k2, sample_lower_rows,
                                   sample_top_row, top_row_pmf)
 from sixvertexlab.paths import collection_weight
-from sixvertexlab.quadrature import cross_kernel
 from sixvertexlab.symfunc import F_eval
 from sixvertexlab.weights import six_vertex_weights
 
@@ -94,19 +93,21 @@ def test_pmf_extension_matches_fresh_window(params, monkeypatch):
 
 
 def _count_memo_builds(monkeypatch):
-    """Per node count of the contour route: the cross kernels and kernel
-    factors built, and the exponents given rows."""
+    """Per node count of the contour route: the cross kernels built (by
+    measure or inside quadrature), the kernel factors built, and the
+    exponents given rows."""
     counts = {"kernel": Counter(), "factor": Counter(), "rows": Counter()}
 
-    def counted(name, fn, size):
+    def counted(name, module, fn, size):
         def wrapped(z, *args):
             counts[name][len(z)] += size(args)
             return fn(z, *args)
-        monkeypatch.setattr(measure, fn.__name__, wrapped)
+        monkeypatch.setattr(module, fn.__name__, wrapped)
 
-    counted("kernel", measure.cross_kernel, lambda args: 1)
-    counted("factor", measure.kernel_factor, lambda args: 1)
-    counted("rows", measure.exponent_rows, lambda args: len(args[1]))
+    for module in (measure, quadrature):
+        counted("kernel", module, module.cross_kernel, lambda args: 1)
+    counted("factor", measure, measure.kernel_factor, lambda args: 1)
+    counted("rows", measure, measure.exponent_rows, lambda args: len(args[1]))
     return counts
 
 
@@ -148,7 +149,7 @@ def test_pmf_k3_low_rank_matches_full_rank(params, monkeypatch):
     # window through the exact factorisation U = K, V = I
     low = {M: top_row_pmf(3, M, params) for M in (10, 12)}
     monkeypatch.setattr(measure, "kernel_factor",
-                        lambda z, q: (cross_kernel(z, q), np.eye(len(z))))
+                        lambda kern: (kern, np.eye(len(kern))))
     for M, pmf in low.items():
         full = top_row_pmf(3, M, params)
         assert full.window == pmf.window and full.atoms == pmf.atoms
