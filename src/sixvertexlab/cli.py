@@ -80,6 +80,8 @@ class ExperimentConfig:
                              f"got {list(self.m_grid)}")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.threads < 0:
             raise ValueError(f"threads must be >= 0 (0 = all cores), "
                              f"got {self.threads}")

@@ -18,7 +18,6 @@ artifact choices and the reports flag them as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,44 +114,25 @@ def normal_cdf(x):
 # empirical distributions and KS distances
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Either a sample-based or a weighted-atom distribution on the line."""
-
-    points: tuple[float, ...]
-    weights: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if len(self.points) == 0:
-            raise ValueError("empirical distribution needs at least one point")
-        if self.weights is not None and len(self.weights) != len(self.points):
-            raise ValueError("weights must match points")
-
-    @classmethod
-    def from_atoms(cls, atoms, probs) -> "EmpiricalDistribution":
-        order = np.argsort(np.asarray(atoms))
-        pts = tuple(float(np.asarray(atoms)[i]) for i in order)
-        wts = tuple(float(np.asarray(probs)[i]) for i in order)
-        return cls(points=pts, weights=wts)
-
-    def cdf_steps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted support and the CDF value at (and just before) each point."""
-        pts = np.asarray(self.points)
-        if self.weights is None:
-            n = len(pts)
-            above = np.arange(1, n + 1) / n
-        else:
-            w = np.asarray(self.weights)
-            above = np.cumsum(w) / np.sum(w)
-        below = np.concatenate([[0.0], above[:-1]])
-        return pts, np.stack([below, above])
-
-
-def ks_distance(emp: EmpiricalDistribution, ref_cdf) -> float:
-    """sup_x |F_emp(x) - F_ref(x)| for a continuous reference CDF."""
-    if emp.weights is None and len(emp.points) < 100:
-        raise ValueError("need at least 100 samples for a sampled KS distance")
-    pts, steps = emp.cdf_steps()
+def ks_distance(points, ref_cdf, weights=None) -> float:
+    """sup_x |F_emp(x) - F_ref(x)| for a continuous reference CDF, where
+    F_emp is the empirical CDF of the samples points (at least 100), or of
+    the atoms points with the given weights."""
+    pts = np.asarray(points, dtype=float)
+    order = np.argsort(pts)
+    pts = pts[order]
+    if weights is None:
+        if len(pts) < 100:
+            raise ValueError("need at least 100 samples for a sampled KS "
+                             "distance")
+        above = np.arange(1, len(pts) + 1) / len(pts)
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != order.shape or len(w) == 0:
+            raise ValueError("weights must match a non-empty set of points")
+        w = w[order]
+        above = np.cumsum(w) / np.sum(w)
+    steps = np.stack([np.concatenate([[0.0], above[:-1]]), above])
     try:
         ref = np.asarray(ref_cdf(pts), dtype=float)
         if ref.shape != pts.shape:
@@ -209,8 +189,7 @@ def compare_corners_limit(k: int, M_grid, params: ModelParams, n_samples: int,
         if k == 1:
             pmf = top_row_pmf(1, M, params, tol=pmf_tol)
             ys = rescale_parts(np.asarray(pmf.atoms, dtype=float), M, params)[:, 0]
-            emp = EmpiricalDistribution.from_atoms(ys, pmf.probs)
-            ks = ks_distance(emp, normal_cdf)
+            ks = ks_distance(ys, normal_cdf, pmf.probs)
             rows.append({"M": M, "coordinate": "Y[1,1]", "ks": ks,
                          "n_samples": 0, "exact": True})
             continue

@@ -45,7 +45,7 @@ from .core import (ModelParams, Signature, admissible_ratio, as_parts,
 from .paths import PathCollection
 from .quadrature import (COMPOSITE_MAX_NODES, SEGMENT_NODES, adaptive,
                          composite_nodes, cross_kernel, kernel_factor,
-                         tensor_integral)
+                         window_integral)
 from .symfunc import F_scaled_closed, StrictRow
 from .weights import SIX_VERTEX_TYPES, six_vertex_weights
 
@@ -124,16 +124,18 @@ def _ic_window(atoms: np.ndarray, lo: int, hi: int, M: int,
                params: ModelParams, memo: dict[int, list]) -> np.ndarray:
     """Normalized boundary integrals I_C(mu; M) at the strict atoms mu in
     [lo, hi].  memo maps a node count to [z, wts, kernel, factor, lo, rows,
-    box]: its node set with the cross kernel (None at k = 1) and at k = 3
+    packed]: its node set with the cross kernel (None at k = 1) and at k = 3
     its factor (None at k <= 2), built once; then the exponent rows of lo,
-    lo + 1, ... taken so far and the box of integrals indexed by mu - lo.
-    A move of lo drops the rows and the box and keeps the node set.  Only
-    new exponents get rows and only slices with a new largest part are
-    integrated; at k = 3 only their strict entries.  The stopping rule sees
-    only the atoms' entries."""
+    lo + 1, ... taken so far and window_integral's packed integrals over
+    them, in lexicographic order of mu - lo.  A move of lo drops the rows
+    and the integrals and keeps the node set.  Only new exponents get rows
+    and only new largest parts are integrated, and the stopping rule sees
+    exactly the atoms.  The packed values reach the atoms' colex order
+    through their combinadic ranks sum_j C(mu_j - lo, k + 1 - j)."""
     k = atoms.shape[1]
     m_vals = np.arange(lo, hi + 1)
-    idx = tuple((atoms - lo).T)
+    rank = sum(math.prod(atoms[:, j] - lo - t for t in range(k - j))
+               // math.factorial(k - j) for j in range(k))
 
     def evaluate(n: int) -> np.ndarray:
         if n not in memo:
@@ -141,20 +143,19 @@ def _ic_window(atoms: np.ndarray, lo: int, hi: int, M: int,
             kern = cross_kernel(z, params.q) if k > 1 else None
             memo[n] = [z, wts, kern, kernel_factor(kern) if k == 3 else None,
                        None, None, None]
-        z, wts, kern, factor, at, rows, old = memo[n]
+        z, wts, kern, factor, at, rows, packed = memo[n]
         if at != lo:
-            rows, old = np.zeros((0, len(z))), np.zeros((0,) * k)
+            rows, packed = np.zeros((0, len(z))), np.zeros(0)
         done = len(rows)
         rows = np.concatenate(
             [rows, exponent_rows(z, wts, m_vals[done:], M, params)])
-        out = np.zeros((len(m_vals),) * k)
-        out[(slice(done),) * k] = old
-        out[done:] = tensor_integral([rows[done:]] + [rows] * (k - 1), z,
-                                     params.q, factor, done, kern).real
-        memo[n][4:] = lo, rows, out
-        return out[idx]
+        packed = np.concatenate(
+            [packed, window_integral(rows, k, done, kern, factor)])
+        memo[n][4:] = lo, rows, packed
+        return packed
 
-    return adaptive(evaluate, SEGMENT_NODES, COMPOSITE_MAX_NODES, QUAD_TOL)
+    return adaptive(evaluate, SEGMENT_NODES, COMPOSITE_MAX_NODES,
+                    QUAD_TOL)[rank]
 
 
 def _F_transfer_window(k: int, hi: int, params: ModelParams) -> np.ndarray:
@@ -197,7 +198,7 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
 
     The contour route keeps each node set and its kernel across extensions.
     While lo stays put it also keeps the exponent rows and integrals, and
-    takes only new exponents' rows and new largest parts' slices; a move of
+    takes only new exponents' rows and new largest parts' entries; a move of
     lo drops the rows and integrals.  Its atoms below about 2e-13 max p are
     quadrature noise and can be negative.
     """
@@ -228,8 +229,9 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
         raise MassDeficitError("top-row pmf mass is off 1 beyond tolerance",
                                {"mass": mass, "k": k, "M": M, "route": route,
                                 "window": (lo, hi), "tol": tol})
+    parts = np.arange(hi + 1, dtype=object)  # one int object per part value
     return TopRowPMF(k=k, M=M, params=params, route=route, window=(lo, hi),
-                     atoms=tuple(map(tuple, atoms.tolist())),
+                     atoms=tuple(zip(*parts[atoms].T.tolist())),
                      probs=tuple(probs.tolist()))
 
 

@@ -12,7 +12,9 @@ for k <= 3, and is evaluated in three parts:
   or Gauss-Legendre on the composite contour through the critical point
   (composite_nodes);
 * one tensor-product kernel (tensor_integral) over per-axis integrand
-  families, so that a whole exponent window is integrated at once;
+  families for single integrals, and one window kernel (window_integral)
+  that integrates a whole exponent window at once, at its strict entries
+  only, packed so that a wider window appends;
 * one node-doubling driver (adaptive) with one stopping rule.
 
 The cross kernel K = (z_a - z_b)/(z_a - q z_b) is a rank-one update of a
@@ -20,10 +22,11 @@ Cauchy matrix on the point sets C and qC, so its singular values decay
 geometrically (Beckermann-Townsend, SIAM J. Matrix Anal. Appl. 38, 2017):
 on the composite nodes its rank at RANK_RTOL is about 60 whatever the node
 count.  A k = 3 exponent window of W members on N nodes therefore contracts
-through the truncated SVD K ~ U V (kernel_factor), and only over its strict
-entries: one SVD per node set plus O(W (N r^2 + r N^2 + W N^2)), against
-O(W (N^3 + W N^2)) for the full kernel.  Single k = 3 integrals keep the
-full kernel, where one SVD would cost more than the product it saves.
+through the truncated SVD K ~ U V (kernel_factor), and only over its
+C(W, 3) strict entries, which are all it stores: one SVD per node set plus
+O(W (N r^2 + r N^2 + W N^2)), against O(W (N^3 + W N^2)) for the full
+kernel.  Single k = 3 integrals keep the full kernel, where one SVD would
+cost more than the product it saves.
 
 This module imports nothing from the package, so every route that uses it
 stays independent of the transfer engines it is checked against.
@@ -112,45 +115,57 @@ def kernel_factor(kern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u[:, :r] * sigma[:r], vh[:r].copy()
 
 
-def tensor_integral(cols, z: np.ndarray, q: float, factor=None,
-                    offset: int = 0, kern=None) -> np.ndarray:
+def tensor_integral(cols, z: np.ndarray, q: float) -> np.ndarray:
     """out[m_1, ..., m_k] = sum over nodes n_1..n_k of
     prod_{a<b} (z_a - z_b)/(z_a - q z_b) prod_i cols[i][m_i, n_i],
 
     where cols[i] is axis i's family of integrands already multiplied by the
     node weights, shape (m_i, len(z)).  The k = 3 branch contracts the first
     axis one member at a time, in O(len(z)^3) flops per member and
-    O(len(z)^2) memory.
-
-    With factor = kernel_factor(kern) (k = 3 only) the axes are one exponent
-    window: cols[1] and cols[2] are the whole window and cols[0] its members
-    from box index offset on.  Only the strict entries i1 > i2 > i3, with
-    i1 = offset + member index, are computed, and every other entry is 0.
-    Member i1 costs O(N r^2 + r N^2 + i1 N^2) for N nodes and rank r, in
-    place of O(N^3 + W N^2).  A given kern is cross_kernel(z, q), kept by
-    the caller for its node set, which also factors it once."""
+    O(len(z)^2) memory."""
     k = len(cols)
     if k == 1:
         return cols[0].sum(axis=1)
-    kern = cross_kernel(z, q) if kern is None else kern
+    kern = cross_kernel(z, q)
     if k == 2:
         return cols[0] @ kern @ cols[1].T
     if k == 3:
         c1, c2, c3 = cols
         out = np.zeros((len(c1), len(c2), len(c3)), dtype=complex)
-        if factor is None:
-            for i1, row in enumerate(c1):
-                inner = (kern.T * row) @ kern      # C(n2, n3)
-                out[i1] = c2 @ (kern * inner) @ c3.T
-            return out
-        U, V = factor
-        # a strict entry needs i1 >= 2
-        for i1, row in enumerate(c1[max(2 - offset, 0):], max(offset, 2)):
-            inner = V.T @ (((U.T * row) @ U) @ V)
-            out[i1 - offset, :i1, :i1 - 1] = np.tril(
-                c2[:i1] @ (kern * inner) @ c3[:i1 - 1].T, -1)
+        for i1, row in enumerate(c1):
+            inner = (kern.T * row) @ kern      # C(n2, n3)
+            out[i1] = c2 @ (kern * inner) @ c3.T
         return out
     raise ValueError(f"contour quadrature supports k <= 3, got k = {k}")
+
+
+def window_integral(rows: np.ndarray, k: int, done: int, kern: np.ndarray,
+                    factor) -> np.ndarray:
+    """The real parts of tensor_integral([rows] * k, ...) at its strict
+    entries i1 > ... > ik with i1 >= done, packed in lexicographic order of
+    (i1, ..., ik), so that a window widened by more rows only appends.
+
+    rows is one exponent window of W members, already multiplied by the node
+    weights, kern = cross_kernel(z, q) on its nodes (unused at k = 1) and
+    factor = kernel_factor(kern) (used at k = 3 only).  Member i1 takes
+    C(i1, k - 1) entries: at k = 3 it costs O(N r^2 + r N^2 + i1 N^2) for N
+    nodes and rank r, in place of O(N^3 + W N^2)."""
+    if k == 1:
+        return rows[done:].sum(axis=1).real
+    if k == 2:
+        full = rows[done:] @ kern @ rows.T
+        return full[np.tril_indices(len(full), done - 1, len(rows))].real
+    if k != 3:
+        raise ValueError(f"contour quadrature supports k <= 3, got k = {k}")
+    U, V = factor
+    start = math.comb(done, 3)   # member i1's entries start at C(i1, 3)
+    out = np.empty(math.comb(len(rows), 3) - start)
+    for i1 in range(max(done, 2), len(rows)):   # i1 >= 2 has strict entries
+        inner = V.T @ (((U.T * rows[i1]) @ U) @ V)
+        block = rows[:i1] @ (kern * inner) @ rows[:i1 - 1].T
+        out[math.comb(i1, 3) - start:math.comb(i1 + 1, 3) - start] = (
+            block[np.tril_indices(i1, -1, i1 - 1)].real)
+    return out
 
 
 def adaptive(evaluate, n0: int, max_nodes: int, tol: float, atol: float = 0.0):

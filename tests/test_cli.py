@@ -127,11 +127,14 @@ def test_non_integer_config_exit_2(tmp_path, capsys, bad):
     ("bm-converge", {"m_grid": [1600]}, "needs at least two M"),
     ("sample", {"m_grid": [30, 40]}, "sample takes one M"),
     ("bm-converge", {"m_grid": [400, 400]}, "repeats M = 400"),
-    ("gue-compare", {"m_grid": [60, 120, 60]}, "repeats M = 60")],
+    ("gue-compare", {"m_grid": [60, 120, 60]}, "repeats M = 60"),
+    ("sample", {"seed": -1}, "seed must be >= 0"),
+    ("gue-compare", {"seed": -1}, "seed must be >= 0")],
     ids=["empty-m_grid", "m_grid-0", "negative-n_samples", "negative-threads",
          "sample-pmf_tol-0", "identities-tol-string", "gue-compare-max-M-30",
          "bm-converge-M-5", "bm-converge-one-M", "sample-two-M",
-         "bm-converge-repeated-M", "gue-compare-repeated-M"])
+         "bm-converge-repeated-M", "gue-compare-repeated-M",
+         "sample-negative-seed", "gue-compare-negative-seed"])
 def test_out_of_range_config_exit_2(tmp_path, capsys, subcommand, bad,
                                     message):
     # an out-of-range value is refused before any engine runs

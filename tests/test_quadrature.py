@@ -1,11 +1,14 @@
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from sixvertexlab.quadrature import (QuadratureError, adaptive,
                                      composite_nodes, cross_kernel,
-                                     kernel_factor, tensor_integral)
+                                     kernel_factor, tensor_integral,
+                                     window_integral)
 
 
 def test_adaptive_failure_carries_diagnostics():
@@ -72,22 +75,45 @@ def test_tensor_integral_matches_brute_force():
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_tensor_integral_window_strict_entries():
-    # one exponent window of W members; cols[0] starts at box index offset
-    q, W, offset = 0.5, 7, 2
+def test_window_integral_packed_strict_entries():
+    # one exponent window of W members: the strict entries i1 > ... > ik in
+    # lexicographic order, through the truncated and the exact factor; a
+    # later start done gives the tail of the whole window's output
+    q, W = 0.5, 7
     z, _ = composite_nodes(2.0, 10, 20)
     rows = _families(np.random.default_rng(5), (W, len(z)))
-    ref = _brute_force([rows] * 3, z, q)[offset:]
-    i1, i2, i3 = np.ogrid[offset:W, :W, :W]
-    strict = (i1 > i2) & (i2 > i3)
     kern = cross_kernel(z, q)
-    for factor in (kernel_factor(kern), (kern, np.eye(len(z)))):
-        got = tensor_integral([rows[offset:], rows, rows], z, q, factor,
-                              offset)
-        assert got.shape == ref.shape
-        assert np.all(got[~strict] == 0)
-        err = np.max(np.abs(got[strict] - ref[strict]))
-        assert err <= 1e-13 * np.max(np.abs(ref))
+    for k in (1, 2, 3):
+        ref = _brute_force([rows] * k, z, q).real
+        entries = sorted(c[::-1] for c in combinations(range(W), k))
+        want = np.array([ref[e] for e in entries])
+        for factor in (kernel_factor(kern), (kern, np.eye(len(z)))):
+            got = window_integral(rows, k, 0, kern, factor)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(ref))
+            for done in (1, 3, W - 1):
+                tail = window_integral(rows, k, done, kern, factor)
+                assert len(tail) == sum(e[0] >= done for e in entries)
+                err = np.max(np.abs(tail - got[len(got) - len(tail):]))
+                assert err <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_window_integral_k3_allocates_no_dense_box():
+    # W = 60 members on 25 nodes: the packed window peaks far below one
+    # dense W^3 box of reals
+    q, W = 0.5, 60
+    z, _ = composite_nodes(2.0, 10, 20)
+    rows = _families(np.random.default_rng(7), (W, len(z)))
+    kern = cross_kernel(z, q)
+    factor = kernel_factor(kern)
+    tracemalloc.start()
+    try:
+        out = window_integral(rows, 3, 0, kern, factor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (math.comb(W, 3),)
+    assert peak < W ** 3 * 8
 
 
 def test_kernel_factor_is_low_rank_at_the_display_point():
