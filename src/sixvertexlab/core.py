@@ -10,7 +10,6 @@ All types here are immutable values and safe to share across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -31,16 +30,6 @@ def q_pochhammer(a, q, n: int):
         out = out * (1.0 - aq)
         aq = aq * q
     return out
-
-
-def delta_parameter(a1: float, a2: float, b1: float, b2: float,
-                    c1: float, c2: float) -> float:
-    """Anisotropy (a1 a2 + b1 b2 - c1 c2) / (2 sqrt(a1 a2 b1 b2)) of a six-vertex
-    weight table; all six weights must be positive."""
-    weights = (a1, a2, b1, b2, c1, c2)
-    if any(w <= 0 for w in weights):
-        raise ValueError(f"all six weights must be positive, got {weights}")
-    return (a1 * a2 + b1 * b2 - c1 * c2) / (2.0 * math.sqrt(a1 * a2 * b1 * b2))
 
 
 def as_parts(sig) -> tuple[int, ...]:
@@ -88,13 +77,28 @@ class Signature:
 def strict_atoms(k: int, lo: int, hi: int) -> np.ndarray:
     """Every strict signature mu_1 > ... > mu_k with parts in [lo, hi], as
     the rows of an int (n, k) array in colexicographic order: the package's
-    one strict-tuple enumerator."""
-    grid = np.ogrid[(slice(hi - lo + 1),) * k]
-    increasing = np.ones((hi - lo + 1,) * k, dtype=bool)
-    for low, high in zip(grid, grid[1:]):
-        increasing &= low < high
-    # row-major order of increasing tuples is colex order of their reversals
-    return lo + np.argwhere(increasing)[:, ::-1]
+    one strict-tuple enumerator.
+
+    Colex order sorts by the smallest part first, so the atoms with smallest
+    part m are the (k-1)-part atoms above m, a suffix of their own colex
+    list, followed by m; each part count is filled in place that way from
+    the pairs, and no dense box or copy of the result is made."""
+    if k < 1:
+        raise ValueError(f"need at least one part, got k = {k}")
+    if k == 1:
+        return np.arange(lo, hi + 1)[:, None]
+    small, large = np.triu_indices(max(hi - lo + 1, 0), 1)
+    out = lo + np.stack((large, small), axis=1)
+    for j in range(3, k + 1):
+        prev, parts = out, range(lo, hi + 1)
+        starts = np.searchsorted(prev[:, -1], parts, side="right").tolist()
+        out = np.empty((len(prev) * len(parts) - sum(starts), j), prev.dtype)
+        pos = 0
+        for m, start in zip(parts, starts):
+            block = out[pos:pos + len(prev) - start]
+            block[:, :-1], block[:, -1] = prev[start:], m
+            pos += len(block)
+    return out
 
 
 def multiplicities(parts) -> dict[int, int]:
@@ -131,11 +135,6 @@ class ModelParams:
     @property
     def s(self) -> float:
         return self.q ** -0.5
-
-    @property
-    def s2(self) -> float:
-        """s^2 = 1/q, kept exact so blocked vertex weights vanish identically."""
-        return 1.0 / self.q
 
 
 def admissible_ratio(u: float, v: float, s: float) -> float:

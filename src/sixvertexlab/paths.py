@@ -11,7 +11,8 @@ Collections live on the window Z_{>=0} x {1..n}.  Two boundary families:
 No two paths ever share a horizontal edge (j in {0, 1}); they may share
 vertical edges.  Enumeration walks row by row over cross-section signatures,
 cuts a branch inside the row recursion as soon as a part can no longer reach
-its rank in lam, and builds each row's vertex grid along the way.
+its rank in lam, and builds each row's vertex grid along the way, once per
+distinct bottom cross-section; collections share the immutable vertex rows.
 
 This module is deliberately independent of the transfer-matrix evaluators:
 it builds explicit vertex grids and multiplies single-vertex weights, and
@@ -164,6 +165,7 @@ def _enumerate_chains(mu, lam, n: int, family: str) -> list[PathCollection]:
         return []
     n_cols = (lam[0] + 2) if lam else (mu[0] + 2 if mu else 1)
     stack_rows: list[tuple] = []
+    configurations: dict[tuple[int, ...], list] = {}  # per bottom cross-section
 
     def rec(bottom_parts: tuple[int, ...], row: int) -> Iterator[PathCollection]:
         if row == n:
@@ -174,11 +176,14 @@ def _enumerate_chains(mu, lam, n: int, family: str) -> list[PathCollection]:
         # Part i of the top never exceeds lam_i; in F-type rows the rows_left
         # parts of lam below it are filled by paths yet to enter, so it is at
         # least lam_{i + rows_left}.  The j-th part placed has rank total-1-j.
+        # They depend on the bottom alone: in F rows its length fixes rows_left.
         total, rows_left = len(bottom_parts) + left_entry, n - row - 1
         lo = lam[rows_left:rows_left + total] if left_entry else (0,) * total
-        for top, verts in _row_configurations(multiplicities(bottom_parts),
-                                              left_entry, n_cols,
-                                              lam[:total][::-1], lo[::-1]):
+        if bottom_parts not in configurations:
+            configurations[bottom_parts] = _row_configurations(
+                multiplicities(bottom_parts), left_entry, n_cols,
+                lam[:total][::-1], lo[::-1])
+        for top, verts in configurations[bottom_parts]:
             stack_rows.append(verts)
             yield from rec(top, row + 1)
             stack_rows.pop()

@@ -37,48 +37,17 @@ from .weights import vertex_weight_raw
 # one-row transfer
 
 
-def row_weight(top, bottom, spectral, params: ModelParams,
-               conjugated: bool = False) -> complex:
-    """Single-variable skew function from one row of vertex weights: the
-    per-pair reference for the row transfer.
-
-    A plain row takes one path entering from the left, a conjugated row
-    none.  The horizontal occupancies are forced by the (bottom, top) pair
-    through prefix counts; the value is 0 unless they all lie in {0, 1}.
-    """
-    top, bottom = as_parts(top), as_parts(bottom)
-    h = 0 if conjugated else 1
-    if len(top) != len(bottom) + h:
-        return 0.0
-    q, s = params.q, params.s
-    bm, tm = multiplicities(bottom), multiplicities(top)
-    hi = max([*top, *bottom, -1])
-    out: complex = 1.0
-    for x in range(hi + 1):
-        i1 = bm.get(x, 0)
-        i2 = tm.get(x, 0)
-        j2 = i1 + h - i2
-        if j2 not in (0, 1):
-            return 0.0
-        out *= vertex_weight_raw(i1, h, i2, j2, q, s, spectral, conjugated)
-        if out == 0.0:
-            return 0.0
-        h = j2
-    return out if h == 0 else 0.0
-
-
-def _row_successors(bottom: tuple[int, ...], spectral, q: float, s: float,
-                    conjugated: bool, ceil, floor):
+def _row_successors(bottom: tuple[int, ...], weight, conjugated: bool, ceil,
+                    floor):
     """All (top, weight) pairs reachable from bottom in one row, weight != 0,
-    with top_i in [floor[i], ceil[i]].  Parts are placed left to right, the
-    j-th of rank len(top) - 1 - j; a branch is cut once a part lands outside
-    its bound, or a moving path passes the ceiling of the next part."""
+    with top_i in [floor[i], ceil[i]], from the row's vertex weight table
+    weight(i1, h, j2).  Parts are placed left to right, the j-th of rank
+    len(top) - 1 - j; a branch is cut once a part lands outside its bound,
+    or a moving path passes the ceiling of the next part."""
     bm = multiplicities(bottom)
     occupied = sorted(bm)
     total = len(bottom) + (not conjugated)
     hi, lo = ceil[:total][::-1], floor[:total][::-1]
-    weight = cache(lambda i1, h, j2: vertex_weight_raw(
-        i1, h, i1 + h - j2, j2, q, s, spectral, conjugated))
     results: list[tuple[tuple[int, ...], complex]] = []
     top_cols: list[int] = []
 
@@ -111,19 +80,26 @@ def _row_successors(bottom: tuple[int, ...], spectral, q: float, s: float,
 
 
 def _apply_row(states: dict, spectral, q: float, s: float, conjugated: bool,
-               ceil, floor) -> dict:
-    """Push a vector of signature amplitudes through one row.
-
-    States are visited in sorted order so the reduction order, and hence the
-    floating-point result, is reproducible.
-    """
+               ceil, floor, memo: dict, keep: bool) -> dict:
+    """Push a vector of signature amplitudes through one row, reading each
+    state's successor list from memo, keyed by the state and the floor slice
+    of its rank, and storing new ones there only if keep.  States are
+    visited in sorted order so the reduction order, and hence the
+    floating-point result, is reproducible."""
+    weight = cache(lambda i1, h, j2: vertex_weight_raw(
+        i1, h, i1 + h - j2, j2, q, s, spectral, conjugated))
     out: dict[tuple[int, ...], complex] = {}
     for sig in sorted(states):
         amp = states[sig]
         if amp == 0.0:
             continue
-        for top, wv in _row_successors(sig, spectral, q, s, conjugated, ceil,
-                                       floor):
+        key = (sig, floor[:len(sig) + (not conjugated)])
+        succ = memo.get(key)
+        if succ is None:
+            succ = _row_successors(sig, weight, conjugated, ceil, floor)
+            if keep:
+                memo[key] = succ
+        for top, wv in succ:
             out[top] = out.get(top, 0.0) + amp * wv
     return out
 
@@ -139,13 +115,19 @@ def transfer(states: dict, spectral, params: ModelParams, conjugated: bool,
     across a column boundary, so both row kinds interlace: a row's i-th
     largest path lands at or below the (i-1)-th largest's old column.  With
     r rows left, the i-th part thus lies in [floor[i + r], ceil[i]]; each
-    row builds only those states, and their values are unchanged.
+    row builds only those states, and their values are unchanged.  A run of
+    rows with equal spectral values builds each state's successor list once
+    per floor slice of its rank and reuses it (the same pairs from the same
+    products); no list is kept past the run.
     """
     n, (ceil, floor) = len(spectral), envelope
     floor = (*floor, *(0,) * (len(ceil) + n))
+    memo: dict = {}
     for r, u_r in enumerate(spectral):
+        keep = r + 1 < n and spectral[r + 1] == u_r
         states = _apply_row(states, u_r, params.q, params.s, conjugated, ceil,
-                            floor[n - r - 1:])
+                            floor[n - r - 1:], memo, keep)
+        memo = memo if keep else {}
     return states
 
 

@@ -1,10 +1,13 @@
 import random
+import tracemalloc
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from sixvertexlab.checks import random_point
-from sixvertexlab.core import (ModelParams, Signature, delta_parameter,
-                               multiplicities, pair_admissible, q_pochhammer)
+from sixvertexlab.core import (ModelParams, Signature, multiplicities,
+                               pair_admissible, q_pochhammer, strict_atoms)
 
 
 def test_q_pochhammer_examples():
@@ -44,18 +47,33 @@ def test_signature_multiplicity_examples():
     assert multiplicities(()) == {}
 
 
-def test_delta_parameter_examples():
-    assert delta_parameter(1, 1, 1, 1, 1, 1) == pytest.approx(0.5)
-    # a1 a2 + b1 b2 = c1 c2 makes the numerator vanish
-    assert delta_parameter(2, 1, 1, 2, 2, 2) == pytest.approx(0.0)
+def test_strict_atoms_colex_order():
+    # increasing tuples in lexicographic order are the colex order of their
+    # reversals
+    for k in (1, 2, 3, 4):
+        for lo in (0, 1, 3):
+            for hi in range(lo - 1, lo + 9):
+                got = strict_atoms(k, lo, hi)
+                want = [c[::-1] for c in combinations(range(lo, hi + 1), k)]
+                assert got.dtype == np.intp and got.shape == (len(want), k)
+                assert got.tolist() == [list(c) for c in want], (k, lo, hi)
     with pytest.raises(ValueError):
-        delta_parameter(1, 1, 0, 1, 1, 1)
+        strict_atoms(0, 0, 3)
+
+
+def test_strict_atoms_allocates_only_the_result():
+    tracemalloc.start()
+    try:
+        atoms = strict_atoms(3, 1, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * atoms.nbytes, (peak, atoms.nbytes)
 
 
 def test_model_params_chain():
     p = ModelParams(q=0.5, u=2.0, v=0.25)
     assert p.s == pytest.approx(2 ** 0.5)
-    assert p.s2 == 2.0
     assert p.u * p.v < 1 and p.u > p.s > 1
     for bad in [dict(q=1.5, u=2, v=0.25), dict(q=0.5, u=1.2, v=0.25),
                 dict(q=0.5, u=2.0, v=0.6), dict(q=0.5, u=2.0, v=-0.1)]:

@@ -3,8 +3,9 @@ uses only the model and its weights, and the contour-quadrature engine uses
 nothing from the package.  Strict tuples come from one enumerator in core:
 no other module lists them with itertools.combinations.  General-state rows
 run through one loop in symfunc: one function applies a row and one function
-chains rows.  The Gibbs census weights are the oracle of the lower-row
-sampler: no function outside them lists or weights patterns.
+chains rows.  Path rows are built at one call site in paths, behind its
+per-cross-section memo.  The Gibbs census weights are the oracle of the
+lower-row sampler: no function outside them lists or weights patterns.
 """
 
 import ast
@@ -85,6 +86,19 @@ def test_one_general_state_row_loop():
     for name in row_helpers:
         callers = _callers(tree, name)
         assert len(callers) <= 1, f"{sorted(callers)} all call {name}"
+
+
+def test_one_row_configuration_call():
+    # _enumerate_chains builds each cross-section's row configurations once;
+    # a second call site would be a route around that memo
+    calls = []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            called = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and "_row_configurations" in (
+                    getattr(called, "id", None), getattr(called, "attr", None)):
+                calls.append((path.name, node.lineno))
+    assert len(calls) == 1 and calls[0][0] == "paths.py", calls
 
 
 def test_gibbs_oracle_stays_apart_from_the_sampler():

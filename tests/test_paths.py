@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from sixvertexlab import checks
+from sixvertexlab import checks, paths
 from sixvertexlab.checks import random_point
 from sixvertexlab.core import multiplicities, strict_atoms
 from sixvertexlab.paths import (collection_weight, count_collections_formula,
@@ -26,6 +27,46 @@ def test_two_path_example():
 def test_figure_example_count():
     cols = enumerate_F_collections((), (6, 3, 1), 3)
     assert len(cols) == 42 == count_collections_formula((6, 3, 1))
+
+
+def interlacing_chains(mu, lam, n):
+    """Chains mu = x_0, ..., x_n = lam whose steps interlace, x_i[j] <=
+    x_{i+1}[j] <= x_i[j - 1]: the G^c collections, counted without paths."""
+    sigs = list(product(range(lam[0] + 1), repeat=len(mu)))
+    count = 0
+    for mids in product(sigs, repeat=n - 1):
+        chain = [mu, *mids, lam]
+        count += all(b[0] >= a[0] and all(a[i] <= b[i] <= a[i - 1]
+                                          for i in range(1, len(a)))
+                     for a, b in zip(chain, chain[1:]))
+    return count
+
+
+def test_row_configurations_built_once_per_cross_section(monkeypatch):
+    # F (6, 3, 1) reaches each cross-section along many branches, and the
+    # G^c case reaches (3, 1), (4, 1), ... again in later rows
+    seen = []
+    build = paths._row_configurations
+
+    def counted(bottom, *args):
+        seen.append(tuple(sorted((x for x, m in bottom.items()
+                                  for _ in range(m)), reverse=True)))
+        return build(bottom, *args)
+
+    monkeypatch.setattr(paths, "_row_configurations", counted)
+    for enumerate_, mu, lam, n, count in [
+            (enumerate_F_collections, (), (6, 3, 1), 3,
+             count_collections_formula((6, 3, 1))),
+            (enumerate_Gc_collections, (3, 1), (5, 4), 3,
+             interlacing_chains((3, 1), (5, 4), 3))]:
+        seen.clear()
+        cols = enumerate_(mu, lam, n)
+        assert len(cols) == count > 1
+        assert len({c.rows for c in cols}) == len(cols)
+        for c in cols:
+            c.validate()
+        reached = {mu} | {c.cross_section(r) for c in cols for r in range(1, n)}
+        assert len(seen) == len(set(seen)) and reached <= set(seen), lam
 
 
 def test_rejects_bad_arguments():

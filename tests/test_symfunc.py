@@ -6,13 +6,14 @@ import pytest
 
 from sixvertexlab import checks, symfunc
 from sixvertexlab.checks import random_point
-from sixvertexlab.core import ModelParams, strict_atoms
+from sixvertexlab.core import (ModelParams, as_parts, multiplicities,
+                               strict_atoms)
 from sixvertexlab.paths import enumerate_F_collections, enumerate_Gc_collections, \
     collection_weight
 from sixvertexlab.symfunc import (F_eval, F_scaled_closed, F_symmetrization,
-                                  Gc_eval, Gc_geometric,
-                                  row_weight, step_ratio,
+                                  Gc_eval, Gc_geometric, step_ratio,
                                   verify_cauchy, verify_skew_cauchy)
+from sixvertexlab.weights import vertex_weight_raw
 
 
 def enumeration_F(lam, mu, spectral, params):
@@ -39,7 +40,7 @@ def test_F_single_path_closed_form(params):
 def test_Gc_one_row_closed_form(params):
     v, s, q = params.v, params.s, params.q
     for m in range(1, 7):
-        expect = (1 - q) * v * (1 - params.s2) * (v - s) ** (m - 1) / (1 - s * v) ** (m + 1)
+        expect = (1 - q) * v * (1 - 1 / q) * (v - s) ** (m - 1) / (1 - s * v) ** (m + 1)
         assert Gc_eval((m,), (0,), (v,), params) == pytest.approx(expect, rel=1e-12)
 
 
@@ -158,18 +159,106 @@ def test_conjugation_relation_strict(params):
     assert checks.conjugation_relation(params)[2] < 1e-11
 
 
+def row_weight(top, bottom, spectral, params: ModelParams,
+               conjugated: bool = False) -> complex:
+    """Single-variable skew function from one row of vertex weights: the
+    per-pair reference for the row transfer.
+
+    A plain row takes one path entering from the left, a conjugated row
+    none.  The horizontal occupancies are forced by the (bottom, top) pair
+    through prefix counts; the value is 0 unless they all lie in {0, 1}.
+    """
+    top, bottom = as_parts(top), as_parts(bottom)
+    h = 0 if conjugated else 1
+    if len(top) != len(bottom) + h:
+        return 0.0
+    q, s = params.q, params.s
+    bm, tm = multiplicities(bottom), multiplicities(top)
+    hi = max([*top, *bottom, -1])
+    out: complex = 1.0
+    for x in range(hi + 1):
+        i1 = bm.get(x, 0)
+        i2 = tm.get(x, 0)
+        j2 = i1 + h - i2
+        if j2 not in (0, 1):
+            return 0.0
+        out *= vertex_weight_raw(i1, h, i2, j2, q, s, spectral, conjugated)
+        if out == 0.0:
+            return 0.0
+        h = j2
+    return out if h == 0 else 0.0
+
+
 def test_row_weight_matches_successors(params):
     for bottom, spectral, conjugated in [
             ((), 2.0, False), ((3,), 2.0, False), ((4, 1), 2.0, False),
             ((3, 0), 0.25, True), ((4, 2), 0.25, True),
             ((5, 3, 1), 0.25, True), ((3, 3), 0.25, True)]:
-        succ = symfunc._row_successors(bottom, spectral, params.q, params.s,
-                                       conjugated, (7,) * 3, (0,) * 3)
+        succ = symfunc._apply_row({bottom: 1.0}, spectral, params.q, params.s,
+                                  conjugated, (7,) * 3, (0,) * 3, {}, False)
         assert succ
-        for top, wval in succ:
+        for top, wval in succ.items():
             assert row_weight(top, bottom, spectral, params,
                               conjugated) == pytest.approx(wval, rel=1e-12)
     assert row_weight((2, 1), (3,), 2.0, params) == 0.0  # paths cannot move left
+
+
+def chained_rows(states, spectral, p, conjugated, envelope):
+    """transfer's rows, each with an empty memo that keeps nothing: the
+    memo-free reference.  Also returns the (state, floor slice) keys that
+    each run of equal spectral values expands, and the number of states
+    the rows expand in all."""
+    n, (ceil, floor) = len(spectral), envelope
+    floor = (*floor, *(0,) * (len(ceil) + n))
+    runs, expanded = [], 0
+    for r, u_r in enumerate(spectral):
+        if not r or u_r != spectral[r - 1]:
+            runs.append(set())
+        row_floor = floor[n - r - 1:]
+        live = [sig for sig, amp in states.items() if amp != 0.0]
+        runs[-1].update((sig, row_floor[:len(sig) + (not conjugated)])
+                        for sig in live)
+        expanded += len(live)
+        states = symfunc._apply_row(states, u_r, p.q, p.s, conjugated, ceil,
+                                    row_floor, {}, False)
+    return states, runs, expanded
+
+
+def test_transfer_reuses_successors_only_within_a_run(params, monkeypatch):
+    # a run of equal spectral values shares successor lists, keyed by the
+    # floor slice of the state's rank, and drops them when it ends: every
+    # value keeps its bits, and each key of a run is expanded once
+    p, u, v = params, params.u, params.v
+    lam = (6, 3, 1)
+    below = [nu for nu in strict_atoms(3, 1, lam[0]).tolist()
+             if all(a <= b for a, b in zip(nu, lam))]
+    g_table = symfunc.transfer({(0, 0): 1.0 + 0.0j}, (v, v), p, True,
+                               ((24, 24), ()))
+    cases = [  # plain [u]^3, f_direct's sum, mixed values, a Cauchy table
+        ({(): 1.0 + 0.0j}, (u,) * 3, False, ((8,) * 3, ())),
+        ({tuple(nu): (-p.s) ** sum(nu) for nu in below}, (v,) * 12, True,
+         (lam, lam)),
+        ({(): 1.0 + 0.0j}, (u, u, 1.1 * u, 1.1 * u, u), False,
+         ((9,) * 5, (7, 5, 3, 1, 0))),
+        ({(4, 1): 1.0 + 0.0j}, (v, 0.8 * v, 0.8 * v, v), True, ((9, 7), ())),
+        ({(0, 0): 1.0 + 0.0j}, (v, v), True, ((24, 24), ())),
+        ({(): 1.0 + 0.0j}, (u, u), False,
+         (tuple(map(max, *g_table)), tuple(map(min, *g_table)))),
+    ]
+    calls = []
+    expand = symfunc._row_successors
+    monkeypatch.setattr(symfunc, "_row_successors",
+                        lambda *a: calls.append(a) or expand(*a))
+    for states, spectral, conjugated, envelope in cases:
+        want, runs, expanded = chained_rows(states, spectral, p, conjugated,
+                                            envelope)
+        calls.clear()
+        got = symfunc.transfer(states, spectral, p, conjugated, envelope)
+        assert want and list(got) == list(want)
+        assert all(repr(got[sig]) == repr(want[sig]) for sig in want)
+        assert len(calls) == sum(map(len, runs)), spectral
+        # conjugated rows keep the part count, so states recur in a run
+        assert len(calls) < expanded or not conjugated
 
 
 def test_verify_cauchy_examples(params):

