@@ -41,8 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelParams, as_parts
-from .quadrature import (COMPOSITE_MAX_NODES, SEGMENT_NODES, adaptive,
-                         composite_nodes, tensor_integral)
+from .quadrature import (COMPOSITE_MAX_NODES, SEGMENT_NODES,
+                         QuadratureError, adaptive, composite_nodes,
+                         tensor_integral)
 from .symfunc import F_scaled_closed, step_ratio
 
 
@@ -210,7 +211,7 @@ def contour_boundary_integral(exponents, M: int,
     t^{|l|} for integer parts l_i >= 1 (everything normalized so the value
     stays O(1) for parts near a M).  The relative criterion IC_TOL has the
     absolute escape IC_ATOL for deep-tail values.  The value is real; an
-    imaginary residue above 1e-8 relative raises RuntimeError."""
+    imaginary residue above 1e-8 relative raises QuadratureError."""
     exponents = tuple(exponents)
     if len(exponents) == 0 or exponents[-1] < 1:
         raise ValueError(f"contour engine requires parts >= 1, got {exponents}")
@@ -218,12 +219,13 @@ def contour_boundary_integral(exponents, M: int,
     def evaluate(n: int) -> complex:
         z, wts = composite_nodes(params.u, M, n)
         rows = exponent_rows(z, wts, exponents, M, params)
-        return tensor_integral(list(rows[:, None]), z, params.q).item()
+        return tensor_integral(rows, z, params.q)
 
     val = adaptive(evaluate, SEGMENT_NODES, COMPOSITE_MAX_NODES, IC_TOL,
                    atol=IC_ATOL)
     if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
-        raise RuntimeError(f"I_C integral has non-real residue: {val}")
+        raise QuadratureError("I_C integral has a non-real residue",
+                              {"estimate": repr(val), "tol": 1e-8})
     return val.real
 
 

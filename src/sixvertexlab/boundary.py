@@ -72,11 +72,11 @@ def Gc_contour(lam, v_values, params: ModelParams,
             col = col * (1.0 - q * z * v) / (1.0 - z * v)
         ratio = (1.0 - s * z) / (z - s)
         base = col / ((1.0 - s * z) * (z - s))
-        cols = [(base * ratio ** p * wts)[None] for p in lam]
-        return tensor_integral(cols, z, q).item()
+        return tensor_integral(np.array([base * ratio ** p * wts
+                                         for p in lam]), z, q)
 
     val = adaptive(evaluate, CIRCLE_NODES, CIRCLE_MAX_NODES, tol)
-    return complex(val) * conjugation_factor(lam, params) * q_pochhammer(q, q, k)
+    return val * conjugation_factor(lam, params) * q_pochhammer(q, q, k)
 
 
 def f_contour(lam, v: float, M: int, params: ModelParams,
@@ -103,11 +103,11 @@ def f_contour(lam, v: float, M: int, params: ModelParams,
         col = ((1.0 - q * z * v) / (1.0 - z * v)) ** M
         ratio = (1.0 - s * z) / (z - s)
         base = col / (-s * (1.0 - s * z))
-        cols = [(base * ratio ** p * wts)[None] for p in lam]
-        return tensor_integral(cols, z, q).item()
+        return tensor_integral(np.array([base * ratio ** p * wts
+                                         for p in lam]), z, q)
 
     val = adaptive(evaluate, CIRCLE_NODES, CIRCLE_MAX_NODES, tol)
-    val = complex(val) * conjugation_factor(lam, params) * q_pochhammer(q, q, k)
+    val = val * conjugation_factor(lam, params) * q_pochhammer(q, q, k)
     if abs(val.imag) > tol * max(1.0, abs(val.real)):
         raise QuadratureError("f contour integral has a non-real residue",
                               {"estimate": repr(val), "tol": tol})

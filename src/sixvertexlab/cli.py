@@ -319,37 +319,27 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
               [f"mu_{i + 1}" for i in range(k)] + ["probability"],
               [list(atom) + [prob] for atom, prob in zip(pmf.atoms, pmf.probs)])
 
-    tops = measure.sample_top_row(pmf, cfg.seed, cfg.n_samples)
-    top_arr = np.array([sig.parts for sig in tops], dtype=np.int64)
+    draws = pmf.sample(np.random.default_rng(cfg.seed), cfg.n_samples)
+    top_arr = np.asarray(pmf.atoms, dtype=np.int64)[draws]
     rows = measure.sample_lower_rows(top_arr, p,
                                      np.random.default_rng(cfg.seed + 1))
-    sample_rows = []
-    grids = []
-    interlace_ok = True
-    for i, pat_rows in enumerate(zip(*(map(tuple, row[:, ::-1].tolist())
-                                       for row in rows + [top_arr]))):
-        pat = _pattern_ok(pat_rows)
-        interlace_ok &= pat is not None
-        for j, row in enumerate(pat_rows, start=1):
-            sample_rows.append([i, j, list(row)])
-        if i < 3 and pat is not None:
-            grids.append(measure.pattern_to_collection(pat).to_json_grid())
+    rows.append(top_arr)
+    bad = np.zeros(len(top_arr), dtype=bool)
+    for lower, upper in zip(rows, rows[1:]):
+        bad |= measure.interlace_violations(lower, upper)
+    patterns = list(zip(*(map(tuple, row[:, ::-1].tolist()) for row in rows)))
+    sample_rows = [[i, j, list(row)] for i, pat_rows in enumerate(patterns)
+                   for j, row in enumerate(pat_rows, start=1)]
+    grids = [measure.pattern_to_collection(
+                 measure.HalfStrictGTPattern(rows=pat_rows)).to_json_grid()
+             for pat_rows, flagged in zip(patterns[:3], bad) if not flagged]
     write_csv(os.path.join(out_dir, "samples.csv"),
               ["sample_id", "row_j", "entries"], sample_rows)
     write_json(os.path.join(out_dir, "configuration_grids.json"), grids)
-    table.add_flag("sampled-patterns-interlace", interlace_ok,
+    table.add_flag("sampled-patterns-interlace", not bad.any(),
                    note="interlacing enforced by construction and validated "
                         "on every pattern")
     return table
-
-
-def _pattern_ok(rows):
-    """The pattern with these rows (the last one the sampled top), or None
-    when they fail the half-strict interlacing validation."""
-    try:
-        return measure.HalfStrictGTPattern(rows=rows)
-    except ValueError:
-        return None
 
 
 def cmd_gue_compare(cfg: ExperimentConfig, out_dir: str) -> CheckTable:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .asymptotics import constants
 from .core import ModelParams
-from .measure import sample_lower_rows, top_row_pmf
+from .measure import interlace_violations, sample_lower_rows, top_row_pmf
 
 
 def corners_batch(k: int, n: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -75,27 +75,24 @@ def hermite_density(x_values, k: int) -> float:
     return out
 
 
-def hermite_marginal_cdfs(k: int, grid_hw: float = 8.0, n_grid: int = 1601):
-    """Marginal CDFs of each ascending eigenvalue coordinate, by quadrature
-    of the joint density on a grid (k <= 2); returns (grid, list of cdf arrays)."""
-    t = np.linspace(-grid_hw, grid_hw, n_grid)
-    if k == 1:
-        pdf = np.exp(-t ** 2 / 2) / math.sqrt(2 * math.pi)
-        cdf = _cumtrapz(pdf, t)
-        return t, [cdf / cdf[-1]]
-    if k == 2:
-        x1 = t[:, None]
-        x2 = t[None, :]
-        joint = np.where(x1 < x2,
-                         (x1 - x2) ** 2 * np.exp(-(x1 ** 2 + x2 ** 2) / 2), 0.0)
-        joint /= 2 * math.pi  # (2 pi)^{-1} / 1!
-        h = t[1] - t[0]
-        pdf1 = joint.sum(axis=1) * h
-        pdf2 = joint.sum(axis=0) * h
-        c1 = _cumtrapz(pdf1, t)
-        c2 = _cumtrapz(pdf2, t)
-        return t, [c1 / c1[-1], c2 / c2[-1]]
-    raise ValueError("hermite_marginal_cdfs supports k <= 2")
+def hermite_marginal_cdfs(k: int):
+    """Marginal CDFs of both ascending eigenvalue coordinates at k = 2, by
+    quadrature of the joint density on a grid; returns (grid, [cdf1, cdf2]).
+    At k = 1 the marginal is normal_cdf."""
+    if k != 2:
+        raise ValueError("hermite_marginal_cdfs supports k = 2 only")
+    t = np.linspace(-8.0, 8.0, 1601)
+    x1 = t[:, None]
+    x2 = t[None, :]
+    joint = np.where(x1 < x2,
+                     (x1 - x2) ** 2 * np.exp(-(x1 ** 2 + x2 ** 2) / 2), 0.0)
+    joint /= 2 * math.pi  # (2 pi)^{-1} / 1!
+    h = t[1] - t[0]
+    pdf1 = joint.sum(axis=1) * h
+    pdf2 = joint.sum(axis=0) * h
+    c1 = _cumtrapz(pdf1, t)
+    c2 = _cumtrapz(pdf2, t)
+    return t, [c1 / c1[-1], c2 / c2[-1]]
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -115,9 +112,10 @@ def normal_cdf(x):
 
 
 def ks_distance(points, ref_cdf, weights=None) -> float:
-    """sup_x |F_emp(x) - F_ref(x)| for a continuous reference CDF, where
-    F_emp is the empirical CDF of the samples points (at least 100), or of
-    the atoms points with the given weights."""
+    """sup_x |F_emp(x) - F_ref(x)| for a continuous reference CDF ref_cdf,
+    called once on the array of sorted points, where F_emp is the empirical
+    CDF of the samples points (at least 100), or of the atoms points with
+    the given weights."""
     pts = np.asarray(points, dtype=float)
     order = np.argsort(pts)
     pts = pts[order]
@@ -133,12 +131,7 @@ def ks_distance(points, ref_cdf, weights=None) -> float:
         w = w[order]
         above = np.cumsum(w) / np.sum(w)
     steps = np.stack([np.concatenate([[0.0], above[:-1]]), above])
-    try:
-        ref = np.asarray(ref_cdf(pts), dtype=float)
-        if ref.shape != pts.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        ref = np.asarray([float(ref_cdf(float(x))) for x in pts])
+    ref = np.asarray(ref_cdf(pts), dtype=float)
     return float(np.max(np.abs(steps - ref[None, :])))
 
 
@@ -154,13 +147,6 @@ def ks_two_sample(a, b) -> float:
 
 # ---------------------------------------------------------------------------
 # the main comparison
-
-
-def _interlace_violations(lower: np.ndarray, upper: np.ndarray) -> int:
-    """Samples whose descending lower row (n, j) breaks upper[:, i + 1] <=
-    lower[:, i] <= upper[:, i] against the descending upper row (n, j + 1)."""
-    bad = (lower > upper[:, :-1]) | (lower < upper[:, 1:])
-    return int(np.sum(bad.any(axis=1)))
 
 
 def rescale_parts(parts: np.ndarray, M: int, params: ModelParams) -> np.ndarray:
@@ -183,7 +169,7 @@ def compare_corners_limit(k: int, M_grid, params: ModelParams, n_samples: int,
     top_row_pmf refuses k > 3.
     """
     rows = []
-    interlace_violations = 0
+    violations = 0
     rng_master = np.random.default_rng(seed)
     for M in M_grid:
         if k == 1:
@@ -207,8 +193,8 @@ def compare_corners_limit(k: int, M_grid, params: ModelParams, n_samples: int,
         rows.append({"M": M, "coordinate": f"trace[{k}]", "ks": ks,
                      "n_samples": n_samples, "exact": False})
         lower = sample_lower_rows(tops, params, rng)
-        interlace_violations += sum(map(_interlace_violations, lower,
-                                        lower[1:] + [tops]))
+        violations += sum(int(interlace_violations(below, above).sum())
+                          for below, above in zip(lower, lower[1:] + [tops]))
         for j, arr in enumerate(lower, start=1):
             ys = rescale_parts(arr, M, params)
             for i in range(j):
@@ -228,6 +214,6 @@ def compare_corners_limit(k: int, M_grid, params: ModelParams, n_samples: int,
             if ks_b > ks_a + band:
                 monotone = False
     return {"k": k, "rows": rows, "monotone_in_M": monotone,
-            "interlace_violations": interlace_violations, "seed": seed,
+            "interlace_violations": violations, "seed": seed,
             "threshold_note": "finite-M thresholds are artifact choices; "
                               "the weak limit carries no rate"}

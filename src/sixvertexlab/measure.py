@@ -42,7 +42,7 @@ from .asymptotics import constants, exponent_rows
 from .boundary import f_direct_batch
 from .core import (ModelParams, Signature, admissible_ratio, as_parts,
                    q_pochhammer, strict_atoms)
-from .paths import PathCollection
+from .paths import PathCollection, row_vertices
 from .quadrature import (COMPOSITE_MAX_NODES, SEGMENT_NODES, adaptive,
                          composite_nodes, cross_kernel, kernel_factor,
                          window_integral)
@@ -192,9 +192,10 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
 
     The support window around a M grows until (i) the mass added by the last
     extension is below tol/10 and (ii) the top boundary layer certifies a
-    geometric tail below tol/2 via the admissible ratio r < 1.  A total mass
-    off 1 by more than tol raises MassDeficitError; passing this check
-    exercises every formula in the package at once.
+    geometric tail below tol/2 via the admissible ratio r < 1.  A window
+    that reaches MAX_PART uncertified, or a total mass off 1 by more than
+    tol, raises MassDeficitError; passing this check exercises every formula
+    in the package at once.
 
     The contour route keeps each node set and its kernel across extensions.
     While lo stays put it also keeps the exponent rows and integrals, and
@@ -215,6 +216,7 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
     memo: dict[int, list] = {}
     atoms, probs = _pmf_window(k, M, params, lo, hi, route, memo)
     mass = float(probs.sum())
+    gained = tail_bound = math.inf
     while hi < MAX_PART:
         lo = max(1, lo - step) if route == "contour" else lo
         hi += step
@@ -225,6 +227,12 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
         tail_bound = abs(float(probs[atoms[:, 0] == hi].sum())) * r / (1.0 - r)
         if gained < tol / 10.0 and tail_bound < tol / 2.0:
             break
+    else:
+        raise MassDeficitError(
+            f"top-row pmf tail not certified within MAX_PART = {MAX_PART}",
+            {"mass": mass, "k": k, "M": M, "route": route,
+             "window": (lo, hi), "gained": gained, "tail_bound": tail_bound,
+             "tol": tol})
     if abs(mass - 1.0) > tol:
         raise MassDeficitError("top-row pmf mass is off 1 beyond tolerance",
                                {"mass": mass, "k": k, "M": M, "route": route,
@@ -267,6 +275,15 @@ class HalfStrictGTPattern:
         return self.rows[-1]
 
 
+def interlace_violations(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Per sample, whether the descending rows lower (n, j) and upper
+    (n, j + 1) fail to be consecutive rows of a half-strict pattern: upper
+    is not strict, or lower breaks upper[:, i + 1] <= lower[:, i] <=
+    upper[:, i]."""
+    return ((upper[:, 1:] >= upper[:, :-1]).any(axis=1)
+            | ((lower > upper[:, :-1]) | (lower < upper[:, 1:])).any(axis=1))
+
+
 # the most patterns enumerate_gt_patterns lists for one top row
 GT_CAP = 500_000
 
@@ -293,35 +310,11 @@ def enumerate_gt_patterns(top_increasing) -> list[HalfStrictGTPattern]:
     return [HalfStrictGTPattern(rows=rows[::-1]) for rows in full]
 
 
-def _pattern_row_grid(bottom: tuple[int, ...], top: tuple[int, ...],
-                      n_cols: int) -> list[tuple[int, int, int, int]]:
-    """Reconstruct one row's vertex types from consecutive sections
-    (increasing convention; one path enters from the left)."""
-    bset, tset = set(bottom), set(top)
-    h = 1
-    row = []
-    for x in range(n_cols):
-        i1 = 1 if x in bset else 0
-        i2 = 1 if x in tset else 0
-        j2 = i1 + h - i2
-        assert j2 in (0, 1), "sections do not interlace"
-        row.append((i1, h, i2, j2))
-        h = j2
-    assert h == 0
-    return row
-
-
 def pattern_to_collection(pattern: HalfStrictGTPattern) -> PathCollection:
     """The configuration corresponding to a pattern (rows are cross-sections)."""
-    n_cols = pattern.top[-1] + 2
-    rows = []
-    prev: tuple[int, ...] = ()
-    for row_sec in pattern.rows:
-        rows.append(tuple(_pattern_row_grid(prev, row_sec, n_cols)))
-        prev = row_sec
-    lam_desc = tuple(sorted(pattern.top, reverse=True))
-    return PathCollection(family="F", mu=(), lam=lam_desc, n_rows=pattern.k,
-                          n_cols=n_cols, rows=tuple(rows))
+    return PathCollection(family="F", mu=(), lam=pattern.top[::-1],
+                          n_rows=pattern.k, n_cols=pattern.top[-1] + 2,
+                          sections=tuple(row[::-1] for row in pattern.rows))
 
 
 _TYPE_INDEX = {vt: i for i, vt in enumerate(SIX_VERTEX_TYPES)}
@@ -332,12 +325,9 @@ def gibbs_vertex_counts(pattern: HalfStrictGTPattern) -> tuple[int, ...]:
     excluded)."""
     lam_max = pattern.top[-1]
     counts = [0] * 6
-    prev: tuple[int, ...] = ()
-    for row_sec in pattern.rows:
-        grid = _pattern_row_grid(prev, row_sec, lam_max + 1)
-        for x in range(1, lam_max + 1):
-            counts[_TYPE_INDEX[grid[x]]] += 1
-        prev = row_sec
+    for bottom, top in zip(((),) + pattern.rows, pattern.rows):
+        for vertex in row_vertices(bottom, top, lam_max + 1, True)[1:]:
+            counts[_TYPE_INDEX[vertex]] += 1
     return tuple(counts)
 
 

@@ -9,13 +9,15 @@ Collections live on the window Z_{>=0} x {1..n}.  Two boundary families:
   left entries.
 
 No two paths ever share a horizontal edge (j in {0, 1}); they may share
-vertical edges.  Enumeration walks row by row over cross-section signatures,
-cuts a branch inside the row recursion as soon as a part can no longer reach
-its rank in lam, and builds each row's vertex grid along the way, once per
-distinct bottom cross-section; collections share the immutable vertex rows.
+vertical edges.  A collection is its chain of cross-sections mu = lam^0,
+lam^1, ..., lam^n = lam, and one rule, row_vertices, derives the vertex row
+between two consecutive ones.  Enumeration walks row by row over
+cross-sections, cuts a branch inside the row recursion as soon as a part can
+no longer reach its rank in lam, and lists each row's top cross-sections
+once per distinct bottom cross-section.
 
 This module is deliberately independent of the transfer-matrix evaluators:
-it builds explicit vertex grids and multiplies single-vertex weights, and
+it derives explicit vertex rows and multiplies single-vertex weights, and
 serves as the brute-force oracle for them.
 """
 
@@ -30,12 +32,35 @@ from .weights import vertex_weight_raw
 
 TYPICAL_TYPES = frozenset({(0, 0, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1)})
 
+Vertex = tuple[int, int, int, int]
+
+
+def row_vertices(bottom, top, n_cols: int,
+                 left_entry: bool) -> tuple[Vertex, ...]:
+    """The vertex types (i1, j1, i2, j2) at x = 0..n_cols-1 of the row between
+    the cross-sections bottom and top (parts in any order): i1 and i2 count
+    the parts at x, a left entry sets the first j1 = 1, and conservation
+    fixes each horizontal edge from left to right, j2 = i1 + j1 - i2.  An
+    edge outside {0, 1} means the sections do not interlace."""
+    below, above = multiplicities(bottom), multiplicities(top)
+    h = 1 if left_entry else 0
+    row = []
+    for x in range(n_cols):
+        i1, i2 = below.get(x, 0), above.get(x, 0)
+        j2 = i1 + h - i2
+        row.append((i1, h, i2, j2))
+        h = j2
+    return tuple(row)
+
 
 @dataclass(frozen=True)
 class PathCollection:
-    """A concrete configuration: dense grid of vertex types plus boundary data.
+    """A concrete configuration: its chain of cross-sections plus boundary
+    data.
 
-    rows[y][x] is the 4-tuple (i1, j1, i2, j2) at lattice position (x, y+1);
+    sections[y] is the top cross-section of row y + 1 (parts decreasing), so
+    sections[-1] is lam; rows derives the vertex grid from them by
+    row_vertices: rows[y][x] is the vertex at lattice position (x, y+1),
     columns run 0..n_cols-1 with everything beyond the window empty.
     """
 
@@ -44,49 +69,37 @@ class PathCollection:
     lam: tuple[int, ...]
     n_rows: int
     n_cols: int
-    rows: tuple[tuple[tuple[int, int, int, int], ...], ...]
+    sections: tuple[tuple[int, ...], ...]
+
+    @property
+    def rows(self) -> tuple[tuple[Vertex, ...], ...]:
+        left_entry = self.family == "F"
+        return tuple(row_vertices(bottom, top, self.n_cols, left_entry)
+                     for bottom, top in zip((self.mu,) + self.sections,
+                                            self.sections))
 
     def cross_section(self, k: int) -> tuple[int, ...]:
         """Columns at which paths cross the line y = k + 1/2, sorted decreasing."""
         if not (1 <= k <= self.n_rows):
             raise ValueError(f"row index {k} outside 1..{self.n_rows}")
-        parts: list[int] = []
-        for x, (_i1, _j1, i2, _j2) in enumerate(self.rows[k - 1]):
-            parts.extend([x] * i2)
-        parts.sort(reverse=True)
-        return tuple(parts)
+        return self.sections[k - 1]
 
-    def vertex_types(self) -> Iterator[tuple[int, int, int, int]]:
+    def vertex_types(self) -> Iterator[Vertex]:
         for row in self.rows:
             yield from row
 
     def validate(self) -> None:
-        """Edge consistency between neighbouring vertices and the boundary."""
-        if self.n_rows == 0:
-            if self.mu != self.lam:
-                raise AssertionError("empty window cannot reroute paths")
-            return
-        for y in range(self.n_rows - 1):
-            for x in range(self.n_cols):
-                if self.rows[y][x][2] != self.rows[y + 1][x][0]:
-                    raise AssertionError(f"vertical edge mismatch at x={x}, y={y + 1}")
-        left = 1 if self.family == "F" else 0
-        for y in range(self.n_rows):
-            h = left
-            for x in range(self.n_cols):
-                i1, j1, i2, j2 = self.rows[y][x]
-                if j1 != h:
-                    raise AssertionError(f"horizontal edge mismatch at x={x}, y={y + 1}")
-                if i1 + j1 != i2 + j2:
-                    raise AssertionError(f"conservation violated at x={x}, y={y + 1}")
-                h = j2
-            if h != 0:
-                raise AssertionError(f"path leaves window in row {y + 1}")
-        bottom = multiplicities(self.mu)
-        for x in range(self.n_cols):
-            if self.rows[0][x][0] != bottom.get(x, 0):
-                raise AssertionError(f"bottom boundary mismatch at x={x}")
-        if self.cross_section(self.n_rows) != tuple(sorted(self.lam, reverse=True)):
+        """Every derived horizontal edge in {0, 1}, every row ending empty
+        and the top cross-section equal to lam."""
+        for y, row in enumerate(self.rows, start=1):
+            for x, (_i1, _j1, _i2, j2) in enumerate(row):
+                if j2 not in (0, 1):
+                    raise AssertionError(
+                        f"horizontal edge {j2} at x={x}, y={y}: "
+                        "cross-sections do not interlace")
+            if row[-1][3] != 0:
+                raise AssertionError(f"path leaves window in row {y}")
+        if (self.sections[-1] if self.sections else self.mu) != self.lam:
             raise AssertionError("top boundary does not match lam")
 
     def to_json_grid(self) -> dict:
@@ -100,35 +113,24 @@ class PathCollection:
         }
 
 
-def _row_configurations(bottom: dict[int, int], left_entry: bool, n_cols: int,
-                        hi, lo):
-    """All ways one row can route its paths: yields (top_parts, vertex_row).
+def _row_configurations(bottom: dict[int, int], left_entry: bool, hi, lo):
+    """All ways one row can route its paths, as their top cross-sections.
 
     bottom maps column -> incoming vertical multiplicity; a left entry adds a
     horizontal path at x = 0.  Branching happens only at columns that carry a
-    path; empty stretches with no horizontal path are forced.  The j-th top
-    part placed, left to right, must lie in [lo[j], hi[j]], hi[j] < n_cols - 1.
+    path; empty stretches with no horizontal path are skipped.  The j-th top
+    part placed, left to right, must lie in [lo[j], hi[j]].
     """
     occupied = sorted(bottom)
-    results: list[tuple[tuple[int, ...], tuple]] = []
-    verts: list[tuple[int, int, int, int]] = [None] * n_cols  # type: ignore
+    results: list[tuple[int, ...]] = []
     top_cols: list[int] = []
-
-    def emit():
-        parts = tuple(sorted(top_cols, reverse=True))
-        results.append((parts, tuple(verts)))
 
     def rec(x: int, h: int):
         if h == 0:
-            nxt = next((c for c in occupied if c >= x), None)
-            if nxt is None:
-                for xx in range(x, n_cols):
-                    verts[xx] = (0, 0, 0, 0)
-                emit()
+            x = next((c for c in occupied if c >= x), None)
+            if x is None:
+                results.append(tuple(reversed(top_cols)))
                 return
-            for xx in range(x, nxt):
-                verts[xx] = (0, 0, 0, 0)
-            x = nxt
         j = len(top_cols)
         if x > hi[j]:
             return  # the next part placed lies at or right of x
@@ -137,13 +139,11 @@ def _row_configurations(bottom: dict[int, int], left_entry: bool, n_cols: int,
             i2 = i1 + h - j2
             if i2 < 0 or i2 and x < lo[j + i2 - 1]:
                 continue
-            verts[x] = (i1, h, i2, j2)
             if i2:
                 top_cols.extend([x] * i2)
             rec(x + 1, j2)
             if i2:
                 del top_cols[-i2:]
-            verts[x] = None  # type: ignore
 
     rec(0, 1 if left_entry else 0)
     return results
@@ -164,14 +164,14 @@ def _enumerate_chains(mu, lam, n: int, family: str) -> list[PathCollection]:
     if any(m > c for m, c in zip(mu, lam)):
         return []
     n_cols = (lam[0] + 2) if lam else (mu[0] + 2 if mu else 1)
-    stack_rows: list[tuple] = []
+    chain: list[tuple[int, ...]] = []
     configurations: dict[tuple[int, ...], list] = {}  # per bottom cross-section
 
     def rec(bottom_parts: tuple[int, ...], row: int) -> Iterator[PathCollection]:
         if row == n:
             if bottom_parts == lam:
                 yield PathCollection(family=family, mu=mu, lam=lam, n_rows=n,
-                                     n_cols=n_cols, rows=tuple(stack_rows))
+                                     n_cols=n_cols, sections=tuple(chain))
             return
         # Part i of the top never exceeds lam_i; in F-type rows the rows_left
         # parts of lam below it are filled by paths yet to enter, so it is at
@@ -181,12 +181,12 @@ def _enumerate_chains(mu, lam, n: int, family: str) -> list[PathCollection]:
         lo = lam[rows_left:rows_left + total] if left_entry else (0,) * total
         if bottom_parts not in configurations:
             configurations[bottom_parts] = _row_configurations(
-                multiplicities(bottom_parts), left_entry, n_cols,
+                multiplicities(bottom_parts), left_entry,
                 lam[:total][::-1], lo[::-1])
-        for top, verts in configurations[bottom_parts]:
-            stack_rows.append(verts)
+        for top in configurations[bottom_parts]:
+            chain.append(top)
             yield from rec(top, row + 1)
-            stack_rows.pop()
+            chain.pop()
 
     return list(rec(mu, 0))
 

@@ -11,8 +11,8 @@ for k <= 3, and is evaluated in three parts:
   convergence for analytic integrands, Trefethen-Weideman, SIAM Rev. 2014),
   or Gauss-Legendre on the composite contour through the critical point
   (composite_nodes);
-* one tensor-product kernel (tensor_integral) over per-axis integrand
-  families for single integrals, and one window kernel (window_integral)
+* one tensor-product kernel (tensor_integral) over one integrand per axis
+  for single integrals, and one window kernel (window_integral)
   that integrates a whole exponent window at once, at its strict entries
   only, packed so that a wider window appends;
 * one node-doubling driver (adaptive) with one stopping rule.
@@ -115,35 +115,31 @@ def kernel_factor(kern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u[:, :r] * sigma[:r], vh[:r].copy()
 
 
-def tensor_integral(cols, z: np.ndarray, q: float) -> np.ndarray:
-    """out[m_1, ..., m_k] = sum over nodes n_1..n_k of
-    prod_{a<b} (z_a - z_b)/(z_a - q z_b) prod_i cols[i][m_i, n_i],
+def tensor_integral(rows: np.ndarray, z: np.ndarray, q: float) -> complex:
+    """sum over nodes n_1..n_k of
+    prod_{a<b} (z_a - z_b)/(z_a - q z_b) prod_i rows[i, n_i],
 
-    where cols[i] is axis i's family of integrands already multiplied by the
-    node weights, shape (m_i, len(z)).  The k = 3 branch contracts the first
-    axis one member at a time, in O(len(z)^3) flops per member and
-    O(len(z)^2) memory."""
-    k = len(cols)
+    where rows[i] (shape (k, len(z))) is axis i's integrand already
+    multiplied by the node weights, as a Python complex.  The k = 3 branch
+    costs O(len(z)^3) flops and O(len(z)^2) memory."""
+    k = len(rows)
     if k == 1:
-        return cols[0].sum(axis=1)
+        return rows.sum(axis=1).item()
     kern = cross_kernel(z, q)
     if k == 2:
-        return cols[0] @ kern @ cols[1].T
+        return (rows[:1] @ kern @ rows[1:].T).item()
     if k == 3:
-        c1, c2, c3 = cols
-        out = np.zeros((len(c1), len(c2), len(c3)), dtype=complex)
-        for i1, row in enumerate(c1):
-            inner = (kern.T * row) @ kern      # C(n2, n3)
-            out[i1] = c2 @ (kern * inner) @ c3.T
-        return out
+        inner = (kern.T * rows[0]) @ kern      # C(n2, n3)
+        return (rows[1:2] @ (kern * inner) @ rows[2:].T).item()
     raise ValueError(f"contour quadrature supports k <= 3, got k = {k}")
 
 
 def window_integral(rows: np.ndarray, k: int, done: int, kern: np.ndarray,
                     factor) -> np.ndarray:
-    """The real parts of tensor_integral([rows] * k, ...) at its strict
-    entries i1 > ... > ik with i1 >= done, packed in lexicographic order of
-    (i1, ..., ik), so that a window widened by more rows only appends.
+    """The real parts of tensor_integral(rows[[i1, ..., ik]], ...) over the
+    strict index tuples i1 > ... > ik with i1 >= done, packed in
+    lexicographic order of (i1, ..., ik), so that a window widened by more
+    rows only appends.
 
     rows is one exponent window of W members, already multiplied by the node
     weights, kern = cross_kernel(z, q) on its nodes (unused at k = 1) and

@@ -8,6 +8,7 @@ import pytest
 from sixvertexlab import asymptotics as asy
 from sixvertexlab import checks
 from sixvertexlab.checks import random_point
+from sixvertexlab.quadrature import QuadratureError
 
 
 def test_constants_reference_point(params):
@@ -122,6 +123,13 @@ def test_bm_requires_large_M(params):
     for xs, M in [((-5.0,), 2), ((-1.0, 1.0), 13)]:
         with pytest.raises(ValueError, match="too small"):
             asy.B_M_contour(xs, M, params)
+
+
+def test_non_real_residue_raises_quadrature_error(params, monkeypatch):
+    monkeypatch.setattr(asy, "tensor_integral", lambda *args: 1 + 1j)
+    with pytest.raises(QuadratureError) as exc:
+        asy.contour_boundary_integral((5,), 10, params)
+    assert exc.value.diagnostics == {"estimate": "(1+1j)", "tol": 1e-8}
 
 
 def test_am_convergence_and_bound(params):

@@ -3,9 +3,12 @@ uses only the model and its weights, and the contour-quadrature engine uses
 nothing from the package.  Strict tuples come from one enumerator in core:
 no other module lists them with itertools.combinations.  General-state rows
 run through one loop in symfunc: one function applies a row and one function
-chains rows.  Path rows are built at one call site in paths, behind its
-per-cross-section memo.  The Gibbs census weights are the oracle of the
-lower-row sampler: no function outside them lists or weights patterns.
+chains rows.  A path collection is its chain of cross-sections: each row's
+top cross-sections are listed at one call site in paths, behind its
+per-cross-section memo, and one rule there, row_vertices, turns two
+cross-sections into a vertex row for paths and measure alike.  The Gibbs
+census weights are the oracle of the lower-row sampler: no function outside
+them lists or weights patterns.
 """
 
 import ast
@@ -99,6 +102,24 @@ def test_one_row_configuration_call():
                     getattr(called, "id", None), getattr(called, "attr", None)):
                 calls.append((path.name, node.lineno))
     assert len(calls) == 1 and calls[0][0] == "paths.py", calls
+
+
+def test_one_vertex_row_rule():
+    # row_vertices alone turns two cross-sections into vertex types: it is
+    # defined in paths only, and measure binds no vertex edge of its own but
+    # takes its census rows from it
+    defs = [path.name for path in SRC.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "row_vertices"]
+    assert defs == ["paths.py"], defs
+    tree = ast.parse((SRC / "measure.py").read_text())
+    edges = {node.id if isinstance(node, ast.Name) else node.arg
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+             or isinstance(node, ast.arg)} & {"i1", "j1", "i2", "j2"}
+    assert not edges, f"measure.py computes vertex edges {sorted(edges)}"
+    assert _callers(tree, "row_vertices") == {"gibbs_vertex_counts"}
 
 
 def test_gibbs_oracle_stays_apart_from_the_sampler():

@@ -10,7 +10,8 @@ from sixvertexlab.core import ModelParams, Signature
 from sixvertexlab.measure import (HalfStrictGTPattern,
                                   conditional_lower_rows, conditional_k2_weights,
                                   enumerate_gt_patterns, gibbs_pattern_weight,
-                                  gibbs_vertex_counts, partition_Z,
+                                  gibbs_vertex_counts, interlace_violations,
+                                  partition_Z,
                                   pattern_to_collection,
                                   sample_conditional_k2, sample_lower_rows,
                                   sample_top_row, top_row_pmf)
@@ -175,6 +176,23 @@ def test_pmf_mass_normalization(params):
     for k, M in [(1, 30), (1, 50), (2, 30), (2, 50)]:
         pmf = top_row_pmf(k, M, params)
         assert abs(pmf.total_mass - 1.0) < 1e-6
+
+
+def test_pmf_refuses_an_uncertified_tail(params, monkeypatch):
+    # k = 1, M = 20 starts at (1, 42) and certifies its tail at (1, 72):
+    # capped at 50 the window stops at (1, 52) with its mass inside tol but
+    # no tail bound, and capped at 30 it never extends, with mass off 1
+    for cap, mass_off in [(50, False), (30, True)]:
+        monkeypatch.setattr(measure, "MAX_PART", cap)
+        with pytest.raises(measure.MassDeficitError,
+                           match="tail not certified") as exc:
+            top_row_pmf(1, 20, params)
+        report = exc.value.report
+        assert (abs(report["mass"] - 1.0) > report["tol"]) is mass_off
+        assert report["window"][1] >= cap
+        assert not (report["gained"] < report["tol"] / 10
+                    and report["tail_bound"] < report["tol"] / 2)
+    assert report["gained"] == report["tail_bound"] == math.inf
 
 
 def test_pmf_k3_mass(params):
@@ -405,3 +423,15 @@ def test_pattern_to_collection_roundtrip(params):
         for j in range(1, pat.k + 1):
             assert pc.cross_section(j) == tuple(sorted(pat.rows[j - 1],
                                                        reverse=True))
+
+
+def test_interlace_violations_flags_each_sample():
+    # descending rows: equal neighbours are allowed; a non-strict upper row
+    # and a lower entry outside [upper[i + 1], upper[i]] are each flagged
+    upper = np.array([[5, 2], [5, 2], [4, 4], [5, 2], [5, 2]])
+    lower = np.array([[5], [2], [4], [6], [1]])
+    assert interlace_violations(lower, upper).tolist() == [
+        False, False, True, True, True]
+    tops = np.array([[6, 3, 1], [6, 3, 1]])
+    middles = np.array([[3, 1], [4, 0]])
+    assert interlace_violations(middles, tops).tolist() == [False, True]

@@ -7,7 +7,8 @@ import pytest
 from sixvertexlab import checks, paths
 from sixvertexlab.checks import random_point
 from sixvertexlab.core import multiplicities, strict_atoms
-from sixvertexlab.paths import (collection_weight, count_collections_formula,
+from sixvertexlab.paths import (PathCollection, collection_weight,
+                                count_collections_formula,
                                 enumerate_F_collections,
                                 enumerate_Gc_collections, is_typical,
                                 typical_count_lower_bound)
@@ -98,6 +99,26 @@ def test_edge_consistency_everywhere():
         c.validate()
     for c in enumerate_Gc_collections((2, 0), (4, 1), 2):
         c.validate()
+
+
+def test_validate_rejects_chains_that_do_not_interlace():
+    # a G^c step from (3,) to (2,) moves the path left: the derived
+    # horizontal edge at x = 2 is -1
+    pc = PathCollection(family="Gc", mu=(3,), lam=(2,), n_rows=1, n_cols=5,
+                        sections=((2,),))
+    assert pc.rows[0][2] == (0, 0, 1, -1)
+    with pytest.raises(AssertionError, match="do not interlace"):
+        pc.validate()
+    # an F row whose entering path never turns up leaves the window
+    with pytest.raises(AssertionError, match="leaves window"):
+        PathCollection(family="F", mu=(), lam=(), n_rows=1, n_cols=3,
+                       sections=((),)).validate()
+    # a chain whose top is not lam
+    with pytest.raises(AssertionError, match="top boundary"):
+        PathCollection(family="Gc", mu=(1,), lam=(2,), n_rows=1, n_cols=4,
+                       sections=((1,),)).validate()
+    PathCollection(family="Gc", mu=(1,), lam=(2,), n_rows=1, n_cols=4,
+                   sections=((2,),)).validate()
 
 
 def test_counting_formula_examples():
