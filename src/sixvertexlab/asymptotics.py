@@ -169,12 +169,6 @@ def descent_profile(params: ModelParams, n: int = 1000, eps: float = 0.1) -> dic
 # the contour-integral engine
 
 
-def h_M_offset(x: float, M: int, a: float, d: float) -> float:
-    """The unique h in (-1, 0] with a M + d sqrt(M) x + h an integer."""
-    y = a * M + d * math.sqrt(M) * x
-    return math.floor(y) - y
-
-
 def scaled_parts(x_values, M: int, a: float, scale: float) -> tuple[int, ...]:
     """lambda_i(M) = floor(a M + scale sqrt(M) x_{k-i+1}) for ascending x."""
     xs = tuple(x_values)

@@ -44,8 +44,8 @@ from .core import (ModelParams, Signature, admissible_ratio, as_parts,
                    q_pochhammer, strict_atoms)
 from .paths import PathCollection, row_vertices
 from .quadrature import (COMPOSITE_MAX_NODES, SEGMENT_NODES, adaptive,
-                         composite_nodes, cross_kernel, kernel_factor,
-                         window_integral)
+                         composite_nodes, conjugate_pairs, cross_kernel,
+                         kernel_factor, window_integral)
 from .symfunc import F_scaled_closed, StrictRow
 from .weights import SIX_VERTEX_TYPES, six_vertex_weights
 
@@ -120,42 +120,36 @@ def sample_top_row(pmf: TopRowPMF, seed: int, count: int) -> list[Signature]:
     return [Signature(pmf.atoms[i]) for i in idx]
 
 
-def _ic_window(atoms: np.ndarray, lo: int, hi: int, M: int,
-               params: ModelParams, memo: dict[int, list]) -> np.ndarray:
-    """Normalized boundary integrals I_C(mu; M) at the strict atoms mu in
-    [lo, hi].  memo maps a node count to [z, wts, kernel, factor, lo, rows,
-    packed]: its node set with the cross kernel (None at k = 1) and at k = 3
-    its factor (None at k <= 2), built once; then the exponent rows of lo,
-    lo + 1, ... taken so far and window_integral's packed integrals over
-    them, in lexicographic order of mu - lo.  A move of lo drops the rows
-    and the integrals and keeps the node set.  Only new exponents get rows
-    and only new largest parts are integrated, and the stopping rule sees
-    exactly the atoms.  The packed values reach the atoms' colex order
-    through their combinadic ranks sum_j C(mu_j - lo, k + 1 - j)."""
-    k = atoms.shape[1]
+def _ic_window(k: int, lo: int, hi: int, M: int, params: ModelParams,
+               memo: dict) -> np.ndarray:
+    """Normalized boundary integrals I_C(mu; M) at the strict mu with k parts
+    in [lo, hi], packed in lexicographic order of mu - lo.  memo maps a node
+    count to [z, wts, kernel, factor, pairs, lo, rows, packed]: its node set,
+    cross kernel and (k = 3) factor and conjugate pairs, built once; then the
+    rows of the exponents lo, lo + 1, ... so far and the packed integrals
+    over them, dropped when lo moves.  Only new exponents get rows and new
+    largest parts integrals, and the stopping rule sees only the atoms."""
     m_vals = np.arange(lo, hi + 1)
-    rank = sum(math.prod(atoms[:, j] - lo - t for t in range(k - j))
-               // math.factorial(k - j) for j in range(k))
 
     def evaluate(n: int) -> np.ndarray:
         if n not in memo:
             z, wts = composite_nodes(params.u, M, n)
             kern = cross_kernel(z, params.q) if k > 1 else None
-            memo[n] = [z, wts, kern, kernel_factor(kern) if k == 3 else None,
-                       None, None, None]
-        z, wts, kern, factor, at, rows, packed = memo[n]
+            three = k == 3
+            memo[n] = [z, wts, kern, kernel_factor(kern) if three else None,
+                       conjugate_pairs(n) if three else None] + [None] * 3
+        z, wts, kern, factor, pairs, at, rows, packed = memo[n]
         if at != lo:
             rows, packed = np.zeros((0, len(z))), np.zeros(0)
         done = len(rows)
         rows = np.concatenate(
             [rows, exponent_rows(z, wts, m_vals[done:], M, params)])
         packed = np.concatenate(
-            [packed, window_integral(rows, k, done, kern, factor)])
-        memo[n][4:] = lo, rows, packed
+            [packed, window_integral(rows, k, done, kern, factor, pairs)])
+        memo[n][5:] = lo, rows, packed
         return packed
 
-    return adaptive(evaluate, SEGMENT_NODES, COMPOSITE_MAX_NODES,
-                    QUAD_TOL)[rank]
+    return adaptive(evaluate, SEGMENT_NODES, COMPOSITE_MAX_NODES, QUAD_TOL)
 
 
 def _F_transfer_window(k: int, hi: int, params: ModelParams) -> np.ndarray:
@@ -170,13 +164,21 @@ def _F_transfer_window(k: int, hi: int, params: ModelParams) -> np.ndarray:
 
 
 def _pmf_window(k: int, M: int, params: ModelParams, lo: int, hi: int,
-                route: str, memo: dict[int, list]
-                ) -> tuple[np.ndarray, np.ndarray]:
+                route: str, memo: dict) -> tuple[np.ndarray, np.ndarray]:
     """The atoms of the window [lo, hi] (colex rows) and their probabilities."""
     atoms = strict_atoms(k, lo, hi)
     if route == "contour":
-        return atoms, (F_scaled_closed(atoms, params)
-                       * _ic_window(atoms, lo, hi, M, params, memo))
+        # lo -> (hi, Fhat, rank) of the last window: colex keeps its order
+        hi0, fhat0, rank0 = memo.get("atoms", {}).get(lo, (lo - 1, (), ()))
+        new = atoms[:, 0] > hi0
+        fresh = atoms[new]
+        fhat, rank = np.empty(len(atoms)), np.empty(len(atoms), atoms.dtype)
+        fhat[~new], rank[~new] = fhat0, rank0
+        fhat[new] = F_scaled_closed(fresh, params)
+        rank[new] = sum(math.prod(fresh[:, j] - lo - t for t in range(k - j))
+                        // math.factorial(k - j) for j in range(k))
+        memo["atoms"] = {lo: (hi, fhat, rank)}
+        return atoms, fhat * _ic_window(k, lo, hi, M, params, memo)[rank]
     if route == "direct":
         f_tab = f_direct_batch(k, hi, params.v, M, params)
         F_tab = _F_transfer_window(k, hi, params)
@@ -193,15 +195,15 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
     The support window around a M grows until (i) the mass added by the last
     extension is below tol/10 and (ii) the top boundary layer certifies a
     geometric tail below tol/2 via the admissible ratio r < 1.  A window
-    that reaches MAX_PART uncertified, or a total mass off 1 by more than
-    tol, raises MassDeficitError; passing this check exercises every formula
-    in the package at once.
+    that reaches MAX_PART uncertified (the first before it is built), or a
+    total mass off 1 by more than tol, raises MassDeficitError; passing this
+    check exercises every formula in the package at once.
 
     The contour route keeps each node set and its kernel across extensions.
     While lo stays put it also keeps the exponent rows and integrals, and
-    takes only new exponents' rows and new largest parts' entries; a move of
-    lo drops the rows and integrals.  Its atoms below about 2e-13 max p are
-    quadrature noise and can be negative.
+    takes only new exponents' rows, new largest parts' entries and new
+    atoms' Fhat and ranks; a move of lo drops the rows and integrals.  Its
+    atoms below about 2e-13 max p are quadrature noise and can be negative.
     """
     if k > 3:
         raise ValueError("top_row_pmf supports k <= 3")
@@ -213,8 +215,9 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
     lo = max(1, math.floor(center - 7.0 * width)) if route == "contour" else 1
     hi = max(lo + k, math.ceil(center + 7.0 * width), geom_hi)
     step = max(4, math.ceil(2.0 * width))
-    memo: dict[int, list] = {}
-    atoms, probs = _pmf_window(k, M, params, lo, hi, route, memo)
+    memo: dict = {}
+    atoms, probs = (_pmf_window(k, M, params, lo, hi, route, memo)
+                    if hi < MAX_PART else (None, np.zeros(0)))
     mass = float(probs.sum())
     gained = tail_bound = math.inf
     while hi < MAX_PART:
@@ -237,6 +240,7 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
         raise MassDeficitError("top-row pmf mass is off 1 beyond tolerance",
                                {"mass": mass, "k": k, "M": M, "route": route,
                                 "window": (lo, hi), "tol": tol})
+    del memo   # the rows and integrals go before the atom tuples are built
     parts = np.arange(hi + 1, dtype=object)  # one int object per part value
     return TopRowPMF(k=k, M=M, params=params, route=route, window=(lo, hi),
                      atoms=tuple(zip(*parts[atoms].T.tolist())),

@@ -23,10 +23,11 @@ geometrically (Beckermann-Townsend, SIAM J. Matrix Anal. Appl. 38, 2017):
 on the composite nodes its rank at RANK_RTOL is about 60 whatever the node
 count.  A k = 3 exponent window of W members on N nodes therefore contracts
 through the truncated SVD K ~ U V (kernel_factor), and only over its
-C(W, 3) strict entries, which are all it stores: one SVD per node set plus
-O(W (N r^2 + r N^2 + W N^2)), against O(W (N^3 + W N^2)) for the full
-kernel.  Single k = 3 integrals keep the full kernel, where one SVD would
-cost more than the product it saves.
+C(W, 3) strict entries, which are all it stores; its rows are conjugate on
+the nodes' conjugate pairs, so one side needs half the nodes: one SVD per
+node set plus O(W (N r^2 + (r + W) N^2 / 2)), against O(W (N^3 + W N^2)) for
+the full kernel.  Single k = 3 integrals keep the full kernel, where one SVD
+would cost more than the product it saves.
 
 This module imports nothing from the package, so every route that uses it
 stays independent of the transfer engines it is checked against.
@@ -100,6 +101,18 @@ def composite_nodes(u: float, M: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return z, wts
 
 
+def conjugate_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays (upper, lower, fixed) on composite_nodes(u, M, n): the
+    upper-half nodes, their conjugates and the self-conjugate nodes, by the
+    layout (segment node i pairs with n - 1 - i, arc node j with m - 1 - j
+    for m arc nodes), not by the sign of z.imag, which is 1e-16 at -u."""
+    m = n * ARC_NODES // SEGMENT_NODES
+    seg, arc = np.arange(n - n // 2, n), n + np.arange(m // 2)
+    return (np.concatenate([seg, arc]),
+            np.concatenate([n - 1 - seg, 2 * n + m - 1 - arc]),
+            np.array([n // 2] * (n % 2) + [n + m // 2] * (m % 2), dtype=int))
+
+
 def cross_kernel(z: np.ndarray, q: float) -> np.ndarray:
     """K[a, b] = (z_a - z_b)/(z_a - q z_b) on the nodes z."""
     kern = z[:, None] - z[None, :]
@@ -135,17 +148,22 @@ def tensor_integral(rows: np.ndarray, z: np.ndarray, q: float) -> complex:
 
 
 def window_integral(rows: np.ndarray, k: int, done: int, kern: np.ndarray,
-                    factor) -> np.ndarray:
+                    factor, pairs) -> np.ndarray:
     """The real parts of tensor_integral(rows[[i1, ..., ik]], ...) over the
     strict index tuples i1 > ... > ik with i1 >= done, packed in
     lexicographic order of (i1, ..., ik), so that a window widened by more
     rows only appends.
 
     rows is one exponent window of W members, already multiplied by the node
-    weights, kern = cross_kernel(z, q) on its nodes (unused at k = 1) and
-    factor = kernel_factor(kern) (used at k = 3 only).  Member i1 takes
-    C(i1, k - 1) entries: at k = 3 it costs O(N r^2 + r N^2 + i1 N^2) for N
-    nodes and rank r, in place of O(N^3 + W N^2)."""
+    weights, kern = cross_kernel(z, q) on its nodes (unused at k = 1),
+    factor = kernel_factor(kern) and pairs = conjugate_pairs(n) (k = 3 only).
+    At k = 3 the rows must be conjugate on the pairs and real on the fixed
+    nodes, as exponent rows are (to 2e-13 max|rows| up to M = 300); past
+    1e-12 max|rows| it raises ValueError.  The outer node sum's terms at a
+    pair are then conjugate, so it runs over the upper nodes twice and the
+    fixed ones once, and its real part is one real GEMM.  Member i1 takes
+    C(i1, 2) entries at O(N r^2 + (r + i1) N^2 / 2) for N nodes and rank r,
+    half the full node sum, in place of O(N^3 + W N^2) for the full kernel."""
     if k == 1:
         return rows[done:].sum(axis=1).real
     if k == 2:
@@ -153,14 +171,23 @@ def window_integral(rows: np.ndarray, k: int, done: int, kern: np.ndarray,
         return full[np.tril_indices(len(full), done - 1, len(rows))].real
     if k != 3:
         raise ValueError(f"contour quadrature supports k <= 3, got k = {k}")
-    U, V = factor
+    (U, V), (upper, lower, fixed) = factor, pairs
+    half = np.concatenate([upper, fixed])
+    rows_half = rows[:, half]
+    mismatch = np.max(np.abs(rows[:, np.r_[lower, fixed]] - rows_half.conj()))
+    if mismatch > 1e-12 * np.max(np.abs(rows)):
+        raise ValueError(f"rows not conjugate on the pairs: {mismatch:.3e}")
+    twice = np.r_[np.full(len(upper), 2.0), np.ones(len(fixed))][:, None]
+    kern_half, v_half = kern[half] * twice, V[:, half].T.copy()
+    rows_ri = rows.conj().view(np.float64)   # Re, -Im interleaved per node
     start = math.comb(done, 3)   # member i1's entries start at C(i1, 3)
     out = np.empty(math.comb(len(rows), 3) - start)
     for i1 in range(max(done, 2), len(rows)):   # i1 >= 2 has strict entries
-        inner = V.T @ (((U.T * rows[i1]) @ U) @ V)
-        block = rows[:i1] @ (kern * inner) @ rows[:i1 - 1].T
+        inner = v_half @ (((U.T * rows[i1]) @ U) @ V)
+        left = rows_half[:i1] @ (kern_half * inner)
+        block = left.view(np.float64) @ rows_ri[:i1 - 1].T
         out[math.comb(i1, 3) - start:math.comb(i1 + 1, 3) - start] = (
-            block[np.tril_indices(i1, -1, i1 - 1)].real)
+            block[np.tril_indices(i1, -1, i1 - 1)])
     return out
 
 

