@@ -317,7 +317,8 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
               abs(pmf.total_mass - 1.0), cfg.pmf_tol)
     write_csv(os.path.join(out_dir, "top_row_pmf.csv"),
               [f"mu_{i + 1}" for i in range(k)] + ["probability"],
-              [list(atom) + [prob] for atom, prob in zip(pmf.atoms, pmf.probs)])
+              [atom + [prob] for atom, prob in
+               zip(np.asarray(pmf.atoms).tolist(), pmf.probs.tolist())])
 
     draws = pmf.sample(np.random.default_rng(cfg.seed), cfg.n_samples)
     top_arr = np.asarray(pmf.atoms, dtype=np.int64)[draws]

@@ -1,15 +1,17 @@
 """Shared value types and scalar special functions.
 
 Everything downstream works with two kinds of data: nonnegative signatures
-(weakly decreasing integer vectors, with their multiplicity maps and the one
-enumerator of the strict ones) and model parameters pinned to the
-ferroelectric chain v^{-1} > u > s > 1 with s = q^{-1/2}.
+(weakly decreasing integer vectors, with their multiplicity maps, the one
+enumerator of the strict ones and Atoms, a tuple view of its arrays) and
+model parameters pinned to the ferroelectric chain v^{-1} > u > s > 1 with
+s = q^{-1/2}.
 
 All types here are immutable values and safe to share across threads.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -99,6 +101,45 @@ def strict_atoms(k: int, lo: int, hi: int) -> np.ndarray:
             block[:, :-1], block[:, -1] = prev[start:], m
             pos += len(block)
     return out
+
+
+class Atoms(Sequence):
+    """An int (n, k) atom array seen as a sequence of part tuples: len is
+    O(1), indexing and iteration give tuples of ints, slices give views,
+    np.asarray hands out the array itself, and it equals the
+    tuple-of-tuples form.  It offers no way to write the array."""
+
+    __slots__ = ("_array",)
+    __hash__ = None
+
+    def __init__(self, array: np.ndarray):
+        self._array = array
+
+    def __len__(self) -> int:
+        return len(self._array)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Atoms(self._array[i])
+        return tuple(self._array[i].tolist())
+
+    def __iter__(self):
+        for start in range(0, len(self._array), 4096):
+            yield from map(tuple, self._array[start:start + 4096].tolist())
+
+    def __array__(self, dtype=None, copy=None):
+        return self._array.astype(self._array.dtype if dtype is None
+                                  else dtype, copy=bool(copy))
+
+    def __eq__(self, other):
+        if isinstance(other, Atoms):
+            return np.array_equal(self._array, other._array)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Atoms({self._array!r})"
 
 
 def multiplicities(parts) -> dict[int, int]:

@@ -33,15 +33,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice, product
 
 import numpy as np
 
-from .asymptotics import constants, exponent_rows
+from .asymptotics import (constants, exponent_rows, log_ratio_s,
+                          log_ratio_v)
 from .boundary import f_direct_batch
-from .core import (ModelParams, Signature, admissible_ratio, as_parts,
-                   q_pochhammer, strict_atoms)
+from .core import (Atoms, ModelParams, Signature, admissible_ratio,
+                   as_parts, q_pochhammer, strict_atoms)
 from .paths import PathCollection, row_vertices
 from .quadrature import (COMPOSITE_MAX_NODES, SEGMENT_NODES, adaptive,
                          composite_nodes, conjugate_pairs, cross_kernel,
@@ -77,12 +77,15 @@ QUAD_TOL = 1e-10
 MAX_PART = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TopRowPMF:
     """Exact (truncated) law of the top cross-section.
 
-    Atoms are canonical part tuples in colexicographic order so iteration,
-    serialization and inverse-CDF sampling are reproducible bit for bit.
+    Its atoms are every strict signature with k parts in window, in
+    colexicographic order, so iteration, serialization and inverse-CDF
+    sampling are reproducible bit for bit.  They are held as one read-only
+    int (n, k) array behind an Atoms view, and probs as a read-only float64
+    array; part tuples are built only when read.
     """
 
     k: int
@@ -90,45 +93,63 @@ class TopRowPMF:
     params: ModelParams
     route: str
     window: tuple[int, int]
-    atoms: tuple[tuple[int, ...], ...]
-    probs: tuple[float, ...]
+    atoms: Atoms
+    probs: np.ndarray
+
+    def __post_init__(self):
+        atoms = np.asarray(self.atoms, np.int64).reshape(-1, self.k).view()
+        probs = np.asarray(self.probs, np.float64).view()
+        atoms.flags.writeable = probs.flags.writeable = False
+        n = math.comb(max(self.window[1] - self.window[0] + 1, 0), self.k)
+        if len(atoms) != n or probs.shape != (n,):
+            raise ValueError(f"window {self.window} holds {n} strict atoms, "
+                             f"got {len(atoms)} and {probs.shape} probs")
+        object.__setattr__(self, "atoms", Atoms(atoms))
+        object.__setattr__(self, "probs", probs)
 
     @property
     def total_mass(self) -> float:
-        return float(np.sum(np.asarray(self.probs)))
-
-    @cached_property
-    def _atom_index(self) -> dict[tuple[int, ...], int]:
-        return dict(zip(self.atoms, range(len(self.atoms))))
+        return float(np.sum(self.probs))
 
     def prob(self, sig) -> float:
-        i = self._atom_index.get(as_parts(sig))
-        return 0.0 if i is None else self.probs[i]
+        """P(mu = sig), 0.0 off the atoms.  The atoms are the whole strict
+        set of window in colex order, so the atom mu sits at
+        C(W, k) - 1 - sum_j C(hi - mu_j, j + 1) for W = hi - lo + 1."""
+        parts, (lo, hi) = as_parts(sig), self.window
+        if (len(parts) != self.k or parts[0] > hi or parts[-1] < lo
+                or any(a <= b for a, b in zip(parts, parts[1:]))):
+            return 0.0
+        i = len(self.probs) - 1 - sum(math.comb(hi - m, j + 1)
+                                      for j, m in enumerate(parts))
+        return float(self.probs[i])
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """count atom indices drawn by inverse CDF (deterministic per rng)."""
-        cdf = np.cumsum(np.asarray(self.probs))
+        cdf = np.cumsum(self.probs)
         u = rng.random(count) * cdf[-1]
         return np.searchsorted(cdf, u, side="right").clip(0, len(cdf) - 1)
 
 
 def sample_top_row(pmf: TopRowPMF, seed: int, count: int) -> list[Signature]:
-    """i.i.d. inverse-CDF draws from a pmf; identical seeds give identical
-    output."""
+    """i.i.d. inverse-CDF draws from a pmf, as Signatures built from one
+    tolist of the drawn atom rows; identical seeds give identical output."""
     rng = np.random.default_rng(seed)
-    idx = pmf.sample(rng, count)
-    return [Signature(pmf.atoms[i]) for i in idx]
+    rows = np.asarray(pmf.atoms)[pmf.sample(rng, count)]
+    return [Signature(parts) for parts in rows.tolist()]
 
 
 def _ic_window(k: int, lo: int, hi: int, M: int, params: ModelParams,
                memo: dict) -> np.ndarray:
     """Normalized boundary integrals I_C(mu; M) at the strict mu with k parts
     in [lo, hi], packed in lexicographic order of mu - lo.  memo maps a node
-    count to [z, wts, kernel, factor, pairs, lo, rows, packed]: its node set,
-    cross kernel and (k = 3) factor and conjugate pairs, built once; then the
-    rows of the exponents lo, lo + 1, ... so far and the packed integrals
-    over them, dropped when lo moves.  Only new exponents get rows and new
-    largest parts integrals, and the stopping rule sees only the atoms."""
+    count to [z, wts, kernel, factor, pairs, logs, lo, rows, packed]: its
+    node set, cross kernel, (k = 3) factor and conjugate pairs, and the
+    per-node |L_s| and |L_v|, built once; then the rows of the exponents
+    lo, lo + 1, ... so far and the packed integrals over them, dropped when
+    lo moves.  Only new exponents get rows and new largest parts integrals,
+    and the stopping rule sees only the atoms.  window_integral's
+    conjugate-row check scales with the exponent size, bounded by
+    max(hi |L_s| + M |L_v|) over the nodes."""
     m_vals = np.arange(lo, hi + 1)
 
     def evaluate(n: int) -> np.ndarray:
@@ -136,17 +157,20 @@ def _ic_window(k: int, lo: int, hi: int, M: int, params: ModelParams,
             z, wts = composite_nodes(params.u, M, n)
             kern = cross_kernel(z, params.q) if k > 1 else None
             three = k == 3
+            logs = (np.abs(log_ratio_s(z, params)),
+                    np.abs(log_ratio_v(z, params)))
             memo[n] = [z, wts, kern, kernel_factor(kern) if three else None,
-                       conjugate_pairs(n) if three else None] + [None] * 3
-        z, wts, kern, factor, pairs, at, rows, packed = memo[n]
+                       conjugate_pairs(n) if three else None, logs,
+                       None, None, None]
+        z, wts, kern, factor, pairs, (ls, lv), at, rows, packed = memo[n]
         if at != lo:
             rows, packed = np.zeros((0, len(z))), np.zeros(0)
         done = len(rows)
         rows = np.concatenate(
             [rows, exponent_rows(z, wts, m_vals[done:], M, params)])
-        packed = np.concatenate(
-            [packed, window_integral(rows, k, done, kern, factor, pairs)])
-        memo[n][5:] = lo, rows, packed
+        packed = np.concatenate([packed, window_integral(
+            rows, k, done, kern, factor, pairs, np.max(hi * ls + M * lv))])
+        memo[n][6:] = lo, rows, packed
         return packed
 
     return adaptive(evaluate, SEGMENT_NODES, COMPOSITE_MAX_NODES, QUAD_TOL)
@@ -223,6 +247,7 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
     while hi < MAX_PART:
         lo = max(1, lo - step) if route == "contour" else lo
         hi += step
+        del atoms, probs   # the last window's law goes before the next
         atoms, probs = _pmf_window(k, M, params, lo, hi, route, memo)
         new_mass = float(probs.sum())
         gained = abs(new_mass - mass)
@@ -240,11 +265,8 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
         raise MassDeficitError("top-row pmf mass is off 1 beyond tolerance",
                                {"mass": mass, "k": k, "M": M, "route": route,
                                 "window": (lo, hi), "tol": tol})
-    del memo   # the rows and integrals go before the atom tuples are built
-    parts = np.arange(hi + 1, dtype=object)  # one int object per part value
     return TopRowPMF(k=k, M=M, params=params, route=route, window=(lo, hi),
-                     atoms=tuple(zip(*parts[atoms].T.tolist())),
-                     probs=tuple(probs.tolist()))
+                     atoms=atoms, probs=probs)
 
 
 # ---------------------------------------------------------------------------

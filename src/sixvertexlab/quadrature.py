@@ -21,13 +21,16 @@ The cross kernel K = (z_a - z_b)/(z_a - q z_b) is a rank-one update of a
 Cauchy matrix on the point sets C and qC, so its singular values decay
 geometrically (Beckermann-Townsend, SIAM J. Matrix Anal. Appl. 38, 2017):
 on the composite nodes its rank at RANK_RTOL is about 60 whatever the node
-count.  A k = 3 exponent window of W members on N nodes therefore contracts
-through the truncated SVD K ~ U V (kernel_factor), and only over its
-C(W, 3) strict entries, which are all it stores; its rows are conjugate on
-the nodes' conjugate pairs, so one side needs half the nodes: one SVD per
-node set plus O(W (N r^2 + (r + W) N^2 / 2)), against O(W (N^3 + W N^2)) for
-the full kernel.  Single k = 3 integrals keep the full kernel, where one SVD
-would cost more than the product it saves.
+count.  kernel_factor finds that range from a Gaussian sketch of width p
+(Halko-Martinsson-Tropp, SIAM Rev. 53, 2011) in O(N^2 p) work, not the
+dense SVD's O(N^3), and certifies max|K - U V|; near q = 1, where no sketch
+narrower than N suffices, it takes the exact factor (K, I).  A k = 3
+exponent window of W members on N nodes then contracts through K ~ U V,
+and only over its C(W, 3) strict entries, which are all it stores; its rows
+are conjugate on the nodes' conjugate pairs, so one side needs half the
+nodes: one sketch per node set plus O(W (N r^2 + (r + W) N^2 / 2)), against
+O(W (N^3 + W N^2)) for the full kernel.  Single k = 3 integrals keep the
+full kernel, where a factor would cost more than the product it saves.
 
 This module imports nothing from the package, so every route that uses it
 stays independent of the transfer engines it is checked against.
@@ -45,8 +48,15 @@ import numpy as np
 SEGMENT_NODES = 129
 ARC_NODES = 33
 COMPOSITE_MAX_NODES = 1 << 13
-# kernel_factor keeps the singular values above RANK_RTOL * sigma_0
+# kernel_factor keeps the singular values above RANK_RTOL * sigma_0 and
+# certifies max|K - U V| <= FACTOR_TOL * max|K|; its Gaussian sketch grows
+# SKETCH_WIDTH columns at a time until its last SKETCH_MARGIN columns each
+# leave a residual below SKETCH_RTOL times the first column's
 RANK_RTOL = 1e-15
+SKETCH_RTOL = 1e-14
+FACTOR_TOL = 1e-13
+SKETCH_WIDTH = 96
+SKETCH_MARGIN = 16
 
 
 class QuadratureError(RuntimeError):
@@ -121,11 +131,42 @@ def cross_kernel(z: np.ndarray, q: float) -> np.ndarray:
 
 
 def kernel_factor(kern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U (N, r) and V (r, N) with K ~ U V: the SVD of the N x N cross kernel
-    kern truncated to its singular values above RANK_RTOL * sigma_0."""
-    u, sigma, vh = np.linalg.svd(kern)
-    r = int(np.count_nonzero(sigma > RANK_RTOL * sigma[0]))
-    return u[:, :r] * sigma[:r], vh[:r].copy()
+    """U (N, r) and V (r, N) with max|K - U V| <= FACTOR_TOL max|K| for the
+    N x N cross kernel kern, by a randomized range finder.  The sketch
+    K Omega of a fixed-seed Gaussian Omega grows SKETCH_WIDTH columns at a
+    time; each block is orthogonalized against the basis Q so far and then
+    by its own QR, twice (block Gram-Schmidt; the first block once), and
+    the product of the R diagonals is each column's residual off the
+    columns before it.  Once the last SKETCH_MARGIN residuals are below
+    SKETCH_RTOL times the first, the SVD of the small Q^H K, truncated to
+    its singular values above RANK_RTOL * sigma_0, gives the factor if the
+    bound holds; if not, the sketch grows on.  A sketch that would reach
+    N columns gives the exact factor (K, I) instead.  Costs O(N^2 p) for a
+    final width p < N, and the fixed seed gives the same bits for the same
+    kern."""
+    n = len(kern)
+    rng = np.random.default_rng(0)
+    basis, resid = np.zeros((n, 0), dtype=complex), np.zeros(0)
+    bound = FACTOR_TOL * np.max(np.abs(kern))
+    while basis.shape[1] + SKETCH_WIDTH < n:
+        block, gain = kern @ rng.standard_normal((n, SKETCH_WIDTH)), 1.0
+        for _ in range(2 if basis.shape[1] else 1):   # nothing to lose yet
+            block -= basis @ (basis.conj().T @ block)
+            block, tri = np.linalg.qr(block)
+            gain = gain * np.abs(np.diag(tri))
+        basis = np.hstack([basis, block])
+        resid = np.concatenate([resid, gain])
+        if np.any(resid[-SKETCH_MARGIN:] > SKETCH_RTOL * resid[0]):
+            continue
+        u, sigma, vh = np.linalg.svd(basis.conj().T @ kern,
+                                     full_matrices=False)
+        r = int(np.count_nonzero(sigma > RANK_RTOL * sigma[0]))
+        U, V = basis @ (u[:, :r] * sigma[:r]), vh[:r].copy()
+        err = max(np.max(np.abs(kern[i:i + 256] - U[i:i + 256] @ V))
+                  for i in range(0, n, 256))
+        if err <= bound:
+            return U, V
+    return kern, np.eye(n)
 
 
 def tensor_integral(rows: np.ndarray, z: np.ndarray, q: float) -> complex:
@@ -148,7 +189,7 @@ def tensor_integral(rows: np.ndarray, z: np.ndarray, q: float) -> complex:
 
 
 def window_integral(rows: np.ndarray, k: int, done: int, kern: np.ndarray,
-                    factor, pairs) -> np.ndarray:
+                    factor, pairs, size: float) -> np.ndarray:
     """The real parts of tensor_integral(rows[[i1, ..., ik]], ...) over the
     strict index tuples i1 > ... > ik with i1 >= done, packed in
     lexicographic order of (i1, ..., ik), so that a window widened by more
@@ -158,12 +199,15 @@ def window_integral(rows: np.ndarray, k: int, done: int, kern: np.ndarray,
     weights, kern = cross_kernel(z, q) on its nodes (unused at k = 1),
     factor = kernel_factor(kern) and pairs = conjugate_pairs(n) (k = 3 only).
     At k = 3 the rows must be conjugate on the pairs and real on the fixed
-    nodes, as exponent rows are (to 2e-13 max|rows| up to M = 300); past
-    1e-12 max|rows| it raises ValueError.  The outer node sum's terms at a
-    pair are then conjugate, so it runs over the upper nodes twice and the
-    fixed ones once, and its real part is one real GEMM.  Member i1 takes
-    C(i1, 2) entries at O(N r^2 + (r + i1) N^2 / 2) for N nodes and rank r,
-    half the full node sum, in place of O(N^3 + W N^2) for the full kernel."""
+    nodes.  Exponent rows exp(l L_s + M L_v) are so to a rounding of about
+    eps |l L_s + M L_v| max|rows|, and size bounds that exponent over the
+    rows (0 for rows built otherwise); a mismatch past
+    (1e-12 + 16 eps size) max|rows| raises ValueError.
+    The outer node sum's terms at a pair are then conjugate, so it runs over
+    the upper nodes twice and the fixed ones once, and its real part is one
+    real GEMM.  Member i1 takes C(i1, 2) entries at
+    O(N r^2 + (r + i1) N^2 / 2) for N nodes and rank r, half the full node
+    sum, in place of O(N^3 + W N^2) for the full kernel."""
     if k == 1:
         return rows[done:].sum(axis=1).real
     if k == 2:
@@ -175,7 +219,8 @@ def window_integral(rows: np.ndarray, k: int, done: int, kern: np.ndarray,
     half = np.concatenate([upper, fixed])
     rows_half = rows[:, half]
     mismatch = np.max(np.abs(rows[:, np.r_[lower, fixed]] - rows_half.conj()))
-    if mismatch > 1e-12 * np.max(np.abs(rows)):
+    slack = 1e-12 + 16 * np.finfo(float).eps * size
+    if mismatch > slack * np.max(np.abs(rows)):
         raise ValueError(f"rows not conjugate on the pairs: {mismatch:.3e}")
     twice = np.r_[np.full(len(upper), 2.0), np.ones(len(fixed))][:, None]
     kern_half, v_half = kern[half] * twice, V[:, half].T.copy()

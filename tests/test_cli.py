@@ -92,6 +92,22 @@ def test_sample_reproducibility(tmp_path, capsys):
     grids = json.loads(read(tmp_path / "a" / "sample" /
                             "configuration_grids.json"))
     assert grids and grids[0]["vertices"]
+    # each row is an atom's parts and the shortest repr of its probability,
+    # which parses back to the same float64
+    cfg = json.loads(read(tmp_path / "a" / "sample" / "sidecar.json"))
+    cfg = cli.ExperimentConfig(**{**cfg["config"],
+                                  "m_grid": tuple(cfg["config"]["m_grid"])})
+    pmf = measure.top_row_pmf(cfg.k, cfg.m_grid[0], cfg.params(),
+                              tol=cfg.pmf_tol)
+    assert (cfg.k, cfg.m_grid) == (2, (30,))
+    with open(tmp_path / "a" / "sample" / "top_row_pmf.csv") as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == ["mu_1", "mu_2", "probability"]
+    assert len(table) == len(pmf.atoms) + 1
+    for i, row in enumerate(table[1:]):
+        assert row[:-1] == [str(part) for part in pmf.atoms[i]]
+        assert row[-1] == repr(float(pmf.probs[i]))
+        assert float(row[-1]).hex() == float(pmf.probs[i]).hex()
 
 
 def test_k_above_engine_range_exit_2(tmp_path, capsys):

@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from sixvertexlab import measure, quadrature
-from sixvertexlab.core import ModelParams, Signature
+from sixvertexlab.core import Atoms, ModelParams, Signature, strict_atoms
 from sixvertexlab.measure import (HalfStrictGTPattern,
                                   conditional_lower_rows, conditional_k2_weights,
                                   enumerate_gt_patterns, gibbs_pattern_weight,
@@ -190,6 +191,29 @@ def test_pmf_contour_noise_floor(params):
     assert diff.max() <= floor * max(pd.probs)
 
 
+def test_pmf_contour_matches_direct_at_a_high_q(monkeypatch):
+    # at q = 0.7 the cross kernel's rank passes the first sketch: the
+    # 162-node set takes the exact factor and the wider ones a widened
+    # sketch; the k = 3 law still matches the direct route to the floor
+    ranks, factor = [], measure.kernel_factor
+
+    def recorded(kern):
+        U, V = factor(kern)
+        ranks.append((len(kern), U.shape[1]))
+        return U, V
+
+    monkeypatch.setattr(measure, "kernel_factor", recorded)
+    params = ModelParams(q=0.7, u=1.3, v=0.6)
+    pc = top_row_pmf(3, 3, params, route="contour")
+    pd = top_row_pmf(3, 3, params, route="direct")
+    assert (162, 162) in ranks
+    # a sketched rank above SKETCH_WIDTH needed more than the first block
+    assert any(quadrature.SKETCH_WIDTH < r < n for n, r in ranks)
+    assert pc.window == pd.window and pc.atoms == pd.atoms
+    diff = np.abs(pc.probs - pd.probs)
+    assert diff.max() <= 2e-13 * pd.probs.max()
+
+
 def test_pmf_mass_normalization(params):
     for k, M in [(1, 30), (1, 50), (2, 30), (2, 50)]:
         pmf = top_row_pmf(k, M, params)
@@ -260,6 +284,67 @@ def test_point_mass_sampling():
                             route="direct", window=(3, 3), atoms=((3,),),
                             probs=(1.0,))
     assert sample_top_row(pmf, seed=0, count=5) == [Signature((3,))] * 5
+
+
+@pytest.mark.parametrize("k, M", [(1, 40), (2, 100), (3, 10)])
+def test_prob_finds_each_atom_by_its_rank(params, k, M):
+    # the combinadic lookup against a dict of the atom tuples, bit for bit
+    pmf = top_row_pmf(k, M, params)
+    table = dict(zip(pmf.atoms, pmf.probs.tolist()))
+    assert len(table) == len(pmf.atoms)
+    for atom, prob in table.items():
+        got = pmf.prob(atom)
+        assert type(got) is float and got == prob
+    assert pmf.prob(Signature(pmf.atoms[-1])) == table[pmf.atoms[-1]]
+
+
+def test_prob_is_zero_off_the_atoms(params):
+    pmf = top_row_pmf(2, 10, params)
+    lo, hi = pmf.window
+    assert pmf.prob((lo + 1, lo)) > 0.0
+    for sig in [(hi + 1, lo), (hi, lo - 1), (lo + 1, lo + 1), (lo, lo + 1),
+                (lo + 1,), (lo + 2, lo + 1, lo), ()]:
+        assert pmf.prob(sig) == 0.0
+
+
+def test_atoms_view_reads_as_tuples(params):
+    pmf = top_row_pmf(2, 10, params)
+    lo, hi = pmf.window
+    rows = strict_atoms(2, lo, hi)
+    tuples = tuple(map(tuple, rows.tolist()))
+    view = pmf.atoms
+    assert len(view) == len(tuples) == len(pmf.probs)
+    assert view[0] == tuples[0] and view[-1] == tuples[-1]
+    assert all(type(x) is int for x in view[3])
+    assert view[2:9] == tuples[2:9] and view[::7] == tuples[::7]
+    assert tuple(view) == tuples and view == tuples and tuples == view
+    assert view != tuples[1:] and view == Atoms(rows)
+    assert tuples[5] in view and set(view) == set(tuples)
+    arr = np.asarray(view)
+    assert arr.dtype == np.int64 and arr.shape == (len(tuples), 2)
+    assert np.shares_memory(arr, np.asarray(pmf.atoms, dtype=np.int64))
+    assert not np.shares_memory(arr, np.array(view))
+    assert not arr.flags.writeable and not pmf.probs.flags.writeable
+    assert pmf.probs.dtype == np.float64
+    np.testing.assert_array_equal(arr, rows)
+
+
+def test_pmf_holds_no_per_atom_objects(params):
+    # the law keeps its atoms and probabilities as two arrays: building it
+    # leaves a few hundred live blocks, not one per atom
+    top_row_pmf(3, 20, params)   # node and Legendre caches
+    tracemalloc.start()
+    try:
+        pmf = top_row_pmf(3, 20, params)
+        snapshot = tracemalloc.take_snapshot()
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    blocks = sum(stat.count for stat in snapshot.statistics("filename"))
+    arrays = np.asarray(pmf.atoms).nbytes + pmf.probs.nbytes
+    assert len(pmf.atoms) > 50_000
+    assert blocks < 1000
+    assert current < arrays + (256 << 10)
 
 
 def test_gt_pattern_validation():

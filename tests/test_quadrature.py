@@ -5,7 +5,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from sixvertexlab.quadrature import (QuadratureError, adaptive,
+from sixvertexlab.asymptotics import exponent_rows, log_ratio_s, log_ratio_v
+from sixvertexlab.core import ModelParams
+from sixvertexlab.quadrature import (FACTOR_TOL, SKETCH_MARGIN, SKETCH_WIDTH,
+                                     QuadratureError, adaptive,
                                      composite_nodes, conjugate_pairs,
                                      cross_kernel, kernel_factor,
                                      tensor_integral, window_integral)
@@ -101,11 +104,12 @@ def test_window_integral_packed_strict_entries():
         entries = sorted(c[::-1] for c in combinations(range(W), k))
         want = np.array([ref[e] for e in entries])
         for factor in (kernel_factor(kern), (kern, np.eye(len(z)))):
-            got = window_integral(rows, k, 0, kern, factor, pairs)
+            got = window_integral(rows, k, 0, kern, factor, pairs, 0.0)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(ref))
             for done in (1, 3, W - 1):
-                tail = window_integral(rows, k, done, kern, factor, pairs)
+                tail = window_integral(rows, k, done, kern, factor, pairs,
+                                       0.0)
                 assert len(tail) == sum(e[0] >= done for e in entries)
                 err = np.max(np.abs(tail - got[len(got) - len(tail):]))
                 assert err <= 1e-13 * np.max(np.abs(ref))
@@ -120,12 +124,33 @@ def test_window_integral_k3_refuses_rows_off_the_pairs():
     kern = cross_kernel(z, q)
     factor, pairs = kernel_factor(kern), conjugate_pairs(n)
     with pytest.raises(ValueError, match="not conjugate on the pairs"):
-        window_integral(rows, 3, 0, kern, factor, pairs)
+        window_integral(rows, 3, 0, kern, factor, pairs, 0.0)
     bent = _mirrored(rows, n)
     bent[3, pairs[1][0]] += 1e-9 * np.max(np.abs(bent))
     with pytest.raises(ValueError, match="not conjugate on the pairs"):
-        window_integral(bent, 3, 0, kern, factor, pairs)
-    assert len(window_integral(bent, 2, 0, kern, None, None)) == 21
+        window_integral(bent, 3, 0, kern, factor, pairs, 0.0)
+    assert len(window_integral(bent, 2, 0, kern, None, None, 0.0)) == 21
+    # exponent rows are conjugate on the pairs only to about
+    # eps |l L_s + M L_v| max|rows|, 1.2e-12 at M = 2,000, past the bound
+    # for size 0; the bound grows with the exponent's size, and a 1e-9
+    # bend is still refused
+    params, n = ModelParams(0.5, 2.0, 0.25), 2064
+    for M, lo, hi in [(1000, 44, 670), (2000, 272, 1156)]:
+        z, wts = composite_nodes(params.u, M, n)
+        rows = exponent_rows(z, wts, [lo, (lo + hi) // 2, hi - 2, hi - 1, hi],
+                             M, params)
+        size = np.max(hi * np.abs(log_ratio_s(z, params))
+                      + M * np.abs(log_ratio_v(z, params)))
+        kern = cross_kernel(z, params.q)
+        factor, pairs = kernel_factor(kern), conjugate_pairs(n)
+        out = window_integral(rows, 3, 0, kern, factor, pairs, size)
+        assert out.shape == (10,) and np.all(np.isfinite(out))
+        if M == 2000:
+            with pytest.raises(ValueError, match="not conjugate"):
+                window_integral(rows, 3, 0, kern, factor, pairs, 0.0)
+        rows[3, pairs[1][0]] += 1e-9 * np.max(np.abs(rows))
+        with pytest.raises(ValueError, match="not conjugate on the pairs"):
+            window_integral(rows, 3, 0, kern, factor, pairs, size)
 
 
 def test_window_integral_k3_allocates_no_dense_box():
@@ -138,7 +163,7 @@ def test_window_integral_k3_allocates_no_dense_box():
     factor, pairs = kernel_factor(kern), conjugate_pairs(n)
     tracemalloc.start()
     try:
-        out = window_integral(rows, 3, 0, kern, factor, pairs)
+        out = window_integral(rows, 3, 0, kern, factor, pairs, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -168,12 +193,85 @@ def test_conjugate_pairs_follow_the_node_layout():
             assert len(fixed) == 0
 
 
-def test_kernel_factor_is_low_rank_at_the_display_point():
-    q = 0.5
-    for n in (129, 258):
-        z, _ = composite_nodes(2.0, 10, n)
+def _certified(kern, U, V):
+    return np.max(np.abs(kern - U @ V)) <= FACTOR_TOL * np.max(np.abs(kern))
+
+
+def test_kernel_factor_is_low_rank_at_the_display_point(monkeypatch):
+    # certified and reproducible at every node count; low rank across the
+    # q band, with SKETCH_MARGIN spare columns in the sketch it decomposes;
+    # q = 0.9 widens the sketch, and at 162 nodes, where the sketch would
+    # take every column, the factor is the exact (K, I)
+    widths, svd = [], np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        widths.append(a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    ranks, sketched = {}, {}
+    for q in (0.4, 0.5, 0.6, 0.9):
+        for n in (129, 258, 516, 1032):
+            z, _ = composite_nodes(2.0, 10, n)
+            kern = cross_kernel(z, q)
+            widths.clear()
+            U, V = kernel_factor(kern)
+            again = kernel_factor(kern)
+            assert len(z) == 162 * n // 129
+            assert U.shape[1] == V.shape[0]
+            assert _certified(kern, U, V)
+            assert np.array_equal(U, again[0]) and np.array_equal(V, again[1])
+            ranks[q, len(z)] = U.shape[1]
+            if U.shape[1] < len(z):
+                last = widths[len(widths) // 2 - 1]
+                assert last % SKETCH_WIDTH == 0 and last < len(z)
+                assert last - U.shape[1] >= SKETCH_MARGIN
+                sketched[q, len(z)] = last
+            else:
+                assert np.array_equal(U, kern)
+                assert np.array_equal(V, np.eye(len(z)))
+    assert all(r < 100 for (q, _), r in ranks.items() if q <= 0.6)
+    assert sketched[0.5, 1296] == SKETCH_WIDTH
+    assert sketched[0.9, 1296] > 2 * SKETCH_WIDTH
+    assert ranks[0.9, 162] == 162
+
+
+def test_kernel_factor_of_a_full_rank_matrix():
+    # a random matrix has no numerical null space: the sketch would take
+    # all N columns, so the factor is the exact (K, I) of rank N
+    rng = np.random.default_rng(11)
+    kern = _families(rng, (150, 150))
+    U, V = kernel_factor(kern)
+    assert U.shape == V.shape == (150, 150)
+    assert _certified(kern, U, V)
+    assert np.array_equal(U, kern) and np.array_equal(V, np.eye(150))
+
+
+def test_kernel_factor_falls_back_to_the_exact_factor():
+    # ones + 1.5e-13 I: the 1.5e-13 singular values fall below
+    # RANK_RTOL sigma_0 = 2e-13, so truncation leaves 1.5e-13 of max|K| at
+    # every sketch width, past FACTOR_TOL; the factor is the exact (K, I)
+    kern = np.ones((200, 200), dtype=complex) + 1.5e-13 * np.eye(200)
+    U, V = kernel_factor(kern)
+    assert np.array_equal(U, kern) and np.array_equal(V, np.eye(200))
+
+
+def test_kernel_factor_decomposes_no_square_kernel(monkeypatch):
+    # at 1,296 nodes every SVD is of a sketch-sized block, never N x N,
+    # also where q = 0.9 widens the sketch
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    z, _ = composite_nodes(2.0, 10, 1032)
+    for q in (0.5, 0.9):
         kern = cross_kernel(z, q)
+        shapes.clear()
         U, V = kernel_factor(kern)
-        assert len(z) == 162 * n // 129
-        assert U.shape[1] == V.shape[0] < len(z)
-        assert np.max(np.abs(kern - U @ V)) <= 1e-13 * np.max(np.abs(kern))
+        assert len(z) == 1296 and shapes
+        assert all(min(shape) < len(z) for shape in shapes)
+        assert _certified(kern, U, V)
