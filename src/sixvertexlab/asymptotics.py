@@ -119,47 +119,45 @@ def phase_g(z, params: ModelParams):
     return complex(out) if out.ndim == 0 else out
 
 
-def contour_samples(params: ModelParams, n: int = 1000) -> np.ndarray:
-    """Ordered sample points along C, z = u included exactly."""
+def contour_samples(params: ModelParams) -> np.ndarray:
+    """1000 ordered sample points along C, z = u included exactly."""
     u = params.u
-    n_seg = n // 2 + ((n // 2 + 1) % 2)  # odd so that y = 0 is a sample
-    y = np.linspace(-2 * u, 2 * u, n_seg)
-    seg = u + 1j * y
-    theta = np.linspace(0.5 * np.pi, 1.5 * np.pi, n - n_seg + 2)[1:-1]
+    seg = u + 1j * np.linspace(-2 * u, 2 * u, 501)  # odd: y = 0 is a sample
+    theta = np.linspace(0.5 * np.pi, 1.5 * np.pi, 501)[1:-1]
     arc = u + 2 * u * np.exp(1j * theta)
     return np.concatenate([seg, arc])
 
 
-def branch_continuity_check(z_ordered: np.ndarray, params: ModelParams,
-                            max_jump: float = 0.5 * np.pi) -> float:
+def branch_continuity_check(z_ordered: np.ndarray,
+                            params: ModelParams) -> float:
     """Largest unwrapped phase step of the two Mobius ratios between adjacent
-    contour samples; raises if any step is ambiguous (>= max_jump)."""
+    contour samples; raises if any step is ambiguous (>= pi/2)."""
     worst = 0.0
     s, q, v = params.s, params.q, params.v
     for ratio in ((1 - s * z_ordered) / (z_ordered - s),
                   (1 - q * v * z_ordered) / (1 - v * z_ordered)):
         steps = np.abs(np.diff(np.unwrap(np.angle(ratio))))
         worst = max(worst, float(steps.max()))
-    if worst >= max_jump:
+    if worst >= 0.5 * np.pi:
         raise RuntimeError(
             f"phase step {worst:.3f} between adjacent contour nodes is too "
             f"large to track the branch; refine the sampling")
     return worst
 
 
-def descent_profile(params: ModelParams, n: int = 1000, eps: float = 0.1) -> dict:
+def descent_profile(params: ModelParams) -> dict:
     """Sample Re G over C: maximum, whether it is attained at z = u, and a
-    strictly negative bound outside the +/- eps sub-segment around u."""
-    z = contour_samples(params, n)
+    strictly negative bound outside the +/- 0.1 sub-segment around u."""
+    z = contour_samples(params)
     branch_continuity_check(z, params)
     re_g = np.real(phase_G(z, params))
     idx = int(np.argmax(re_g))
-    outside = np.abs(z - params.u) > eps
+    outside = np.abs(z - params.u) > 0.1
     delta = float(np.max(re_g[outside]))
     return {
         "max_re_G": float(re_g[idx]),
         "argmax_is_u": bool(abs(z[idx] - params.u) < 1e-12),
-        "eps": eps,
+        "eps": 0.1,
         "delta_bound_outside": delta,   # Re G <= delta < 0 off the core piece
         "n_samples": int(len(z)),
     }

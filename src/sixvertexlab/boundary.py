@@ -50,11 +50,10 @@ def default_radius(params: ModelParams, v_values) -> float:
     return 0.5 * (params.s + hi)
 
 
-def Gc_contour(lam, v_values, params: ModelParams,
-               tol: float = 1e-9) -> complex:
+def Gc_contour(lam, v_values, params: ModelParams) -> complex:
     """G^c_lambda(v_1..v_N) for lam with lam_k >= 1, by the k-fold integral
-    over the circle |z| = default_radius; independent of the transfer
-    evaluators."""
+    over the circle |z| = default_radius to tolerance 1e-10; independent of
+    the transfer evaluators."""
     lam = as_parts(lam)
     v_values = tuple(v_values)
     k = len(lam)
@@ -75,7 +74,7 @@ def Gc_contour(lam, v_values, params: ModelParams,
         return tensor_integral(np.array([base * ratio ** p * wts
                                          for p in lam]), z, q)
 
-    val = adaptive(evaluate, CIRCLE_NODES, CIRCLE_MAX_NODES, tol)
+    val = adaptive(evaluate, CIRCLE_NODES, CIRCLE_MAX_NODES, 1e-10)
     return val * conjugation_factor(lam, params) * q_pochhammer(q, q, k)
 
 
@@ -138,19 +137,18 @@ def f_direct(lam, v: float, M: int, params: ModelParams) -> float:
     return complex(out).real
 
 
-def f_direct_batch(k: int, max_part: int, v: float, M: int,
-                   params: ModelParams) -> dict[tuple[int, ...], float]:
-    """f(lambda; [v]^M, rho) for every strict lambda of length k with parts in
-    [1, max_part], from a single forward pass of the boundary sum through M
-    conjugated strict-state rows (conjugated rows keep strict states strict,
-    so no other state is ever reached)."""
+def f_direct_batch(k: int, max_part: int, M: int,
+                   params: ModelParams) -> np.ndarray:
+    """f(lambda; [params.v]^M, rho) for every strict lambda of length k with
+    parts in [1, max_part], as the (max_part + 1)^k array indexed by lambda
+    and 0 off those, from a single forward pass of the boundary sum through
+    M conjugated strict-state rows (conjugated rows keep strict states
+    strict, so no other state is ever reached)."""
     s, q = params.s, params.q
-    combos = list(map(tuple, strict_atoms(k, 1, max_part).tolist()))
     amp = np.zeros((max_part + 1,) * k)
-    for combo in combos:
+    for combo in map(tuple, strict_atoms(k, 1, max_part).tolist()):
         amp[combo] = (-s) ** sum(combo)
-    row = StrictRow(params, v, conjugated=True)
+    row = StrictRow(params, params.v, conjugated=True)
     for _ in range(M):
         amp = row.apply(amp, max_part)
-    pref = (-1.0) ** k * q_pochhammer(q, q, k)
-    return {combo: complex(pref * amp[combo]).real for combo in combos}
+    return (-1.0) ** k * q_pochhammer(q, q, k) * amp

@@ -160,7 +160,7 @@ def Gc_contour_vs_transfer(params: ModelParams, cases):
     DP; rows (lam, contour, transfer, error)."""
     rows = []
     for lam, vs in cases:
-        ct = bnd.Gc_contour(lam, vs, params, tol=1e-10)
+        ct = bnd.Gc_contour(lam, vs, params)
         dp = symfunc.Gc_eval(lam, (0,) * len(lam), vs, params)
         rows.append((lam, ct, dp, _rel(ct, dp)))
     return _worst_row(rows)

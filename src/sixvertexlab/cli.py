@@ -229,7 +229,7 @@ def cmd_constants(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
         tol = 1e-4 * abs(result[1]) if name == "G''(u)-2c" else 1e-6
         table.add_result(f"critical|{name}|", result, tol)
 
-    prof = asy.descent_profile(p, n=1000, eps=0.1)
+    prof = asy.descent_profile(p)
     table.add("descent-max-ReG", prof["max_re_G"], 0.0, prof["max_re_G"],
               1e-12, note=f"attained at u: {prof['argmax_is_u']}")
     table.add_flag("descent-argmax-at-u", prof["argmax_is_u"])

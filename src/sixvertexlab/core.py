@@ -58,20 +58,6 @@ class Signature:
             if a < b:
                 raise ValueError(f"parts must be weakly decreasing, got {self.parts}")
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    @property
-    def size(self) -> int:
-        """|lambda| = sum of the parts."""
-        return sum(self.parts)
-
     def __repr__(self) -> str:
         return f"Signature({list(self.parts)})"
 

@@ -111,25 +111,18 @@ def normal_cdf(x):
 # empirical distributions and KS distances
 
 
-def ks_distance(points, ref_cdf, weights=None) -> float:
+def ks_distance(points, ref_cdf, weights) -> float:
     """sup_x |F_emp(x) - F_ref(x)| for a continuous reference CDF ref_cdf,
     called once on the array of sorted points, where F_emp is the empirical
-    CDF of the samples points (at least 100), or of the atoms points with
-    the given weights."""
+    CDF of the atoms points with the given weights (ones for samples)."""
     pts = np.asarray(points, dtype=float)
     order = np.argsort(pts)
     pts = pts[order]
-    if weights is None:
-        if len(pts) < 100:
-            raise ValueError("need at least 100 samples for a sampled KS "
-                             "distance")
-        above = np.arange(1, len(pts) + 1) / len(pts)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != order.shape or len(w) == 0:
-            raise ValueError("weights must match a non-empty set of points")
-        w = w[order]
-        above = np.cumsum(w) / np.sum(w)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != order.shape or len(w) == 0:
+        raise ValueError("weights must match a non-empty set of points")
+    w = w[order]
+    above = np.cumsum(w) / np.sum(w)
     steps = np.stack([np.concatenate([[0.0], above[:-1]]), above])
     ref = np.asarray(ref_cdf(pts), dtype=float)
     return float(np.max(np.abs(steps - ref[None, :])))

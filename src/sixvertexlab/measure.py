@@ -141,36 +141,35 @@ def sample_top_row(pmf: TopRowPMF, seed: int, count: int) -> list[Signature]:
 def _ic_window(k: int, lo: int, hi: int, M: int, params: ModelParams,
                memo: dict) -> np.ndarray:
     """Normalized boundary integrals I_C(mu; M) at the strict mu with k parts
-    in [lo, hi], packed in lexicographic order of mu - lo.  memo maps a node
-    count to [z, wts, kernel, factor, pairs, logs, lo, rows, packed]: its
-    node set, cross kernel, (k = 3) factor and conjugate pairs, and the
-    per-node |L_s| and |L_v|, built once; then the rows of the exponents
-    lo, lo + 1, ... so far and the packed integrals over them, dropped when
-    lo moves.  Only new exponents get rows and new largest parts integrals,
-    and the stopping rule sees only the atoms.  window_integral's
-    conjugate-row check scales with the exponent size, bounded by
-    max(hi |L_s| + M |L_v|) over the nodes."""
+    in [lo, hi], packed in lexicographic order of mu - lo.  memo["nodes"]
+    maps a node count to its node set, cross kernel, (k = 3) factor and
+    conjugate pairs, and the per-node |L_s| and |L_v|, built once;
+    memo["rows"] maps it to the rows of the exponents lo, lo + 1, ... so far
+    and the packed integrals over them, which _pmf_window drops when lo
+    moves.  Only new exponents get rows and new largest parts integrals, and
+    the stopping rule sees only the atoms.  window_integral's conjugate-row
+    check scales with the exponent size, bounded by max(hi |L_s| + M |L_v|)
+    over the nodes."""
     m_vals = np.arange(lo, hi + 1)
+    nodes, grown = memo.setdefault("nodes", {}), memo["rows"]
 
     def evaluate(n: int) -> np.ndarray:
-        if n not in memo:
+        if n not in nodes:
             z, wts = composite_nodes(params.u, M, n)
             kern = cross_kernel(z, params.q) if k > 1 else None
             three = k == 3
-            logs = (np.abs(log_ratio_s(z, params)),
-                    np.abs(log_ratio_v(z, params)))
-            memo[n] = [z, wts, kern, kernel_factor(kern) if three else None,
-                       conjugate_pairs(n) if three else None, logs,
-                       None, None, None]
-        z, wts, kern, factor, pairs, (ls, lv), at, rows, packed = memo[n]
-        if at != lo:
-            rows, packed = np.zeros((0, len(z))), np.zeros(0)
+            nodes[n] = (z, wts, kern, kernel_factor(kern) if three else None,
+                        conjugate_pairs(n) if three else None,
+                        np.abs(log_ratio_s(z, params)),
+                        np.abs(log_ratio_v(z, params)))
+        z, wts, kern, factor, pairs, ls, lv = nodes[n]
+        rows, packed = grown.get(n, (np.zeros((0, len(z))), np.zeros(0)))
         done = len(rows)
         rows = np.concatenate(
             [rows, exponent_rows(z, wts, m_vals[done:], M, params)])
         packed = np.concatenate([packed, window_integral(
             rows, k, done, kern, factor, pairs, np.max(hi * ls + M * lv))])
-        memo[n][6:] = lo, rows, packed
+        grown[n] = rows, packed
         return packed
 
     return adaptive(evaluate, SEGMENT_NODES, COMPOSITE_MAX_NODES, QUAD_TOL)
@@ -192,8 +191,10 @@ def _pmf_window(k: int, M: int, params: ModelParams, lo: int, hi: int,
     """The atoms of the window [lo, hi] (colex rows) and their probabilities."""
     atoms = strict_atoms(k, lo, hi)
     if route == "contour":
-        # lo -> (hi, Fhat, rank) of the last window: colex keeps its order
-        hi0, fhat0, rank0 = memo.get("atoms", {}).get(lo, (lo - 1, (), ()))
+        if memo.get("lo") != lo:  # a move of lo drops what grew at the old lo
+            memo.update(lo=lo, rows={}, atoms=(lo - 1, (), ()))
+        # (hi, Fhat, rank) of the last window: colex keeps its order
+        hi0, fhat0, rank0 = memo["atoms"]
         new = atoms[:, 0] > hi0
         fresh = atoms[new]
         fhat, rank = np.empty(len(atoms)), np.empty(len(atoms), atoms.dtype)
@@ -201,14 +202,13 @@ def _pmf_window(k: int, M: int, params: ModelParams, lo: int, hi: int,
         fhat[new] = F_scaled_closed(fresh, params)
         rank[new] = sum(math.prod(fresh[:, j] - lo - t for t in range(k - j))
                         // math.factorial(k - j) for j in range(k))
-        memo["atoms"] = {lo: (hi, fhat, rank)}
+        memo["atoms"] = hi, fhat, rank
         return atoms, fhat * _ic_window(k, lo, hi, M, params, memo)[rank]
     if route == "direct":
-        f_tab = f_direct_batch(k, hi, params.v, M, params)
-        F_tab = _F_transfer_window(k, hi, params)
-        z = partition_Z(k, M, params)
-        f_vals = np.array([f_tab[mu] for mu in map(tuple, atoms.tolist())])
-        return atoms, F_tab[tuple(atoms.T)] * f_vals / z
+        idx = tuple(atoms.T)
+        f = f_direct_batch(k, hi, M, params)
+        F = _F_transfer_window(k, hi, params)
+        return atoms, F[idx] * f[idx] / partition_Z(k, M, params)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -216,17 +216,19 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
                 route: str = "contour") -> TopRowPMF:
     """Exact truncated law of the top cross-section (k <= 3).
 
-    The support window around a M grows until (i) the mass added by the last
-    extension is below tol/10 and (ii) the top boundary layer certifies a
-    geometric tail below tol/2 via the admissible ratio r < 1.  A window
-    that reaches MAX_PART uncertified (the first before it is built), or a
-    total mass off 1 by more than tol, raises MassDeficitError; passing this
-    check exercises every formula in the package at once.
+    One window policy serves both routes: lo = max(1, floor(a M - 7 d
+    sqrt(M))) and each extension moves lo down and hi up by one step,
+    until (i) the mass added by the last extension is below tol/10 and
+    (ii) the top boundary layer certifies a geometric tail below tol/2
+    via the admissible ratio r < 1.  A window that reaches MAX_PART
+    uncertified (the first before it is built), or a total mass off 1 by
+    more than tol, raises MassDeficitError; passing this check exercises
+    every formula in the package at once.
 
     The contour route keeps each node set and its kernel across extensions.
     While lo stays put it also keeps the exponent rows and integrals, and
     takes only new exponents' rows, new largest parts' entries and new
-    atoms' Fhat and ranks; a move of lo drops the rows and integrals.  Its
+    atoms' Fhat and ranks; a move of lo drops all four at once.  Its
     atoms below about 2e-13 max p are quadrature noise and can be negative.
     """
     if k > 3:
@@ -236,7 +238,7 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
     r = admissible_ratio(params.u, params.v, params.s)
     # geometric floor: r^hi below tol regardless of the Gaussian scale
     geom_hi = int(math.ceil(math.log(tol / 10.0) / math.log(r))) + k
-    lo = max(1, math.floor(center - 7.0 * width)) if route == "contour" else 1
+    lo = max(1, math.floor(center - 7.0 * width))
     hi = max(lo + k, math.ceil(center + 7.0 * width), geom_hi)
     step = max(4, math.ceil(2.0 * width))
     memo: dict = {}
@@ -245,8 +247,7 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
     mass = float(probs.sum())
     gained = tail_bound = math.inf
     while hi < MAX_PART:
-        lo = max(1, lo - step) if route == "contour" else lo
-        hi += step
+        lo, hi = max(1, lo - step), hi + step
         del atoms, probs   # the last window's law goes before the next
         atoms, probs = _pmf_window(k, M, params, lo, hi, route, memo)
         new_mass = float(probs.sum())

@@ -78,12 +78,6 @@ class PathCollection:
                      for bottom, top in zip((self.mu,) + self.sections,
                                             self.sections))
 
-    def cross_section(self, k: int) -> tuple[int, ...]:
-        """Columns at which paths cross the line y = k + 1/2, sorted decreasing."""
-        if not (1 <= k <= self.n_rows):
-            raise ValueError(f"row index {k} outside 1..{self.n_rows}")
-        return self.sections[k - 1]
-
     def vertex_types(self) -> Iterator[Vertex]:
         for row in self.rows:
             yield from row

@@ -55,18 +55,19 @@ def test_phase_rejects_poles(params):
 
 
 def test_descent_profile(params):
-    prof = asy.descent_profile(params, n=1000, eps=0.1)
+    prof = asy.descent_profile(params)
     assert prof["max_re_G"] <= 1e-12
     assert prof["argmax_is_u"]
     assert prof["delta_bound_outside"] < 0.0
 
 
 def test_branch_continuity(params):
-    z = asy.contour_samples(params, 1000)
+    z = asy.contour_samples(params)
     worst = asy.branch_continuity_check(z, params)
-    assert worst < 0.5 * np.pi
+    assert len(z) == 1000 and worst < 0.5 * np.pi
+    # across s, (1 - s z)/(z - s) turns from positive to negative: a step of pi
     with pytest.raises(RuntimeError):
-        asy.branch_continuity_check(z[::100], params, max_jump=1e-4)
+        asy.branch_continuity_check(params.s + np.array([-0.1, 0.1]), params)
 
 
 def h_M_offset(x: float, M: int, a: float, d: float) -> float:

@@ -122,9 +122,12 @@ def test_f_direct_batch_agrees_pointwise(band_points):
     # the strict-state array transfer against the dict-DP boundary sum
     for p in band_points:
         for k, max_part, M in [(1, 12, 5), (2, 8, 3), (3, 7, 2)]:
-            tab = f_direct_batch(k, max_part, p.v, M, p)
-            assert set(tab) == set(itertools.combinations(
-                range(max_part, 0, -1), k))
-            for lam, val in tab.items():
-                assert val == pytest.approx(f_direct(lam, p.v, M, p),
-                                            rel=1e-12)
+            tab = f_direct_batch(k, max_part, M, p)
+            strict = set(itertools.combinations(range(max_part, 0, -1), k))
+            assert tab.shape == (max_part + 1,) * k
+            for lam in np.ndindex(tab.shape):
+                if lam in strict:
+                    assert tab[lam] == pytest.approx(
+                        f_direct(lam, p.v, M, p), rel=1e-12)
+                else:
+                    assert tab[lam] == 0.0, lam

@@ -37,8 +37,6 @@ def test_signature_validation():
     with pytest.raises(ValueError):
         Signature((2.7, 1.2))  # refused, not truncated to (2, 1)
     assert Signature((2.0, 1)).parts == (2, 1)
-    sig = Signature((5, 4, 2))
-    assert sig.size == 11
 
 
 def test_signature_multiplicity_examples():

@@ -97,7 +97,8 @@ def test_top_density_matches_sampler_k2():
     t, cdfs = hermite_marginal_cdfs(2)
     for coord in (0, 1):
         emp = from_samples(levels[1][:, coord])
-        ks = ks_distance(emp, lambda x, c=cdfs[coord]: np.interp(x, t, c))
+        ks = ks_distance(emp, lambda x, c=cdfs[coord]: np.interp(x, t, c),
+                         np.ones(len(emp)))
         assert ks < 0.01
 
 
@@ -108,7 +109,7 @@ def test_ks_distance_self_consistency():
     n = 2000
     for _ in range(trials):
         emp = from_samples(rng.normal(size=n))
-        if ks_distance(emp, normal_cdf) < 3 * 1.36 / math.sqrt(n):
+        if ks_distance(emp, normal_cdf, np.ones(n)) < 3 * 1.36 / math.sqrt(n):
             passes += 1
     assert passes / trials >= 0.99
 
@@ -124,13 +125,16 @@ def test_ks_glivenko_cantelli_trend():
     dists = []
     for n in (10 ** 3, 10 ** 4, 10 ** 5):
         emp = from_samples(rng.normal(size=n))
-        dists.append(ks_distance(emp, normal_cdf))
+        dists.append(ks_distance(emp, normal_cdf, np.ones(n)))
     assert dists[0] > dists[1] > dists[2]
 
 
-def test_ks_rejects_small_samples():
+def test_ks_rejects_mismatched_weights():
+    for weights in ([1.0], [[1.0, 1.0]], np.ones(3)):
+        with pytest.raises(ValueError):
+            ks_distance([0.1, 0.7], normal_cdf, weights)
     with pytest.raises(ValueError):
-        ks_distance(from_samples([1.0, 2.0]), normal_cdf)
+        ks_distance([], normal_cdf, [])
 
 
 def test_ks_two_sample_identical():

@@ -8,7 +8,8 @@ top cross-sections are listed at one call site in paths, behind its
 per-cross-section memo, and one rule there, row_vertices, turns two
 cross-sections into a vertex row for paths and measure alike.  The Gibbs
 census weights are the oracle of the lower-row sampler: no function outside
-them lists or weights patterns.
+them lists or weights patterns.  A parameter with a default is a setting
+callers differ on, listed with its reason.
 """
 
 import ast
@@ -130,3 +131,53 @@ def test_gibbs_oracle_stays_apart_from_the_sampler():
         for name in oracle:
             callers = _callers(tree, name) - oracle
             assert not callers, f"{path.name}: {sorted(callers)} call {name}"
+
+
+# every parameter with a default, and why one value does not serve all its
+# callers; a default that every caller leaves alone or sets alike belongs in
+# the function body
+SETTABLE = {
+    ("boundary", "f_contour", "radius"):
+        "two values in use: checks.f_radius_independence passes two radii",
+    ("boundary", "f_contour", "tol"):
+        "a perfbench caller: it calls f_contour with and without tol",
+    ("checks", "route_agreement", "threads"):
+        "the user's config: the CLI passes its thread count",
+    ("cli", "main", "argv"):
+        "two values in use: sys.argv for the console script, lists in tests",
+    ("cli", "add", "note"): "two values in use: empty and the CLI's notes",
+    ("cli", "add_flag", "note"):
+        "two values in use: empty and the CLI's notes",
+    ("core", "__init__", "parts"):
+        "Signature() is the empty signature of the exported value type",
+    ("core", "__array__", "dtype"): "numpy's __array__ protocol passes it",
+    ("core", "__array__", "copy"): "numpy's __array__ protocol passes it",
+    ("gue", "compare_corners_limit", "pmf_tol"):
+        "the user's config: the CLI passes its pmf_tol",
+    ("measure", "top_row_pmf", "tol"):
+        "two values in use: the default and the user's pmf_tol",
+    ("measure", "top_row_pmf", "route"):
+        "two values in use: the contour route and the direct cross-check",
+    ("paths", "collection_weight", "conjugated"):
+        "a test reference: tests weigh G^c collections with conjugated=True",
+    ("quadrature", "adaptive", "atol"):
+        "two values in use: 0 and asymptotics.IC_ATOL",
+    ("symfunc", "verify_cauchy", "tol"):
+        "a perfbench caller: it passes tol",
+}
+
+
+def test_settable_parameters_are_listed():
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            pos = args.posonlyargs + args.args
+            defaulted = pos[len(pos) - len(args.defaults):] + [
+                arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+            found.update((path.stem, node.name, arg.arg) for arg in defaulted)
+    assert found == set(SETTABLE), (sorted(found - set(SETTABLE)),
+                                    sorted(set(SETTABLE) - found))

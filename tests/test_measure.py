@@ -33,12 +33,12 @@ def test_partition_Z_equals_weighted_path_sum(params):
     from sixvertexlab.boundary import f_direct_batch
     from sixvertexlab.paths import enumerate_F_collections
     k, M, cap = 2, 3, 48
-    f_tab = f_direct_batch(k, cap, params.v, M, params)
+    f_tab = f_direct_batch(k, cap, M, params)
     total = 0.0
-    for lam, f_val in sorted(f_tab.items()):
+    for lam in sorted(map(tuple, strict_atoms(k, 1, cap).tolist())):
         for pc in enumerate_F_collections((), lam, k):
             w = complex(collection_weight(pc, (params.u,) * k, params)).real
-            total += w * f_val
+            total += w * f_tab[lam]
     assert total == pytest.approx(partition_Z(k, M, params), rel=1e-8)
 
 
@@ -527,8 +527,8 @@ def test_pattern_to_collection_roundtrip(params):
         pc = pattern_to_collection(pat)
         pc.validate()
         for j in range(1, pat.k + 1):
-            assert pc.cross_section(j) == tuple(sorted(pat.rows[j - 1],
-                                                       reverse=True))
+            assert pc.sections[j - 1] == tuple(sorted(pat.rows[j - 1],
+                                                      reverse=True))
 
 
 def test_interlace_violations_flags_each_sample():

@@ -18,7 +18,7 @@ def test_single_path_collection():
     cols = enumerate_F_collections((), (4,), 1)
     assert len(cols) == 1
     cols[0].validate()
-    assert cols[0].cross_section(1) == (4,)
+    assert cols[0].sections[0] == (4,)
 
 
 def test_two_path_example():
@@ -66,7 +66,7 @@ def test_row_configurations_built_once_per_cross_section(monkeypatch):
         assert len({c.rows for c in cols}) == len(cols)
         for c in cols:
             c.validate()
-        reached = {mu} | {c.cross_section(r) for c in cols for r in range(1, n)}
+        reached = {mu} | {c.sections[r - 1] for c in cols for r in range(1, n)}
         assert len(seen) == len(set(seen)) and reached <= set(seen), lam
 
 
