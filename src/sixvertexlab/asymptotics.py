@@ -298,21 +298,3 @@ def am_limit(x_values) -> float:
         for j in range(i + 1, len(xs)):
             out *= (xs[j] - xs[i]) / (j - i)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Hermite helpers
-
-
-def hermite(n: int, x: float) -> float:
-    """Probabilists' (monic) Hermite polynomial h_n, h_0 = 1, h_1 = x,
-    h_{n+1} = x h_n - n h_{n-1}."""
-    if n < 0 or n > 20:
-        raise ValueError(f"hermite implemented for 0 <= n <= 20, got {n}")
-    h_prev, h_cur = 1.0, x
-    if n == 0:
-        return 1.0
-    for m in range(1, n):
-        h_prev, h_cur = h_cur, x * h_cur - m * h_prev
-    return h_cur
-

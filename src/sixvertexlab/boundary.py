@@ -143,11 +143,13 @@ def f_direct_batch(k: int, max_part: int, M: int,
     parts in [1, max_part], as the (max_part + 1)^k array indexed by lambda
     and 0 off those, from a single forward pass of the boundary sum through
     M conjugated strict-state rows (conjugated rows keep strict states
-    strict, so no other state is ever reached)."""
+    strict, so no other state is ever reached).  The start amplitudes
+    (-s)^|nu| are read off one table of Python powers."""
     s, q = params.s, params.q
     amp = np.zeros((max_part + 1,) * k)
-    for combo in map(tuple, strict_atoms(k, 1, max_part).tolist()):
-        amp[combo] = (-s) ** sum(combo)
+    atoms = strict_atoms(k, 1, max_part)
+    power = np.array([(-s) ** e for e in range(k * max_part + 1)])
+    amp[tuple(atoms.T)] = power[atoms.sum(axis=1)]
     row = StrictRow(params, params.v, conjugated=True)
     for _ in range(M):
         amp = row.apply(amp, max_part)

@@ -28,21 +28,26 @@ from .measure import interlace_violations, sample_lower_rows, top_row_pmf
 
 def corners_batch(k: int, n: int, rng: np.random.Generator) -> list[np.ndarray]:
     """n corners samples at once; entry r-1 holds an (n, r) array of ascending
-    minor eigenvalues.  Levels 1 and 2 are closed-form (level 1 interlaces
-    with level 2 exactly in floating point); levels r >= 3 use eigvalsh."""
+    minor eigenvalues, drawn as the (n, k) diagonal, then the real and the
+    imaginary part of each entry i < j in row order.  Levels 1 and 2 are
+    closed-form (level 1 interlaces with level 2 exactly in floating point);
+    levels r >= 3 use eigvalsh on an (n, k, k) stack built only for k > 2."""
     diag = rng.normal(size=(n, k))
-    x = np.zeros((n, k, k), dtype=complex)
-    idx = np.arange(k)
-    x[:, idx, idx] = diag
     scale = math.sqrt(0.5)
-    for i in range(k):
-        for j in range(i + 1, k):
-            z = rng.normal(scale=scale, size=n) + 1j * rng.normal(scale=scale, size=n)
+    upper = {(i, j): rng.normal(scale=scale, size=n)
+             + 1j * rng.normal(scale=scale, size=n)
+             for i in range(k) for j in range(i + 1, k)}
+    levels = [diag[:, :1]]
+    if k > 1:
+        levels.append(_pair_spectrum(diag[:, 0], diag[:, 1], upper[0, 1]))
+    if k > 2:
+        x = np.zeros((n, k, k), dtype=complex)
+        x[:, range(k), range(k)] = diag
+        for (i, j), z in upper.items():
             x[:, i, j] = z
             x[:, j, i] = np.conj(z)
-    pair = [_pair_spectrum(diag[:, 0], diag[:, 1], x[:, 0, 1])] if k > 1 else []
-    return [diag[:, :1]] + pair + [np.linalg.eigvalsh(x[:, :r, :r])
-                                   for r in range(3, k + 1)]
+        levels += [np.linalg.eigvalsh(x[:, :r, :r]) for r in range(3, k + 1)]
+    return levels
 
 
 def _pair_spectrum(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,13 +134,21 @@ def ks_distance(points, ref_cdf, weights) -> float:
 
 
 def ks_two_sample(a, b) -> float:
-    """sup-norm distance between two empirical CDFs."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    both = np.concatenate([a, b])
-    fa = np.searchsorted(a, both, side="right") / len(a)
-    fb = np.searchsorted(b, both, side="right") / len(b)
-    return float(np.max(np.abs(fa - fb)))
+    """sup-norm distance between two empirical CDFs at each sample's distinct
+    values (tie-run ends after one sort), the other sample's count from one
+    in-order search of its run ends: the merged evaluation's counts and bits."""
+    runs = []
+    for x in (a, b):
+        x = np.sort(np.asarray(x, dtype=float))
+        if len(x) == 0:
+            raise ValueError("ks_two_sample needs two non-empty samples")
+        ends = np.append(np.flatnonzero(x[1:] != x[:-1]), len(x) - 1)
+        runs.append((x[ends], np.append(0, ends + 1), len(x)))
+    out = 0.0
+    for (vals, counts, n), (other, other_counts, m) in (runs, runs[::-1]):
+        seen = other_counts[np.searchsorted(other, vals, side="right")]
+        out = max(out, np.max(np.abs(counts[1:] / n - seen / m)))
+    return float(out)
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ def test_criterion_13_gibbs_conditional():
             "3-sigma multinomial bands at 1e5 draws, k in {2, 3}")
 
 
-def test_criterion_14_gue_reference():
+def test_criterion_14_gue_reference(hermite):
     rng = np.random.default_rng(14)
     levels = gue.corners_batch(4, 100_000, rng)
     interlace_ok = True
@@ -224,7 +224,7 @@ def test_criterion_14_gue_reference():
     rng2 = np.random.default_rng(16)
     for _ in range(5):
         xs = np.sort(rng2.normal(size=3))
-        mat = [[asy.hermite(3 - j, xs[i]) for j in range(1, 4)]
+        mat = [[hermite(3 - j, xs[i]) for j in range(1, 4)]
                for i in range(3)]
         det = np.linalg.det(np.array(mat))
         vand = ((xs[0] - xs[1]) * (xs[0] - xs[2]) * (xs[1] - xs[2]))

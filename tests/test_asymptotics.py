@@ -183,20 +183,12 @@ def test_am_times_bm_is_the_contour_pmf(params):
             assert val == pytest.approx(prob, rel=1e-10)
 
 
-def test_hermite_values():
-    assert asy.hermite(0, 1.7) == 1.0
-    assert asy.hermite(1, 1.7) == pytest.approx(1.7)
-    assert asy.hermite(2, 0.0) == pytest.approx(-1.0)
-    with pytest.raises(ValueError):
-        asy.hermite(25, 0.0)
-
-
-def test_hermite_vandermonde_determinant():
+def test_hermite_vandermonde_determinant(hermite):
     rng = np.random.default_rng(5)
     for _ in range(5):
         xs = np.sort(rng.normal(size=3))
         k = 3
-        mat = np.array([[asy.hermite(k - j, xs[i]) for j in range(1, k + 1)]
+        mat = np.array([[hermite(k - j, xs[i]) for j in range(1, k + 1)]
                         for i in range(k)])
         det = np.linalg.det(mat)
         vand = np.prod([xs[i] - xs[j] for i in range(k) for j in range(i + 1, k)])

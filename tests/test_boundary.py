@@ -118,6 +118,17 @@ def test_spectral_convergence_of_nodes(params):
     assert errs[3] < 1e-12 and errs[1] < 1e-2
 
 
+def test_f_direct_batch_seeds_with_python_powers(params):
+    # with no rows the table is the prefactor times the start amplitude
+    # (-s)^|nu|, the same Python float power, bit for bit
+    s, q = params.s, params.q
+    for k, max_part in [(1, 9), (2, 8), (3, 7)]:
+        tab = f_direct_batch(k, max_part, 0, params)
+        for lam in itertools.combinations(range(max_part, 0, -1), k):
+            assert tab[lam] == ((-1.0) ** k * q_pochhammer(q, q, k)
+                                * (-s) ** sum(lam))
+
+
 def test_f_direct_batch_agrees_pointwise(band_points):
     # the strict-state array transfer against the dict-DP boundary sum
     for p in band_points:

@@ -50,6 +50,32 @@ def test_closed_form_minors_match_eigvalsh():
     assert np.all(lo < hi)
 
 
+def test_corners_batch_draws_in_documented_order():
+    # the diagonal, then real and imaginary parts of each (i, j), i < j, in
+    # row order; every level equals the one rebuilt from a twin generator,
+    # and both generators end in the same state
+    n, scale = 1000, math.sqrt(0.5)
+    for k in range(1, 5):
+        rng, twin = np.random.default_rng(40 + k), np.random.default_rng(40 + k)
+        levels = corners_batch(k, n, rng)
+        x = np.zeros((n, k, k), dtype=complex)
+        x[:, range(k), range(k)] = twin.normal(size=(n, k))
+        for i in range(k):
+            for j in range(i + 1, k):
+                x[:, i, j] = (twin.normal(scale=scale, size=n)
+                              + 1j * twin.normal(scale=scale, size=n))
+                x[:, j, i] = np.conj(x[:, i, j])
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert len(levels) == k
+        assert np.array_equal(levels[0], x[:, :1, 0].real)
+        if k > 1:
+            assert np.array_equal(levels[1], gue._pair_spectrum(
+                x[:, 0, 0].real, x[:, 1, 1].real, x[:, 0, 1]))
+        for r in range(3, k + 1):
+            assert np.array_equal(levels[r - 1],
+                                  np.linalg.eigvalsh(x[:, :r, :r]))
+
+
 def test_pair_spectrum_degenerate_inputs():
     # a = d with b = 0 (zero denominator), and |b| = 1e-20 with a - d = 1
     with np.errstate(all="raise"):
@@ -140,6 +166,45 @@ def test_ks_rejects_mismatched_weights():
 def test_ks_two_sample_identical():
     a = np.arange(1000) / 1000
     assert ks_two_sample(a, a) == 0.0
+
+
+def ks_two_sample_merged(a, b) -> float:
+    """Both empirical CDFs at every point of both samples, one binary search
+    per point: the reference the distinct-value evaluation must equal."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    both = np.concatenate([a, b])
+    fa = np.searchsorted(a, both, side="right") / len(a)
+    fb = np.searchsorted(b, both, side="right") / len(b)
+    return float(np.max(np.abs(fa - fb)))
+
+
+def test_ks_two_sample_equals_merged_evaluation():
+    rng = np.random.default_rng(31)
+    lattice = rng.integers(0, 40, 5000) / 7.0
+    cases = [
+        (lattice, 3.0 + 2.0 * rng.normal(size=3000)),     # ties vs none, n != m
+        (lattice, rng.integers(0, 60, 777) / 11.0),       # ties on both sides
+        (np.full(50, 0.25), np.full(80, 0.25)),           # all tied, same value
+        (np.full(50, 0.25), rng.integers(0, 3, 70) / 4.0),
+        ([0.0, -0.0, 1.0], [-0.0, 0.5]),                  # signed zeros tie
+        ([0.5], [0.5]), ([0.5], [0.7]), ([0.5], rng.normal(size=9)),
+        (rng.normal(size=1000), 0.1 + rng.normal(size=1001)),
+    ]
+    for a, b in cases:
+        for x, y in ((a, b), (b, a)):
+            got = ks_two_sample(x, y)
+            assert type(got) is float
+            assert got == ks_two_sample_merged(x, y)
+        assert ks_two_sample(a, a) == 0.0
+
+
+def test_ks_two_sample_disjoint_and_empty():
+    assert ks_two_sample([0.1, 0.2, 0.2], [0.3, 5.0]) == 1.0
+    assert ks_two_sample([3.0], [-1.0, -2.0]) == 1.0
+    for a, b in (([], [0.1]), ([0.1], []), ([], [])):
+        with pytest.raises(ValueError):
+            ks_two_sample(a, b)
 
 
 def test_compare_k1_trend():

@@ -286,6 +286,32 @@ def test_point_mass_sampling():
     assert sample_top_row(pmf, seed=0, count=5) == [Signature((3,))] * 5
 
 
+def test_sample_is_one_search_per_uniform(params):
+    # the sorted search gives each uniform's own binary-search index, from
+    # one rng.random(count), on laws whose cdf never goes down; atoms of
+    # probability 0 (first, inner and last) are never drawn
+    laws = [top_row_pmf(2, 8, params), top_row_pmf(1, 30, params),
+            measure.TopRowPMF(1, 0, params, "direct", (1, 6),
+                              strict_atoms(1, 1, 6),
+                              [0.0, 0.2, 0.0, 0.0, 0.5, 0.3]),
+            measure.TopRowPMF(2, 0, params, "direct", (1, 4),
+                              strict_atoms(2, 1, 4),
+                              [0.0, 0.1, 0.0, 0.4, 0.5, 0.0])]
+    for law in laws:
+        cdf = np.cumsum(law.probs)
+        assert np.all(np.diff(cdf) >= 0)
+        for count in (0, 1, 7, 100_000):
+            rng = np.random.default_rng(count)
+            twin = np.random.default_rng(count)
+            got = law.sample(rng, count)
+            want = np.searchsorted(cdf, twin.random(count) * cdf[-1],
+                                   side="right").clip(0, len(cdf) - 1)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert rng.bit_generator.state == twin.bit_generator.state
+        if np.any(law.probs == 0):
+            assert np.all(law.probs[law.sample(rng, 100_000)] > 0)
+
+
 @pytest.mark.parametrize("k, M", [(1, 40), (2, 100), (3, 10)])
 def test_prob_finds_each_atom_by_its_rank(params, k, M):
     # the combinadic lookup against a dict of the atom tuples, bit for bit
