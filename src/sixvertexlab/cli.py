@@ -36,6 +36,7 @@ import numpy as np
 from . import asymptotics as asy
 from . import checks, gue, measure, symfunc
 from .core import ModelParams
+from .paths import PathCollection
 from .util import environment_versions, parallel_map, write_csv, write_json
 
 # The canonical display point (the phase-diagram figures) and the acceptance
@@ -331,8 +332,10 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
     patterns = list(zip(*(map(tuple, row[:, ::-1].tolist()) for row in rows)))
     sample_rows = [[i, j, list(row)] for i, pat_rows in enumerate(patterns)
                    for j, row in enumerate(pat_rows, start=1)]
-    grids = [measure.pattern_to_collection(
-                 measure.HalfStrictGTPattern(rows=pat_rows)).to_json_grid()
+    grids = [PathCollection(family="F", mu=(), lam=pat_rows[-1][::-1],
+                            n_rows=k, n_cols=pat_rows[-1][-1] + 2,
+                            sections=tuple(row[::-1] for row in pat_rows)
+                            ).to_json_grid()
              for pat_rows, flagged in zip(patterns[:3], bad) if not flagged]
     write_csv(os.path.join(out_dir, "samples.csv"),
               ["sample_id", "row_j", "entries"], sample_rows)

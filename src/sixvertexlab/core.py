@@ -49,7 +49,7 @@ class Signature:
 
     parts: tuple[int, ...]
 
-    def __init__(self, parts: Iterable[int] = ()):
+    def __init__(self, parts: Iterable[int]):
         given = tuple(parts)
         object.__setattr__(self, "parts", tuple(int(p) for p in given))
         if self.parts != given:

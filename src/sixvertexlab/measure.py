@@ -23,17 +23,17 @@ supported on signatures with distinct parts >= 1.  Two routes build the pmf:
 
 Lower rows given the top row follow the six-vertex Gibbs property: the
 conditional law on half-strict Gelfand-Tsetlin patterns with fixed top row
-is proportional to w1^{N1} ... w6^{N6} over the window [1, lam_max] x [1, k]
-(gibbs_pattern_weight on enumerate_gt_patterns, kept as the oracle).  That
-weight is a product of per-gap factors, and sample_lower_rows inverts it
-exactly, with no enumeration and no Markov chain.
+is proportional to w1^{N1} ... w6^{N6} over the window [1, lam_max] x [1, k].
+That weight is a product of per-gap factors, and sample_lower_rows inverts it
+exactly, with no enumeration and no Markov chain.  Its oracle is the tests'
+census of those weights over paths.enumerate_F_collections, which shares no
+code with it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, product
 
 import numpy as np
 
@@ -42,22 +42,17 @@ from .asymptotics import (constants, exponent_rows, log_ratio_s,
 from .boundary import f_direct_batch
 from .core import (Atoms, ModelParams, Signature, admissible_ratio,
                    as_parts, q_pochhammer, strict_atoms)
-from .paths import PathCollection, row_vertices
 from .quadrature import (COMPOSITE_MAX_NODES, SEGMENT_NODES, adaptive,
                          composite_nodes, conjugate_pairs, cross_kernel,
                          kernel_factor, window_integral)
 from .symfunc import F_scaled_closed, StrictRow
-from .weights import SIX_VERTEX_TYPES, six_vertex_weights
+from .weights import six_vertex_weights
 
 
 class MassDeficitError(RuntimeError):
     def __init__(self, message: str, report: dict):
         super().__init__(f"{message}: {report}")
         self.report = report
-
-
-class EnumerationCapError(RuntimeError):
-    pass
 
 
 def partition_Z(k: int, M: int, params: ModelParams) -> float:
@@ -319,64 +314,6 @@ def interlace_violations(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
             | ((lower > upper[:, :-1]) | (lower < upper[:, 1:])).any(axis=1))
 
 
-# the most patterns enumerate_gt_patterns lists for one top row
-GT_CAP = 500_000
-
-
-def enumerate_gt_patterns(top_increasing) -> list[HalfStrictGTPattern]:
-    """All half-strict patterns with the given (strictly increasing) top row,
-    in lexicographic order of the rows read downward; raises
-    EnumerationCapError if there are more than GT_CAP.  Each row below is a
-    product over the intervals [x_i, x_{i+1}] of the row above it, kept
-    when strictly increasing."""
-    top = tuple(top_increasing)
-    if any(a >= b for a, b in zip(top, top[1:])):
-        raise ValueError(f"top row must be strictly increasing, got {top}")
-    chains = iter([(top,)])
-    for _ in range(len(top) - 1):
-        chains = (rows + (row,) for rows in chains
-                  for row in product(*(range(a, b + 1) for a, b
-                                       in zip(rows[-1], rows[-1][1:])))
-                  if all(a < b for a, b in zip(row, row[1:])))
-    full = list(islice(chains, GT_CAP + 1))
-    if len(full) > GT_CAP:
-        raise EnumerationCapError(
-            f"|GT_lambda| exceeds enumeration cap {GT_CAP} for top {top}")
-    return [HalfStrictGTPattern(rows=rows[::-1]) for rows in full]
-
-
-def pattern_to_collection(pattern: HalfStrictGTPattern) -> PathCollection:
-    """The configuration corresponding to a pattern (rows are cross-sections)."""
-    return PathCollection(family="F", mu=(), lam=pattern.top[::-1],
-                          n_rows=pattern.k, n_cols=pattern.top[-1] + 2,
-                          sections=tuple(row[::-1] for row in pattern.rows))
-
-
-_TYPE_INDEX = {vt: i for i, vt in enumerate(SIX_VERTEX_TYPES)}
-
-
-def gibbs_vertex_counts(pattern: HalfStrictGTPattern) -> tuple[int, ...]:
-    """Census (N1..N6) over the stated window [1, lam_max] x [1, k] (column 0
-    excluded)."""
-    lam_max = pattern.top[-1]
-    counts = [0] * 6
-    for bottom, top in zip(((),) + pattern.rows, pattern.rows):
-        for vertex in row_vertices(bottom, top, lam_max + 1, True)[1:]:
-            counts[_TYPE_INDEX[vertex]] += 1
-    return tuple(counts)
-
-
-def gibbs_pattern_weight(pattern: HalfStrictGTPattern,
-                         params: ModelParams) -> float:
-    """w1^{N1} ... w6^{N6} over the window."""
-    ws = six_vertex_weights(params)
-    counts = gibbs_vertex_counts(pattern)
-    out = 1.0
-    for w_i, n_i in zip(ws, counts):
-        out *= w_i ** n_i
-    return out
-
-
 def conditional_lower_rows_batch(lam, params: ModelParams, count: int,
                                  rng: np.random.Generator
                                  ) -> list[HalfStrictGTPattern]:
@@ -428,9 +365,10 @@ def sample_lower_rows(tops_desc: np.ndarray, params: ModelParams,
     descending rows mu^1, ..., mu^{k-1} as (n, j) arrays.  Each lower-row
     entry between upper neighbours L < R takes the factor phi = w2 at L,
     w3 w4 at R and w5 w6 in between.  One uniform per sample (one
-    rng.random(n)) is inverted in enumerate_gt_patterns' order: at k = 3,
-    mu^2 = (x, y) from a table per distinct top weighted phi(x) phi(y)
-    Z1(y - x), then the residual over phi(x) phi(y) by the k = 2 split."""
+    rng.random(n)) is inverted in lexicographic order of the increasing
+    rows read downward, mu^{k-1} first: at k = 3, mu^2 = (x, y) from a
+    table per distinct top weighted phi(x) phi(y) Z1(y - x), then the
+    residual over phi(x) phi(y) by the k = 2 split."""
     tops = np.asarray(tops_desc, dtype=np.int64)
     n, k = tops.shape
     if k > 3:

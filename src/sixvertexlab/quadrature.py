@@ -124,9 +124,12 @@ def conjugate_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def cross_kernel(z: np.ndarray, q: float) -> np.ndarray:
-    """K[a, b] = (z_a - z_b)/(z_a - q z_b) on the nodes z."""
+    """K[a, b] = (z_a - z_b)/(z_a - q z_b) on the nodes z, divided 256 rows
+    at a time: each entry is the same one division, and no second N x N
+    array (the divisor) is held beside the kernel."""
     kern = z[:, None] - z[None, :]
-    kern /= z[:, None] - q * z[None, :]
+    for i in range(0, len(z), 256):
+        kern[i:i + 256] /= z[i:i + 256, None] - q * z[None, :]
     return kern
 
 

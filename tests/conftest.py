@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
 
 from sixvertexlab.core import ModelParams
+from sixvertexlab.measure import HalfStrictGTPattern
+from sixvertexlab.paths import enumerate_F_collections
+from sixvertexlab.weights import SIX_VERTEX_TYPES, six_vertex_weights
 
 
 @pytest.fixture
@@ -30,3 +34,36 @@ def hermite():
             h_prev, h_cur = h_cur, x * h_cur - m * h_prev
         return h_cur
     return h
+
+
+@pytest.fixture
+def census():
+    """The six-vertex Gibbs census of a strictly increasing top row, the
+    oracle that the lower-row sampler is checked against: every half-strict
+    Gelfand-Tsetlin pattern with that top, as the F-type path collection
+    from the empty signature whose cross-sections are its rows (so every
+    section strict), weighted w1^N1 ... w6^N6 over the window [1, top[-1]] x
+    [1, k].  Returns the patterns sorted by their rows read downward, their
+    collections, the (n, 6) counts in SIX_VERTEX_TYPES order and the float
+    weights, multiplied left to right."""
+    index = {vertex: i for i, vertex in enumerate(SIX_VERTEX_TYPES)}
+
+    def patterns(top, params: ModelParams):
+        top, ws = tuple(top), six_vertex_weights(params)
+        found = []
+        for pc in enumerate_F_collections((), top[::-1], len(top)):
+            if any(len(set(sec)) < len(sec) for sec in pc.sections):
+                continue
+            counts = [0] * 6
+            for row in pc.rows:
+                for vertex in row[1:top[-1] + 1]:
+                    counts[index[vertex]] += 1
+            weight = 1.0
+            for w_i, n_i in zip(ws, counts):
+                weight *= w_i ** n_i
+            rows = tuple(tuple(sorted(sec)) for sec in pc.sections)
+            found.append((HalfStrictGTPattern(rows=rows), pc, counts, weight))
+        found.sort(key=lambda entry: entry[0].rows[::-1])
+        pats, pcs, counts, weights = zip(*found)
+        return list(pats), list(pcs), np.array(counts), np.array(weights)
+    return patterns

@@ -178,13 +178,12 @@ def test_criterion_12_corners_limit():
             f"{ {c: round(v, 4) for c, v in final2.items()} }, {elapsed:.0f}s")
 
 
-def test_criterion_13_gibbs_conditional():
+def test_criterion_13_gibbs_conditional(census):
     p = CANONICAL
     n = 100_000
     ok = True
     for lam in [(2, 1), (5, 2), (4, 2, 1)]:
-        pats = measure.enumerate_gt_patterns(tuple(sorted(lam)))
-        weights = np.array([measure.gibbs_pattern_weight(q_, p) for q_ in pats])
+        pats, _, _, weights = census(lam[::-1], p)
         probs = weights / weights.sum()
         draws = measure.conditional_lower_rows_batch(
             lam, p, n, np.random.default_rng(131))

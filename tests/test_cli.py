@@ -92,6 +92,11 @@ def test_sample_reproducibility(tmp_path, capsys):
     grids = json.loads(read(tmp_path / "a" / "sample" /
                             "configuration_grids.json"))
     assert grids and grids[0]["vertices"]
+    # each grid is a configuration: horizontal edges in {0, 1}, every row
+    # ending empty
+    for grid in grids:
+        assert all(v[3] in (0, 1) for row in grid["vertices"] for v in row)
+        assert all(row[-1][3] == 0 for row in grid["vertices"])
     # each row is an atom's parts and the shortest repr of its probability,
     # which parses back to the same float64
     cfg = json.loads(read(tmp_path / "a" / "sample" / "sidecar.json"))

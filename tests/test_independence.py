@@ -1,15 +1,16 @@
 """The routes that check each other must not share code: path enumeration
-uses only the model and its weights, and the contour-quadrature engine uses
-nothing from the package.  Strict tuples come from one enumerator in core:
-no other module lists them with itertools.combinations.  General-state rows
-run through one loop in symfunc: one function applies a row and one function
-chains rows.  A path collection is its chain of cross-sections: each row's
-top cross-sections are listed at one call site in paths, behind its
-per-cross-section memo, and one rule there, row_vertices, turns two
-cross-sections into a vertex row for paths and measure alike.  The Gibbs
-census weights are the oracle of the lower-row sampler: no function outside
-them lists or weights patterns.  A parameter with a default is a setting
-callers differ on, listed with its reason.
+uses only the model and its weights, the contour-quadrature engine uses
+nothing from the package, and measure nothing from paths.  Strict tuples
+come from one enumerator in core: no other module lists them with
+itertools.combinations.  General-state rows run through one loop in symfunc:
+one function applies a row and one function chains rows.  A path collection
+is its chain of cross-sections: each row's top cross-sections are listed at
+one call site in paths, behind its per-cross-section memo, and one rule
+there, row_vertices, turns two cross-sections into a vertex row.  The
+oracle of the lower-row sampler is the tests' census of paths' F-collections
+and their weights: measure neither enumerates nor weighs collections.  A
+parameter with a default is a setting callers differ on, listed with its
+reason.
 """
 
 import ast
@@ -17,7 +18,9 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "sixvertexlab"
 ALLOWED = {"paths": {"core", "weights"}, "quadrature": set(),
-           "asymptotics": {"core", "quadrature", "symfunc"}}
+           "asymptotics": {"core", "quadrature", "symfunc"},
+           "measure": {"asymptotics", "boundary", "core", "quadrature",
+                       "symfunc", "weights"}}
 
 
 def package_imports(module: str) -> set[str]:
@@ -107,8 +110,8 @@ def test_one_row_configuration_call():
 
 def test_one_vertex_row_rule():
     # row_vertices alone turns two cross-sections into vertex types: it is
-    # defined in paths only, and measure binds no vertex edge of its own but
-    # takes its census rows from it
+    # defined in paths only, and measure neither binds a vertex edge of its
+    # own nor derives vertex rows
     defs = [path.name for path in SRC.glob("*.py")
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.FunctionDef)
@@ -120,17 +123,16 @@ def test_one_vertex_row_rule():
              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
              or isinstance(node, ast.arg)} & {"i1", "j1", "i2", "j2"}
     assert not edges, f"measure.py computes vertex edges {sorted(edges)}"
-    assert _callers(tree, "row_vertices") == {"gibbs_vertex_counts"}
+    assert not _callers(tree, "row_vertices")
 
 
 def test_gibbs_oracle_stays_apart_from_the_sampler():
-    oracle = {"enumerate_gt_patterns", "gibbs_vertex_counts",
-              "gibbs_pattern_weight"}
-    for path in SRC.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        for name in oracle:
-            callers = _callers(tree, name) - oracle
-            assert not callers, f"{path.name}: {sorted(callers)} call {name}"
+    # the census the sampler is checked against enumerates and weighs
+    # paths' collections; the sampler's module does neither
+    tree = ast.parse((SRC / "measure.py").read_text())
+    for name in ("enumerate_F_collections", "collection_weight"):
+        callers = _callers(tree, name)
+        assert not callers, f"measure.py: {sorted(callers)} call {name}"
 
 
 # every parameter with a default, and why one value does not serve all its
@@ -148,8 +150,6 @@ SETTABLE = {
     ("cli", "add", "note"): "two values in use: empty and the CLI's notes",
     ("cli", "add_flag", "note"):
         "two values in use: empty and the CLI's notes",
-    ("core", "__init__", "parts"):
-        "Signature() is the empty signature of the exported value type",
     ("core", "__array__", "dtype"): "numpy's __array__ protocol passes it",
     ("core", "__array__", "copy"): "numpy's __array__ protocol passes it",
     ("gue", "compare_corners_limit", "pmf_tol"):

@@ -10,10 +10,7 @@ from sixvertexlab import measure, quadrature
 from sixvertexlab.core import Atoms, ModelParams, Signature, strict_atoms
 from sixvertexlab.measure import (HalfStrictGTPattern,
                                   conditional_lower_rows, conditional_k2_weights,
-                                  enumerate_gt_patterns, gibbs_pattern_weight,
-                                  gibbs_vertex_counts, interlace_violations,
-                                  partition_Z,
-                                  pattern_to_collection,
+                                  interlace_violations, partition_Z,
                                   sample_conditional_k2, sample_lower_rows,
                                   sample_top_row, top_row_pmf)
 from sixvertexlab.paths import collection_weight
@@ -381,14 +378,14 @@ def test_gt_pattern_validation():
         HalfStrictGTPattern(rows=((1,), (2, 2)))  # not strict
 
 
-def test_gt_enumeration_count():
+def test_gt_enumeration_count(census, params):
     # k=2 top (l1, l2): middle entries are the integers in [l1, l2]
-    pats = enumerate_gt_patterns((2, 6))
+    pats = census((2, 6), params)[0]
     assert len(pats) == 5
     assert sorted(p.rows[0][0] for p in pats) == [2, 3, 4, 5, 6]
 
 
-def test_gt_enumeration_order_and_cap(monkeypatch):
+def test_gt_enumeration_order(census, params):
     # brute force: all strict rows of each length in the top's range, kept
     # when consecutive rows interlace, sorted by the rows read downward (the
     # order the conditional draws index into)
@@ -402,36 +399,30 @@ def test_gt_enumeration_order_and_cap(monkeypatch):
         want = sorted((c for c in chains
                        if all(interlaces(*pair) for pair in zip(c, c[1:]))),
                       key=lambda c: c[::-1])
-        assert [p.rows for p in enumerate_gt_patterns(top)] == want
-    n = len(enumerate_gt_patterns((1, 3, 6)))
-    monkeypatch.setattr(measure, "GT_CAP", n)
-    assert len(enumerate_gt_patterns((1, 3, 6))) == n
-    monkeypatch.setattr(measure, "GT_CAP", n - 1)
-    with pytest.raises(measure.EnumerationCapError):
-        enumerate_gt_patterns((1, 3, 6))
+        assert [p.rows for p in census(top, params)[0]] == want
 
 
-def test_gibbs_counts_window_area(params):
-    for pat in enumerate_gt_patterns((1, 4)):
-        counts = gibbs_vertex_counts(pat)
-        assert sum(counts) == 2 * 4
+def test_gibbs_counts_window_area(census, params):
+    # the census window [1, top[-1]] x [1, k] holds k top[-1] vertices
+    for top in [(1, 4), (1, 3, 6)]:
+        counts = census(top, params)[2]
+        assert (counts.sum(axis=1) == len(top) * top[-1]).all()
 
 
-def test_gibbs_window_choice_cancels(params):
+def test_gibbs_window_choice_cancels(census, params):
     # stated window [1, lam_max] x [1, k] vs full-grid plain vertex weights:
     # ratios must agree (the excluded column contributes a constant factor)
-    pats = enumerate_gt_patterns((2, 5))
-    win = np.array([gibbs_pattern_weight(p_, params) for p_ in pats])
+    _, pcs, _, win = census((2, 5), params)
     full = np.array([abs(complex(collection_weight(
-        pattern_to_collection(p_), (params.u,) * 2, params))) for p_ in pats])
+        pc, (params.u,) * 2, params))) for pc in pcs])
     ratio = win / full
     assert np.allclose(ratio, ratio[0], rtol=1e-12)
 
 
-def test_conditional_k2_weights_match_enumeration(params):
+def test_conditional_k2_weights_match_enumeration(census, params):
     w_low, w_mid, w_high = conditional_k2_weights(params)
-    pats = enumerate_gt_patterns((2, 5))
-    raw = {p_.rows[0][0]: gibbs_pattern_weight(p_, params) for p_ in pats}
+    pats, _, _, weights = census((2, 5), params)
+    raw = {p_.rows[0][0]: w for p_, w in zip(pats, weights)}
     base = raw[3]
     assert raw[2] / base == pytest.approx(w_low / w_mid, rel=1e-12)
     assert raw[4] / base == pytest.approx(1.0, rel=1e-12)
@@ -443,24 +434,25 @@ GIBBS_POINTS = [ModelParams(q=0.5, u=2.0, v=0.25),
 
 
 @pytest.mark.parametrize("p", GIBBS_POINTS, ids=["display", "q.3"])
-def test_gibbs_weight_is_a_product_of_gap_factors(p):
+def test_gibbs_weight_is_a_product_of_gap_factors(census, p):
     # each lower-row entry x between its upper neighbours L < R takes w2 at
     # x = L, w3 w4 at x = R and w5 w6 in between; the census weight over
     # that product is one constant per top
     w1, w2, w3, w4, w5, w6 = six_vertex_weights(p)
     for top in [(1, 3, 6), (2, 5, 9), (3, 4, 8), (1, 2, 3), (1, 4, 6, 9)]:
         ratios = []
-        for pat in enumerate_gt_patterns(top):
+        pats, _, _, weights = census(top, p)
+        for pat, weight in zip(pats, weights):
             prod = 1.0
             for lower, upper in zip(pat.rows, pat.rows[1:]):
                 for x, lo, hi in zip(lower, upper, upper[1:]):
                     prod *= w2 if x == lo else w3 * w4 if x == hi else w5 * w6
-            ratios.append(gibbs_pattern_weight(pat, p) / prod)
+            ratios.append(weight / prod)
         assert np.allclose(ratios, ratios[0], rtol=1e-13, atol=0), top
 
 
 @pytest.mark.parametrize("p", GIBBS_POINTS, ids=["display", "q.3"])
-def test_lower_row_draws_invert_the_census_cdf(p):
+def test_lower_row_draws_invert_the_census_cdf(census, p):
     # one batch over every strict k = 3 top with parts in [1, 9] and every
     # k = 2 top with parts in [1, 30], 50 draws each in sample order: each
     # draw is the enumerator's pattern at which its uniform falls in the
@@ -473,8 +465,8 @@ def test_lower_row_draws_invert_the_census_cdf(p):
         want = np.empty_like(got)
         distinct, which = np.unique(tops, axis=0, return_inverse=True)
         for t, top in enumerate(distinct.tolist()):
-            pats = enumerate_gt_patterns(top[::-1])
-            cdf = np.cumsum([gibbs_pattern_weight(q_, p) for q_ in pats])
+            pats, _, _, weights = census(top[::-1], p)
+            cdf = np.cumsum(weights)
             sel = which.reshape(-1) == t
             idx = np.searchsorted(cdf, u[sel] * cdf[-1], side="right")
             want[sel] = [np.hstack([row[::-1] for row in pats[i].rows[:-1]])
@@ -492,10 +484,9 @@ def test_conditional_sampler_k1_trivial(params):
     assert pat.rows == ((4,),)
 
 
-def test_conditional_sampler_frequencies_k2(params):
+def test_conditional_sampler_frequencies_k2(census, params):
     lam = (2, 1)
-    pats = enumerate_gt_patterns(tuple(sorted(lam)))
-    weights = np.array([gibbs_pattern_weight(p_, params) for p_ in pats])
+    pats, _, _, weights = census(lam[::-1], params)
     probs = weights / weights.sum()
     n = 100_000
     rng = np.random.default_rng(123)
@@ -515,13 +506,12 @@ def test_conditional_interlacing_always(params):
         assert pat.top == (2, 4, 7)  # validated on construction
 
 
-def test_fast_k2_conditional_matches_generic(params):
+def test_fast_k2_conditional_matches_generic(census, params):
     tops = np.array([[5, 2]] * 200_000)
     rng = np.random.default_rng(11)
     cs = sample_conditional_k2(tops, params, rng)
     assert cs.min() >= 2 and cs.max() <= 5
-    pats = enumerate_gt_patterns((2, 5))
-    weights = np.array([gibbs_pattern_weight(p_, params) for p_ in pats])
+    weights = census((2, 5), params)[3]
     probs = weights / weights.sum()
     for c_val, prob in zip((2, 3, 4, 5), probs):
         n = len(tops)
@@ -546,15 +536,6 @@ def test_gibbs_consistency_marginal(params):
         got = np.sum(mids == atom[0])
         sigma = math.sqrt(n * prob * (1 - prob))
         assert abs(got - n * prob) < 4.0 * sigma
-
-
-def test_pattern_to_collection_roundtrip(params):
-    for pat in enumerate_gt_patterns((1, 3, 6))[:5]:
-        pc = pattern_to_collection(pat)
-        pc.validate()
-        for j in range(1, pat.k + 1):
-            assert pc.sections[j - 1] == tuple(sorted(pat.rows[j - 1],
-                                                      reverse=True))
 
 
 def test_interlace_violations_flags_each_sample():

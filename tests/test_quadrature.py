@@ -171,6 +171,23 @@ def test_window_integral_k3_allocates_no_dense_box():
     assert peak < W ** 3 * 8
 
 
+def test_cross_kernel_holds_no_second_square_array():
+    # divided block by block, the kernel has the one-shot formula's bits and
+    # peaks near its own bytes, not two N x N arrays (N = 1,296 nodes)
+    q = 0.5
+    z, _ = composite_nodes(2.0, 100, 1032)
+    tracemalloc.start()
+    try:
+        kern = cross_kernel(z, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kern.shape == (1296, 1296)
+    assert np.array_equal(kern, (z[:, None] - z[None, :])
+                          / (z[:, None] - q * z[None, :]))
+    assert peak <= 1.25 * kern.nbytes
+
+
 def test_conjugate_pairs_follow_the_node_layout():
     # at the display point each pair is a conjugate node pair with conjugate
     # weights, every node is listed once, and only the 129-node set has

@@ -13,10 +13,16 @@ from pair to pair.  Seeds count up from --first-seed across the workloads in
 the order given.  The last stdout line of each run is its
 result.  Statistics are each side's median and quartiles (linear
 interpolation, as numpy's percentile) and the number of pairs in which the
-change reads lower; every end-to-end metric is better lower.  --claim names
-the one metric whose gain is claimed; it is met over at least ten pairs when
-the change reads lower in nine tenths of them and its median is lower by
-more than the parent's interquartile range.
+change reads lower; every end-to-end metric is better lower.  Each metric
+gets a verdict against its bound in BENCHMARK.json, a share of the parent's
+median: "better" when every change run reads lower than every parent run,
+"unresolved" when either side's interquartile range exceeds the bound times
+its median, "worse" when the change's median exceeds the parent's by more
+than the bound, and "within bound" otherwise.  The worse and unresolved
+metrics are also listed at the top of the file.  --claim names the one
+metric whose gain is claimed; it is met over at least ten pairs when the
+change reads lower in nine tenths of them and its median is lower by more
+than the parent's interquartile range.
 
 Only the standard library is used, and nothing under perfbench/ is touched.
 """
@@ -55,8 +61,20 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def summarize(seeds: list[int], first: list[str], runs: dict) -> dict:
-    """One workload's block: runs maps a side to its results in pair order."""
+def verdict(vals: dict, bound: float) -> str:
+    """The no-regression verdict on one metric's runs, lower being better."""
+    (p1, p_med, p3), (c1, c_med, c3) = (quartiles(vals[s]) for s in SIDES)
+    if max(vals["change"]) < min(vals["parent"]):
+        return "better"
+    if p3 - p1 > bound * p_med or c3 - c1 > bound * c_med:
+        return "unresolved"
+    return "worse" if c_med - p_med > bound * p_med else "within bound"
+
+
+def summarize(seeds: list[int], first: list[str], runs: dict,
+              bounds: dict) -> dict:
+    """One workload's block: runs maps a side to its results in pair order,
+    bounds an end-to-end metric to its bound."""
     metrics = {}
     for name in runs["parent"][0]["metrics"]:
         vals = {side: [r["metrics"][name]["value"] for r in runs[side]]
@@ -71,6 +89,9 @@ def summarize(seeds: list[int], first: list[str], runs: dict) -> dict:
             "change_lower_in": sum(c < p for p, c in
                                    zip(vals["parent"], vals["change"])),
         }
+        if name in bounds:
+            metrics[name].update(bound=bounds[name],
+                                 verdict=verdict(vals, bounds[name]))
     return {"seeds": seeds, "pairs": len(seeds), "first_side": first,
             "failed_ops": {s: sum(r["failed"] for r in runs[s]) for s in SIDES},
             "attempted_ops": {s: sum(r["attempted"] for r in runs[s])
@@ -115,7 +136,9 @@ def main(argv=None) -> int:
     roots = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
     with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
-        seconds = json.load(fh)["run_seconds"]
+        bench = json.load(fh)
+    seconds = bench["run_seconds"]
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
     seed, workloads = args.first_seed, {}
     for spec in args.runs:
@@ -133,7 +156,7 @@ def main(argv=None) -> int:
             seeds.append(seed)
             first.append(order[0])
             seed += 1
-        workloads[workload] = summarize(seeds, first, runs)
+        workloads[workload] = summarize(seeds, first, runs, bounds)
 
     spread = ", ".join(f"{w} ({b['seeds'][0]}-{b['seeds'][-1]})"
                        for w, b in workloads.items())
@@ -155,12 +178,18 @@ def main(argv=None) -> int:
                     "python": platform.python_version(),
                     "numpy": metadata.version("numpy"), "note": args.note},
         "claim": claim_block(workloads, args.claim) if args.claim else None,
+        "flagged": {v: [f"{w}:{name}" for w, block in workloads.items()
+                        for name, m in block["metrics"].items()
+                        if m.get("verdict") == v]
+                    for v in ("worse", "unresolved")},
         "workloads": workloads,
     }
     path = os.path.join(args.out, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
+    for v, names in out["flagged"].items():
+        print(f"{v}: {', '.join(names) or 'none'}")
     print(f"wrote {path}")
     return 0
 
