@@ -210,7 +210,8 @@ def skew_reduces_to_cauchy(params: ModelParams, us, vs):
     """Skew Cauchy sum at lam = (0, ..., 0), nu = () against the plain one;
     the diagnostics carry the skew identity's own error."""
     skew = symfunc.verify_skew_cauchy((0,) * len(us), (), us, vs, params)
-    plain = symfunc.verify_cauchy(len(us), len(vs), us, vs, params)
+    plain = symfunc.verify_cauchy(len(us), len(vs), us, vs, params,
+                                  tol=1e-10)
     a, b = complex(skew["lhs"]).real, complex(plain["lhs"]).real
     return a, b, _rel(a, b), {"skew_rel_error": skew["rel_error"]}
 

@@ -321,16 +321,31 @@ CAUCHY_MAX_PART = 512
 SKEW_CAUCHY_MAX_PART = 64
 
 
+class CauchyTailError(RuntimeError):
+    """The Cauchy sum certified no tail by CAUCHY_MAX_PART; has diagnostics."""
+
+    def __init__(self, message: str, diagnostics: dict):
+        super().__init__(f"{message}: {diagnostics}")
+        self.diagnostics = diagnostics
+
+
 def verify_cauchy(N: int, K: int, u_vec, v_vec, params: ModelParams,
-                  tol: float = 1e-10) -> dict:
+                  tol: float) -> dict:
     """Verify sum_{nu in Sign^+_N} F_nu(u) G^c_nu(v) against the product form
 
         (q; q)_N prod_i [ 1/(1 - s u_i) prod_j (1 - q u_i v_j)/(1 - u_i v_j) ].
 
-    The sum is truncated adaptively at part size L, with F built only inside
-    the rank-wise range of the G^c keys; the reported tail bound uses the
-    worst pairwise factor ratio r (r < 1 by admissibility) inflated by the
-    polynomial growth of the number and size of collections.
+    The sum over top parts m stops at the first term whose tail bound
+    term r_eff/(1 - r_eff), r_eff = r ((m + 2)/(m + 1))^p, is below
+    tol |rhs| / 10 (r < 1 the worst pairwise factor ratio, m^p the growth
+    of the number and size of collections).  A pass caps G^c's parts at L,
+    from 16, and builds F inside their rank-wise range; one that fails
+    shrinks its last term by r_eff per part to the first m whose tail would
+    pass and retries at max(m + 2, L + 4), up to CAUCHY_MAX_PART, past
+    which it raises CauchyTailError.  Parts <= L keep their values under
+    any larger cap (transfer's envelope) and are summed in sorted order, so
+    every cap past the certified part gives the same bits.  caps lists
+    (L, G^c states, F states) per pass.
     """
     u_vec, v_vec = tuple(u_vec), tuple(v_vec)
     if len(u_vec) != N or len(v_vec) != K:
@@ -350,14 +365,20 @@ def verify_cauchy(N: int, K: int, u_vec, v_vec, params: ModelParams,
     r = max(admissible_ratio(ui, vj, s) for ui in u_vec for vj in v_vec)
     # polynomial slop: #collections and their sizes grow like m^p at part m
     p_deg = (N - 1) + N * (N - 1)
+    goal = tol * max(abs(rhs), 1e-300) / 10.0
 
-    L = 16
+    def tail(m: int, term: float) -> tuple[float, float]:
+        r_eff = r * ((m + 2) / (m + 1)) ** p_deg
+        return r_eff, term * r_eff / (1.0 - r_eff) if r_eff < 1.0 else np.inf
+
+    L, caps = 16, []
     while True:
         g_table = transfer({(0,) * N: 1.0 + 0.0j}, v_vec, params, True,
                            ((L,) * N, ()))
         f_table = transfer({(): 1.0 + 0.0j}, u_vec, params, False,
                            (tuple(map(max, *g_table, (0,) * N)),
                             tuple(map(min, *g_table, (L,) * N))))
+        caps.append((L, len(g_table), len(f_table)))
         by_top: dict[int, complex] = {}
         for sig in sorted(f_table):
             gval = g_table.get(sig)
@@ -366,33 +387,31 @@ def verify_cauchy(N: int, K: int, u_vec, v_vec, params: ModelParams,
             m = sig[0] if sig else 0
             by_top[m] = by_top.get(m, 0.0) + f_table[sig] * gval
         # sum upward in part size until the remaining tail is certified small
-        partial: complex = 0.0
-        best = None
-        for m in sorted(by_top):
-            partial += by_top[m]
-            r_eff = r * ((m + 2) / (m + 1)) ** p_deg
-            if r_eff >= 1.0:
-                continue
-            tail = abs(by_top[m]) * r_eff / (1.0 - r_eff)
-            if tail < tol * max(abs(rhs), 1e-300) / 10.0:
-                best = (m, tail)
+        lhs: complex = 0.0
+        for trunc_L in sorted(by_top):
+            lhs += by_top[trunc_L]
+            tail_bound = tail(trunc_L, abs(by_top[trunc_L]))[1]
+            if tail_bound < goal:
                 break
-        if best is not None:
-            trunc_L, tail_bound = best
-            lhs = partial
+        if tail_bound < goal:
             break
+        m, term = trunc_L, abs(by_top[trunc_L])
         if L >= CAUCHY_MAX_PART:
-            raise RuntimeError(f"Cauchy sum did not certify a tail bound by "
-                               f"part size {CAUCHY_MAX_PART}")
-        L *= 2
+            raise CauchyTailError("Cauchy sum certified no tail bound", dict(
+                N=N, K=K, r=r, caps=caps, last_term=term, tol=tol))
+        r_eff, bound = tail(m, term)
+        while not bound < goal and m < CAUCHY_MAX_PART:
+            m, term = m + 1, term * r_eff
+            r_eff, bound = tail(m, term)
+        L = min(max(m + 2, L + 4), CAUCHY_MAX_PART)
 
-    rel_error = abs(lhs - rhs) / abs(rhs)
     return {"lhs": complex(lhs).real if abs(complex(lhs).imag) < 1e-12 else lhs,
             "rhs": complex(rhs).real if abs(complex(rhs).imag) < 1e-12 else rhs,
-            "rel_error": rel_error,
+            "rel_error": abs(lhs - rhs) / abs(rhs),
             "truncation_L": trunc_L,
             "tail_bound": tail_bound,
-            "term_ratio": r}
+            "term_ratio": r,
+            "caps": caps}
 
 
 def verify_skew_cauchy(lam, nu, u_vec, v_vec, params: ModelParams) -> dict:

@@ -162,8 +162,6 @@ SETTABLE = {
         "a test reference: tests weigh G^c collections with conjugated=True",
     ("quadrature", "adaptive", "atol"):
         "two values in use: 0 and asymptotics.IC_ATOL",
-    ("symfunc", "verify_cauchy", "tol"):
-        "a perfbench caller: it passes tol",
 }
 
 

@@ -1,4 +1,5 @@
 import random
+from functools import cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 
 from sixvertexlab import checks, symfunc
 from sixvertexlab.checks import random_point
-from sixvertexlab.core import (ModelParams, as_parts, multiplicities,
-                               strict_atoms)
+from sixvertexlab.core import (ModelParams, admissible_ratio, as_parts,
+                               multiplicities, strict_atoms)
 from sixvertexlab.paths import enumerate_F_collections, enumerate_Gc_collections, \
     collection_weight
 from sixvertexlab.symfunc import (F_eval, F_scaled_closed, F_symmetrization,
@@ -262,47 +263,128 @@ def test_transfer_reuses_successors_only_within_a_run(params, monkeypatch):
 
 
 def test_verify_cauchy_examples(params):
-    rep = verify_cauchy(1, 1, (2.0,), (0.25,), params)
+    rep = verify_cauchy(1, 1, (2.0,), (0.25,), params, tol=1e-10)
     assert rep["rel_error"] < 1e-10
     assert rep["tail_bound"] < abs(rep["rhs"]) * 1e-11
-    rep = verify_cauchy(2, 1, (2.0, 2.3), (0.25,), params)
+    rep = verify_cauchy(2, 1, (2.0, 2.3), (0.25,), params, tol=1e-10)
     assert rep["rel_error"] < 1e-8
-    rep = verify_cauchy(2, 2, (2.0, 2.3), (0.25, 0.2), params)
+    rep = verify_cauchy(2, 2, (2.0, 2.3), (0.25, 0.2), params, tol=1e-10)
     assert rep["rel_error"] < 1e-8
+
+
+# (u steps, v steps, (N, K) grid) of acceptance criterion 2 and of the CLI's
+# identities, both at the canonical point
+CRITERION_2 = (0.13, 0.2, [(1, 1), (1, 2), (2, 1), (2, 2)])
+CLI_IDENTITIES = (0.1, 0.15, [(1, 1), (2, 1), (2, 2)])
+
+
+def cauchy_cases(p, du, dv, grid):
+    return [(N, K, tuple(p.u * (1 + du * i) for i in range(N)),
+             tuple(p.v * (1 - dv * j) for j in range(K))) for N, K in grid]
+
+
+@cache
+def doubling_terms(us, vs, p, top):
+    """The Cauchy terms by top part, from the full F and G^c tables at the
+    cap where caps 16, 32, 64, ... first reach part top."""
+    L = 16
+    while L < top:
+        L *= 2
+    cap = ((L,) * len(us), ())
+    f_table = symfunc.transfer({(): 1.0 + 0.0j}, us, p, False, cap)
+    g_table = symfunc.transfer({(0,) * len(us): 1.0 + 0.0j}, vs, p, True, cap)
+    by_top = {}
+    for sig in sorted(f_table):
+        if sig in g_table:
+            by_top[sig[0]] = (by_top.get(sig[0], 0.0)
+                              + f_table[sig] * g_table[sig])
+    return by_top
+
+
+def doubling_reference(rep, us, vs, p, tol):
+    """(lhs, truncation_L, tail_bound) of the doubling cap schedule: the
+    tail rule applied to doubling_terms, summed upward in part size."""
+    by_top = doubling_terms(us, vs, p, rep["truncation_L"])
+    r = max(admissible_ratio(u, v, p.s) for u in us for v in vs)
+    p_deg = (len(us) - 1) + len(us) * (len(us) - 1)
+    goal = tol * max(abs(rep["rhs"]), 1e-300) / 10.0
+    lhs = 0.0
+    for m in sorted(by_top):
+        lhs += by_top[m]
+        r_eff = r * ((m + 2) / (m + 1)) ** p_deg
+        tail = (abs(by_top[m]) * r_eff / (1.0 - r_eff) if r_eff < 1.0
+                else np.inf)
+        if tail < goal:
+            return (complex(lhs).real if abs(complex(lhs).imag) < 1e-12
+                    else lhs, m, tail)
+    raise AssertionError("the doubling reference did not certify")
 
 
 def test_cauchy_envelope_keeps_lhs_bits(params):
     # verify_cauchy builds F only inside the rank-wise range of the G^c
-    # keys; the full F table at the same part cap, summed against G^c in
-    # the same order, must give the same lhs bit for bit (criterion 2 cases)
-    p = params
-    for N, K in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-        us = tuple(p.u * (1 + 0.13 * i) for i in range(N))
-        vs = tuple(p.v * (1 - 0.2 * j) for j in range(K))
-        rep = verify_cauchy(N, K, us, vs, p, tol=1e-10)
-        top, L = rep["truncation_L"], 16
-        while L < top:
-            L *= 2
-        cap = ((L,) * N, ())
-        f_table = symfunc.transfer({(): 1.0 + 0.0j}, us, p, False, cap)
-        g_table = symfunc.transfer({(0,) * N: 1.0 + 0.0j}, vs, p, True, cap)
-        by_top = {}
-        for sig in sorted(f_table):
-            if sig in g_table:
-                by_top[sig[0]] = (by_top.get(sig[0], 0.0)
-                                  + f_table[sig] * g_table[sig])
-        lhs = 0.0
-        for m in sorted(by_top):
-            if m <= top:
-                lhs += by_top[m]
-        want = complex(lhs).real if abs(complex(lhs).imag) < 1e-12 else lhs
-        assert rep["lhs"] == want, (N, K)
+    # keys; the full F table at the doubling schedule's cap, summed against
+    # G^c in the same order, must give the same lhs bit for bit
+    for N, K, us, vs in cauchy_cases(params, *CRITERION_2):
+        rep = verify_cauchy(N, K, us, vs, params, tol=1e-10)
+        assert rep["lhs"] == doubling_reference(rep, us, vs, params,
+                                                1e-10)[0], (N, K)
+
+
+@pytest.mark.parametrize("cases", [CRITERION_2, CLI_IDENTITIES],
+                         ids=["criterion-2", "cli-identities"])
+def test_cauchy_cap_schedule_stops_near_the_certified_part(params, cases,
+                                                           monkeypatch):
+    # each pass calls transfer twice, G^c (conjugated) first; the second
+    # pass takes its cap from the first pass's tail and certifies there
+    calls, real = [], symfunc.transfer
+
+    def counted(states, spectral, p, conjugated, envelope):
+        out = real(states, spectral, p, conjugated, envelope)
+        calls.append((conjugated, envelope[0][0], len(out)))
+        return out
+
+    monkeypatch.setattr(symfunc, "transfer", counted)
+    reps = []
+    for N, K, us, vs in cauchy_cases(params, *cases):
+        calls.clear()
+        rep = verify_cauchy(N, K, us, vs, params, tol=1e-10)
+        passes = calls[0::2]
+        assert [c[0] for c in calls] == [True, False] * len(passes)
+        assert len(passes) <= 2, (N, K, passes)
+        assert passes[-1][1] <= 1.25 * rep["truncation_L"], (N, K, passes)
+        assert rep["caps"] == [(L, g, f) for (_, L, g), (_, _, f)
+                               in zip(calls[0::2], calls[1::2])]
+        reps.append((rep, us, vs))
+    monkeypatch.undo()
+    for rep, us, vs in reps:
+        _, top, tail = doubling_reference(rep, us, vs, params, 1e-10)
+        assert (rep["truncation_L"], repr(rep["tail_bound"])) == (top,
+                                                                  repr(tail))
+
+
+def test_verify_cauchy_refuses_with_diagnostics():
+    # (2, 1) at q = 0.5, u = 1.3 s, v solved for r(u, v) = 0.8: the pair
+    # (1.1 u, v) has r = 0.986, too slow a decay to certify by part 512
+    q = 0.5
+    s = q ** -0.5
+    u = 1.3 * s
+    g = 0.8 * (s * u - 1) / (u - s)
+    p = ModelParams(q=q, u=u, v=(g - s) / (g * s - 1))
+    with pytest.raises(symfunc.CauchyTailError) as exc:
+        verify_cauchy(2, 1, (u, 1.1 * u), (p.v,), p, tol=1e-10)
+    assert isinstance(exc.value, RuntimeError)
+    diag = exc.value.diagnostics
+    assert (diag["N"], diag["K"], diag["tol"]) == (2, 1, 1e-10)
+    assert diag["r"] == admissible_ratio(1.1 * u, p.v, s) > 0.98
+    assert diag["caps"][0][0] == 16
+    assert diag["caps"][-1][0] == symfunc.CAUCHY_MAX_PART
+    assert 0.0 < diag["last_term"] < 1.0
 
 
 def test_verify_cauchy_rejects_inadmissible():
     p = ModelParams(q=0.5, u=2.0, v=0.25)
     with pytest.raises(ValueError):
-        verify_cauchy(1, 1, (2.0,), (0.7,), p)
+        verify_cauchy(1, 1, (2.0,), (0.7,), p, tol=1e-10)
 
 
 def test_skew_cauchy_and_reduction(params):
