@@ -207,12 +207,13 @@ def conjugation_relation(params: ModelParams):
 
 
 def skew_reduces_to_cauchy(params: ModelParams, us, vs):
-    """Skew Cauchy sum at lam = (0, ..., 0), nu = () against the plain one;
-    the diagnostics carry the skew identity's own error."""
+    """The skew Cauchy identity's right side at lam = 0^N, nu = (), cross
+    F_{0^N}(u) by the transfer DP, against the plain product form (both
+    left sides are the one sum); diagnostics: the skew identity's error."""
     skew = symfunc.verify_skew_cauchy((0,) * len(us), (), us, vs, params)
     plain = symfunc.verify_cauchy(len(us), len(vs), us, vs, params,
                                   tol=1e-10)
-    a, b = complex(skew["lhs"]).real, complex(plain["lhs"]).real
+    a, b = complex(skew["rhs"]).real, complex(plain["rhs"]).real
     return a, b, _rel(a, b), {"skew_rel_error": skew["rel_error"]}
 
 

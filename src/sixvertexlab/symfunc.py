@@ -7,9 +7,10 @@ formula (distinct variables only).  F_{lam/mu}(u_1..u_n) chains one-row
 transfers, each of which is the single-variable skew function obtained from
 one row of vertex weights; G^c uses the conjugated table and no left
 entries.  The one general-state DP is `transfer`, a signature -> amplitude
-dict pushed through one row per spectral value; F_eval, Gc_eval, the Cauchy
-sums and boundary.f_direct all run on it.  The one strict-state engine is
-StrictRow, which carries amplitude arrays over strict signatures.
+dict pushed through one row per spectral value; F_eval, Gc_eval,
+boundary.f_direct and _cauchy_sum, the one certified Cauchy sum of both
+identity verifiers, run on it.  The one strict-state engine is StrictRow,
+which carries amplitude arrays over strict signatures.
 
 Closed forms for geometric-progression variable sets (u, qu, ..., q^{N-1}u)
 and the Cauchy identity verifiers live here as well, plus the one Fhat:
@@ -21,10 +22,11 @@ pmf and A_M use it, and the tests check it against F_eval.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -316,9 +318,9 @@ def Gc_geometric(nu, u0, n_vars: int, params: ModelParams) -> complex:
 # Cauchy identities
 
 # the largest part the Cauchy sum may grow to while it certifies its tail,
-# and the part at which the skew Cauchy sum is cut
+# and the tolerance the skew Cauchy sum certifies to
 CAUCHY_MAX_PART = 512
-SKEW_CAUCHY_MAX_PART = 64
+SKEW_CAUCHY_TOL = 1e-10
 
 
 class CauchyTailError(RuntimeError):
@@ -329,63 +331,58 @@ class CauchyTailError(RuntimeError):
         self.diagnostics = diagnostics
 
 
-def verify_cauchy(N: int, K: int, u_vec, v_vec, params: ModelParams,
-                  tol: float) -> dict:
-    """Verify sum_{nu in Sign^+_N} F_nu(u) G^c_nu(v) against the product form
+def _pair_ratio(u_vec, v_vec, s: float) -> float:
+    """The worst admissible_ratio of the (u, v) pairs, all admissible."""
+    for ui, vj in product(u_vec, v_vec):
+        if not pair_admissible(ui, vj, s):
+            raise ValueError(f"pair (u={ui}, v={vj}) is not admissible")
+    return max((admissible_ratio(ui, vj, s)
+                for ui, vj in product(u_vec, v_vec)), default=0.0)
 
-        (q; q)_N prod_i [ 1/(1 - s u_i) prod_j (1 - q u_i v_j)/(1 - u_i v_j) ].
+
+def _cauchy_sum(lam, nu, u_vec, v_vec, params: ModelParams, tol: float,
+                rhs: complex, r: float) -> dict:
+    """sum_kappa G^c_{kappa/lam}(v) F_{kappa/nu}(u) over kappa with
+    N = len(lam) parts, r = _pair_ratio(u_vec, v_vec, s), as a report.
 
     The sum over top parts m stops at the first term whose tail bound
     term r_eff/(1 - r_eff), r_eff = r ((m + 2)/(m + 1))^p, is below
     tol |rhs| / 10 (r < 1 the worst pairwise factor ratio, m^p the growth
     of the number and size of collections).  A pass caps G^c's parts at L,
-    from 16, and builds F inside their rank-wise range; one that fails
-    shrinks its last term by r_eff per part to the first m whose tail would
-    pass and retries at max(m + 2, L + 4), up to CAUCHY_MAX_PART, past
-    which it raises CauchyTailError.  Parts <= L keep their values under
-    any larger cap (transfer's envelope) and are summed in sorted order, so
-    every cap past the certified part gives the same bits.  caps lists
-    (L, G^c states, F states) per pass.
+    from 16 (or the largest part of lam and nu), and builds F inside their
+    rank-wise range; one that fails shrinks its last term by r_eff per part
+    to the first m whose tail would pass and retries at max(m + 2, L + 4),
+    up to CAUCHY_MAX_PART, past which it raises CauchyTailError.  Parts
+    <= L keep their values under any larger cap (transfer's envelope) and
+    are summed in sorted order, so every cap past the certified part gives
+    the same bits.  caps lists (L, G^c states, F states) per pass.
+
+    p counts the parts that grow with m: N - 1 of kappa, N(N - 1)/2 in F's
+    chain and sum_{j<K} min(j, N) <= N(N - 1)/2 + N max(K - N, 0) in G^c's.
+    It bounds the skew terms too: a part of a chain from lam (nu) to kappa
+    is pinned between two parts of lam (nu) or free below one that grows
+    with m, and no row has more free parts than from 0^N (()).
     """
-    u_vec, v_vec = tuple(u_vec), tuple(v_vec)
-    if len(u_vec) != N or len(v_vec) != K:
-        raise ValueError("u_vec and v_vec must have lengths N and K")
-    s, q = params.s, params.q
-    for ui in u_vec:
-        for vj in v_vec:
-            if not pair_admissible(ui, vj, s):
-                raise ValueError(f"pair (u={ui}, v={vj}) is not admissible")
-
-    rhs: complex = q_pochhammer(q, q, N)
-    for ui in u_vec:
-        rhs /= (1.0 - s * ui)
-        for vj in v_vec:
-            rhs *= (1.0 - q * ui * vj) / (1.0 - ui * vj)
-
-    r = max(admissible_ratio(ui, vj, s) for ui in u_vec for vj in v_vec)
-    # polynomial slop: #collections and their sizes grow like m^p at part m
-    p_deg = (N - 1) + N * (N - 1)
+    N, K = len(lam), len(v_vec)
+    p_deg = (N - 1) + N * (N - 1) + N * max(K - N, 0)
     goal = tol * max(abs(rhs), 1e-300) / 10.0
 
     def tail(m: int, term: float) -> tuple[float, float]:
         r_eff = r * ((m + 2) / (m + 1)) ** p_deg
         return r_eff, term * r_eff / (1.0 - r_eff) if r_eff < 1.0 else np.inf
 
-    L, caps = 16, []
+    L, caps = max(16, *lam, *nu), []
     while True:
-        g_table = transfer({(0,) * N: 1.0 + 0.0j}, v_vec, params, True,
+        g_table = transfer({lam: 1.0 + 0.0j}, v_vec, params, True,
                            ((L,) * N, ()))
-        f_table = transfer({(): 1.0 + 0.0j}, u_vec, params, False,
+        f_table = transfer({nu: 1.0 + 0.0j}, u_vec, params, False,
                            (tuple(map(max, *g_table, (0,) * N)),
                             tuple(map(min, *g_table, (L,) * N))))
         caps.append((L, len(g_table), len(f_table)))
         by_top: dict[int, complex] = {}
-        for sig in sorted(f_table):
-            gval = g_table.get(sig)
-            if gval is None:
-                continue
-            m = sig[0] if sig else 0
-            by_top[m] = by_top.get(m, 0.0) + f_table[sig] * gval
+        for sig in sorted(f_table.keys() & g_table.keys()):
+            by_top[sig[0]] = (by_top.get(sig[0], 0.0)
+                              + f_table[sig] * g_table[sig])
         # sum upward in part size until the remaining tail is certified small
         lhs: complex = 0.0
         for trunc_L in sorted(by_top):
@@ -407,11 +404,31 @@ def verify_cauchy(N: int, K: int, u_vec, v_vec, params: ModelParams,
 
     return {"lhs": complex(lhs).real if abs(complex(lhs).imag) < 1e-12 else lhs,
             "rhs": complex(rhs).real if abs(complex(rhs).imag) < 1e-12 else rhs,
-            "rel_error": abs(lhs - rhs) / abs(rhs),
+            "rel_error": abs(lhs - rhs) / max(abs(rhs), 1e-300),
             "truncation_L": trunc_L,
             "tail_bound": tail_bound,
             "term_ratio": r,
             "caps": caps}
+
+
+def verify_cauchy(N: int, K: int, u_vec, v_vec, params: ModelParams,
+                  tol: float) -> dict:
+    """Verify sum_{nu in Sign^+_N} F_nu(u) G^c_nu(v) against the product form
+
+        (q; q)_N prod_i [ 1/(1 - s u_i) prod_j (1 - q u_i v_j)/(1 - u_i v_j) ]
+
+    by _cauchy_sum at lam = 0^N, nu = () (its report, tail rule, caps)."""
+    u_vec, v_vec = tuple(u_vec), tuple(v_vec)
+    if len(u_vec) != N or len(v_vec) != K:
+        raise ValueError("u_vec and v_vec must have lengths N and K")
+    s, q = params.s, params.q
+    r = _pair_ratio(u_vec, v_vec, s)
+    rhs: complex = q_pochhammer(q, q, N)
+    for ui in u_vec:
+        rhs /= (1.0 - s * ui)
+        for vj in v_vec:
+            rhs *= (1.0 - q * ui * vj) / (1.0 - ui * vj)
+    return _cauchy_sum((0,) * N, (), u_vec, v_vec, params, tol, rhs, r)
 
 
 def verify_skew_cauchy(lam, nu, u_vec, v_vec, params: ModelParams) -> dict:
@@ -421,31 +438,15 @@ def verify_skew_cauchy(lam, nu, u_vec, v_vec, params: ModelParams) -> dict:
           = prod_{i,j} (1 - q u_i v_j)/(1 - u_i v_j)
             sum_mu F_{lam/mu}(u) G^c_{nu/mu}(v)
 
-    with kappa truncated at SKEW_CAUCHY_MAX_PART (the right side is a finite
-    sum)."""
+    with the left side by _cauchy_sum certified to SKEW_CAUCHY_TOL (its
+    report, tail rule and cap schedule) and the right side a finite sum."""
     lam, nu = as_parts(lam), as_parts(nu)
     u_vec, v_vec = tuple(u_vec), tuple(v_vec)
     if len(lam) != len(nu) + len(u_vec):
         raise ValueError("need len(lam) = len(nu) + len(u_vec)")
-    q, s = params.q, params.s
-    for ui in u_vec:
-        for vj in v_vec:
-            if not pair_admissible(ui, vj, s):
-                raise ValueError(f"pair (u={ui}, v={vj}) is not admissible")
-
-    cap = ((SKEW_CAUCHY_MAX_PART,) * len(lam), ())
-    f_table = transfer({nu: 1.0 + 0.0j}, u_vec, params, False, cap)
-    g_table = transfer({lam: 1.0 + 0.0j}, v_vec, params, True, cap)
-    lhs: complex = 0.0
-    for sig in sorted(f_table):
-        gval = g_table.get(sig)
-        if gval is not None:
-            lhs += f_table[sig] * gval
-
-    cross: complex = 1.0
-    for ui in u_vec:
-        for vj in v_vec:
-            cross *= (1.0 - q * ui * vj) / (1.0 - ui * vj)
+    r = _pair_ratio(u_vec, v_vec, params.s)
+    cross = math.prod((1.0 - params.q * ui * vj) / (1.0 - ui * vj)
+                      for ui, vj in product(u_vec, v_vec))
     # mu runs over the nonnegative signatures with len(mu) = len(nu) and
     # mu_i <= nu_i
     mu_cap = max([*lam, *nu, 0])
@@ -457,9 +458,8 @@ def verify_skew_cauchy(lam, nu, u_vec, v_vec, params: ModelParams) -> dict:
         if gval == 0.0:
             continue
         rhs_sum += F_eval(lam, mu_sig, u_vec, params) * gval
-    rhs = cross * rhs_sum
-    rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return {"lhs": lhs, "rhs": rhs, "rel_error": rel}
+    return _cauchy_sum(lam, nu, u_vec, v_vec, params, SKEW_CAUCHY_TOL,
+                       cross * rhs_sum, r)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,14 @@ def test_one_general_state_row_loop():
         assert len(callers) <= 1, f"{sorted(callers)} all call {name}"
 
 
+def test_one_cauchy_sum():
+    # one function builds and multiplies the Cauchy tables: in symfunc,
+    # transfer runs only under F_eval, Gc_eval and the one Cauchy sum
+    tree = ast.parse((SRC / "symfunc.py").read_text())
+    callers = _callers(tree, "transfer")
+    assert callers == {"F_eval", "Gc_eval", "_cauchy_sum"}, sorted(callers)
+
+
 def test_one_row_configuration_call():
     # _enumerate_chains builds each cross-section's row configurations once;
     # a second call site would be a route around that memo

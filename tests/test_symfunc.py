@@ -283,16 +283,21 @@ def cauchy_cases(p, du, dv, grid):
              tuple(p.v * (1 - dv * j) for j in range(K))) for N, K in grid]
 
 
-@cache
-def doubling_terms(us, vs, p, top):
-    """The Cauchy terms by top part, from the full F and G^c tables at the
-    cap where caps 16, 32, 64, ... first reach part top."""
+def doubling_cap(top):
+    """The first of the caps 16, 32, 64, ... that reaches part top."""
     L = 16
     while L < top:
         L *= 2
-    cap = ((L,) * len(us), ())
-    f_table = symfunc.transfer({(): 1.0 + 0.0j}, us, p, False, cap)
-    g_table = symfunc.transfer({(0,) * len(us): 1.0 + 0.0j}, vs, p, True, cap)
+    return L
+
+
+@cache
+def doubling_terms(lam, nu, us, vs, p, cap):
+    """The terms of sum_kappa G^c_{kappa/lam}(v) F_{kappa/nu}(u) by top
+    part, from the full F and G^c tables at part cap cap."""
+    envelope = ((cap,) * len(lam), ())
+    f_table = symfunc.transfer({nu: 1.0 + 0.0j}, us, p, False, envelope)
+    g_table = symfunc.transfer({lam: 1.0 + 0.0j}, vs, p, True, envelope)
     by_top = {}
     for sig in sorted(f_table):
         if sig in g_table:
@@ -301,12 +306,14 @@ def doubling_terms(us, vs, p, top):
     return by_top
 
 
-def doubling_reference(rep, us, vs, p, tol):
+def doubling_reference(rep, lam, nu, us, vs, p, tol):
     """(lhs, truncation_L, tail_bound) of the doubling cap schedule: the
     tail rule applied to doubling_terms, summed upward in part size."""
-    by_top = doubling_terms(us, vs, p, rep["truncation_L"])
+    by_top = doubling_terms(lam, nu, us, vs, p,
+                            doubling_cap(rep["truncation_L"]))
     r = max(admissible_ratio(u, v, p.s) for u in us for v in vs)
-    p_deg = (len(us) - 1) + len(us) * (len(us) - 1)
+    N, K = len(lam), len(vs)
+    p_deg = (N - 1) + N * (N - 1) + N * max(K - N, 0)
     goal = tol * max(abs(rep["rhs"]), 1e-300) / 10.0
     lhs = 0.0
     for m in sorted(by_top):
@@ -321,13 +328,25 @@ def doubling_reference(rep, us, vs, p, tol):
 
 
 def test_cauchy_envelope_keeps_lhs_bits(params):
-    # verify_cauchy builds F only inside the rank-wise range of the G^c
+    # the Cauchy sum builds F only inside the rank-wise range of the G^c
     # keys; the full F table at the doubling schedule's cap, summed against
-    # G^c in the same order, must give the same lhs bit for bit
-    for N, K, us, vs in cauchy_cases(params, *CRITERION_2):
-        rep = verify_cauchy(N, K, us, vs, params, tol=1e-10)
-        assert rep["lhs"] == doubling_reference(rep, us, vs, params,
-                                                1e-10)[0], (N, K)
+    # G^c in the same order, must give the same lhs bit for bit.  The full
+    # tables 50 parts past the certified one (the terms left out beyond
+    # them are below r^50 of the remainder) bound what the tail leaves out.
+    cases = [((0,) * N, (), us, vs, verify_cauchy(N, K, us, vs, params,
+                                                  tol=1e-10))
+             for N, K, us, vs in cauchy_cases(params, *CRITERION_2)]
+    us, vs = (params.u, 1.1 * params.u), (params.v,)
+    cases.append(((3, 1, 0), (2,), us, vs,
+                  verify_skew_cauchy((3, 1, 0), (2,), us, vs, params)))
+    for lam, nu, us, vs, rep in cases:
+        assert rep["lhs"] == doubling_reference(rep, lam, nu, us, vs, params,
+                                                1e-10)[0], (lam, nu, vs)
+        top = rep["truncation_L"]
+        by_top = doubling_terms(lam, nu, us, vs, params,
+                                doubling_cap(top + 50))
+        remainder = abs(sum(by_top[m] for m in sorted(by_top) if m > top))
+        assert 0.0 < remainder <= rep["tail_bound"], (lam, nu, vs)
 
 
 @pytest.mark.parametrize("cases", [CRITERION_2, CLI_IDENTITIES],
@@ -357,28 +376,45 @@ def test_cauchy_cap_schedule_stops_near_the_certified_part(params, cases,
         reps.append((rep, us, vs))
     monkeypatch.undo()
     for rep, us, vs in reps:
-        _, top, tail = doubling_reference(rep, us, vs, params, 1e-10)
+        _, top, tail = doubling_reference(rep, (0,) * len(us), (), us, vs,
+                                          params, 1e-10)
         assert (rep["truncation_L"], repr(rep["tail_bound"])) == (top,
                                                                   repr(tail))
 
 
-def test_verify_cauchy_refuses_with_diagnostics():
-    # (2, 1) at q = 0.5, u = 1.3 s, v solved for r(u, v) = 0.8: the pair
-    # (1.1 u, v) has r = 0.986, too slow a decay to certify by part 512
+def slow_decay_point():
+    """q = 0.5, u = 1.3 s, v solved for r(u, v) = 0.8: the pair (1.1 u, v)
+    has r = 0.986, too slow a decay to certify by part 512."""
     q = 0.5
     s = q ** -0.5
     u = 1.3 * s
     g = 0.8 * (s * u - 1) / (u - s)
-    p = ModelParams(q=q, u=u, v=(g - s) / (g * s - 1))
-    with pytest.raises(symfunc.CauchyTailError) as exc:
-        verify_cauchy(2, 1, (u, 1.1 * u), (p.v,), p, tol=1e-10)
-    assert isinstance(exc.value, RuntimeError)
-    diag = exc.value.diagnostics
-    assert (diag["N"], diag["K"], diag["tol"]) == (2, 1, 1e-10)
-    assert diag["r"] == admissible_ratio(1.1 * u, p.v, s) > 0.98
+    return u, ModelParams(q=q, u=u, v=(g - s) / (g * s - 1))
+
+
+def assert_refusal(diag, u, p, tol):
+    assert (diag["N"], diag["K"], diag["tol"]) == (2, 1, tol)
+    assert diag["r"] == admissible_ratio(1.1 * u, p.v, p.s) > 0.98
     assert diag["caps"][0][0] == 16
     assert diag["caps"][-1][0] == symfunc.CAUCHY_MAX_PART
     assert 0.0 < diag["last_term"] < 1.0
+
+
+def test_verify_cauchy_refuses_with_diagnostics():
+    u, p = slow_decay_point()
+    with pytest.raises(symfunc.CauchyTailError) as exc:
+        verify_cauchy(2, 1, (u, 1.1 * u), (p.v,), p, tol=1e-10)
+    assert isinstance(exc.value, RuntimeError)
+    assert_refusal(exc.value.diagnostics, u, p, 1e-10)
+
+
+def test_verify_skew_cauchy_refuses_with_diagnostics():
+    # the skew sum runs the same certified schedule, so it refuses where
+    # the plain one does instead of returning a truncated sum
+    u, p = slow_decay_point()
+    with pytest.raises(symfunc.CauchyTailError) as exc:
+        verify_skew_cauchy((1, 0), (), (u, 1.1 * u), (p.v,), p)
+    assert_refusal(exc.value.diagnostics, u, p, symfunc.SKEW_CAUCHY_TOL)
 
 
 def test_verify_cauchy_rejects_inadmissible():
@@ -388,9 +424,17 @@ def test_verify_cauchy_rejects_inadmissible():
 
 
 def test_skew_cauchy_and_reduction(params):
-    rep = verify_skew_cauchy((3, 1, 0), (2,), (2.0, 2.2), (0.25,), params)
-    assert rep["rel_error"] < 1e-9
-    # lam = (0,...,0), nu = empty reduces to the plain Cauchy identity
+    # nu = (19,) puts every kappa past the first cap of 16
+    for nu in [(2,), (19,)]:
+        rep = verify_skew_cauchy((3, 1, 0), nu, (2.0, 2.2), (0.25,), params)
+        assert rep["rel_error"] < 1e-9, nu
+        assert rep["tail_bound"] < abs(rep["rhs"]) * 1e-11, nu
+    # with no u (or no v) both sides are one G^c (or F) value
+    for lam, nu, us, vs in [((1,), (3,), (), (0.25,)),
+                            ((3, 1), (2,), (2.0,), ())]:
+        assert verify_skew_cauchy(lam, nu, us, vs, params)["rel_error"] < 1e-12
+    # lam = (0,...,0), nu = empty reduces to the plain Cauchy identity: the
+    # right sides agree, and the skew identity holds there
     _, _, err, skew = checks.skew_reduces_to_cauchy(params, (2.0, 2.3),
                                                     (0.25,))
     assert err < 1e-9 and skew["skew_rel_error"] < 1e-9
