@@ -43,8 +43,8 @@ from .boundary import f_direct_batch
 from .core import (Atoms, ModelParams, Signature, admissible_ratio,
                    as_parts, q_pochhammer, strict_atoms)
 from .quadrature import (COMPOSITE_MAX_NODES, SEGMENT_NODES, adaptive,
-                         composite_nodes, conjugate_pairs, cross_kernel,
-                         kernel_factor, window_integral)
+                         WindowCore, composite_nodes, conjugate_pairs,
+                         cross_kernel, kernel_factor, window_integral)
 from .symfunc import F_scaled_closed, StrictRow
 from .weights import six_vertex_weights
 
@@ -70,6 +70,8 @@ def partition_Z(k: int, M: int, params: ModelParams) -> float:
 # and the largest part the support window may grow to
 QUAD_TOL = 1e-10
 MAX_PART = 100_000
+# window steps per block of exponents in a k = 3 window's factor
+EXPONENT_BLOCK = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,19 +143,30 @@ def sample_top_row(pmf: TopRowPMF, seed: int, count: int) -> list[Signature]:
     return [Signature(parts) for parts in rows.tolist()]
 
 
+def _window_step(M: int, params: ModelParams) -> int:
+    """The step by which each window extension moves lo down and hi up."""
+    return max(4, math.ceil(2.0 * constants(params).d * math.sqrt(M)))
+
+
 def _ic_window(k: int, lo: int, hi: int, M: int, params: ModelParams,
                memo: dict) -> np.ndarray:
     """Normalized boundary integrals I_C(mu; M) at the strict mu with k parts
     in [lo, hi], packed in lexicographic order of mu - lo.  memo["nodes"]
-    maps a node count to its node set, cross kernel, (k = 3) factor and
-    conjugate pairs, and the per-node |L_s| and |L_v|, built once;
-    memo["rows"] maps it to the rows of the exponents lo, lo + 1, ... so far
-    and the packed integrals over them, which _pmf_window drops when lo
-    moves.  Only new exponents get rows and new largest parts integrals, and
-    the stopping rule sees only the atoms.  window_integral's conjugate-row
-    check scales with the exponent size, bounded by max(hi |L_s| + M |L_v|)
-    over the nodes."""
-    m_vals = np.arange(lo, hi + 1)
+    maps a node count to its node set, cross kernel, (k = 3) kernel factor
+    and conjugate pairs, and the per-node |L_s| and |L_v|, built once;
+    memo["rows"] maps it to what grew at this lo, the packed integrals so
+    far and the count of exponents they cover; _pmf_window drops it when lo
+    moves.  What grew is the rows of the exponents lo, lo + 1, ... at
+    k <= 2, and at k = 3 a quadrature.WindowCore (P, the skeleton rows Q
+    and their core) over blocks of EXPONENT_BLOCK window steps counted from
+    lo: a window past the last block appends the next, whose rows are built
+    once and not kept, so each block depends on (M, params, lo) alone.
+    Only new largest parts get integrals, and the stopping rule sees only
+    the atoms.  The conjugate-row check scales with the exponent size,
+    bounded by max(l |L_s| + M |L_v|) over the nodes at the block's last
+    exponent l."""
+    width = hi - lo + 1
+    block = EXPONENT_BLOCK * _window_step(M, params)
     nodes, grown = memo.setdefault("nodes", {}), memo["rows"]
 
     def evaluate(n: int) -> np.ndarray:
@@ -166,14 +179,22 @@ def _ic_window(k: int, lo: int, hi: int, M: int, params: ModelParams,
                         np.abs(log_ratio_s(z, params)),
                         np.abs(log_ratio_v(z, params)))
         z, wts, kern, factor, pairs, ls, lv = nodes[n]
-        rows, packed = grown.get(n, (np.zeros((0, len(z))), np.zeros(0)))
-        done = len(rows)
-        rows = np.concatenate(
-            [rows, exponent_rows(z, wts, m_vals[done:], M, params)])
-        packed = np.concatenate([packed, window_integral(
-            rows, k, done, kern, factor, pairs, np.max(hi * ls + M * lv))])
-        grown[n] = rows, packed
-        return packed
+        held, packed, done = grown.get(n, (None, np.zeros(0), 0))
+        if k == 3:
+            held = WindowCore(kern, factor, pairs) if held is None else held
+            while held.width < width:
+                ex = lo + held.width + np.arange(block)
+                held.append(exponent_rows(z, wts, ex, M, params),
+                            np.max(ex[-1] * ls + M * lv))
+            new = held.entries(done, width)
+        else:
+            held = np.concatenate(
+                [np.zeros((0, len(z))) if held is None else held,
+                 exponent_rows(z, wts, np.arange(lo + done, hi + 1), M,
+                               params)])
+            new = window_integral(held, k, done, kern)
+        grown[n] = held, np.concatenate([packed, new]), width
+        return grown[n][1]
 
     return adaptive(evaluate, SEGMENT_NODES, COMPOSITE_MAX_NODES, QUAD_TOL)
 
@@ -229,10 +250,12 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
     every formula in the package at once.
 
     The contour route keeps each node set and its kernel across extensions.
-    While lo stays put it also keeps the exponent rows and integrals, and
-    takes only new exponents' rows, new largest parts' entries and new
-    atoms' Fhat and ranks; a move of lo drops all four at once.  Its
-    atoms below about 2e-13 max p are quadrature noise and can be negative.
+    While lo stays put it also keeps the exponent rows (k <= 2) or the
+    window core (k = 3: skeleton rows, their factor and core, over blocks
+    of exponents from lo) and the integrals, and takes only new exponents'
+    rows or new blocks, new largest parts' entries and new atoms' Fhat and
+    ranks; a move of lo drops all four at once.  Its atoms below about
+    2e-13 max p are quadrature noise and can be negative.
     """
     if k > 3:
         raise ValueError("top_row_pmf supports k <= 3")
@@ -243,7 +266,7 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
     geom_hi = int(math.ceil(math.log(tol / 10.0) / math.log(r))) + k
     lo = max(1, math.floor(center - 7.0 * width))
     hi = max(lo + k, math.ceil(center + 7.0 * width), geom_hi)
-    step = max(4, math.ceil(2.0 * width))
+    step = _window_step(M, params)
     memo: dict = {}
     atoms, probs = (_pmf_window(k, M, params, lo, hi, route, memo)
                     if hi < MAX_PART else (None, np.zeros(0)))

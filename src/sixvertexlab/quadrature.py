@@ -12,9 +12,9 @@ for k <= 3, and is evaluated in three parts:
   or Gauss-Legendre on the composite contour through the critical point
   (composite_nodes);
 * one tensor-product kernel (tensor_integral) over one integrand per axis
-  for single integrals, and one window kernel (window_integral)
-  that integrates a whole exponent window at once, at its strict entries
-  only, packed so that a wider window appends;
+  for single integrals, and, for a whole exponent window at once at its
+  strict entries only, packed so that a wider window appends, one window
+  kernel (window_integral, k <= 2) and one window core (WindowCore, k = 3);
 * one node-doubling driver (adaptive) with one stopping rule.
 
 The cross kernel K = (z_a - z_b)/(z_a - q z_b) is a rank-one update of a
@@ -23,14 +23,21 @@ geometrically (Beckermann-Townsend, SIAM J. Matrix Anal. Appl. 38, 2017):
 on the composite nodes its rank at RANK_RTOL is about 60 whatever the node
 count.  kernel_factor finds that range from a Gaussian sketch of width p
 (Halko-Martinsson-Tropp, SIAM Rev. 53, 2011) in O(N^2 p) work, not the
-dense SVD's O(N^3), and certifies max|K - U V|; near q = 1, where no sketch
-narrower than N suffices, it takes the exact factor (K, I).  A k = 3
-exponent window of W members on N nodes then contracts through K ~ U V,
-and only over its C(W, 3) strict entries, which are all it stores; its rows
-are conjugate on the nodes' conjugate pairs, so one side needs half the
-nodes: one sketch per node set plus O(W (N r^2 + (r + W) N^2 / 2)), against
-O(W (N^3 + W N^2)) for the full kernel.  Single k = 3 integrals keep the
-full kernel, where a factor would cost more than the product it saves.
+dense SVD's O(N^3), and certifies max|K - U V|; near q = 1, where the
+sketch would need nearly N columns, it takes the exact factor (K, I).
+
+The exponent rows g(z) exp(l L_s(z)) of a window are Vandermonde-like in l
+and localized near the critical point, so they too have low rank (the same
+bound): about 30 of 50-80 rows at perfbench's k = 3 laws, and 60 of 390 at
+M = 300, at any node count.  WindowCore picks a skeleton of rho rows per
+node set, contracts them once into a real rho x rho x rho core through
+K ~ U V and over half the nodes (the rows are conjugate on the nodes'
+conjugate pairs), and expands every strict entry from it: the core costs
+O(rho (N r^2 + (r + rho) N^2 / 2)) per node set and the expansion
+O(W^3 rho / 6), against O(W (N r^2 + (r + W) N^2 / 2)) for the W members
+contracted one by one, and O(W (N^3 + W N^2)) for the full kernel.  Single
+k = 3 integrals keep the full kernel, where a factor would cost more than
+the product it saves.
 
 This module imports nothing from the package, so every route that uses it
 stays independent of the transfer engines it is checked against.
@@ -57,6 +64,18 @@ SKETCH_RTOL = 1e-14
 FACTOR_TOL = 1e-13
 SKETCH_WIDTH = 96
 SKETCH_MARGIN = 16
+# past this share of N columns a dense SVD costs less than the sketch, so a
+# sketch whose residuals' decay so far puts the width it needs there stops
+SKETCH_MAX_SHARE = 2 / 3
+# WindowCore picks skeleton rows until no row is left farther than
+# EXPONENT_RTOL times the largest row norm from their span, or than the
+# rows' rounding: their singular values level off near eps |l L_s + M L_v|
+# / 600 of it (display point, M = 100 to 1,000), and picks below that level
+# take coefficients that grow past 10 and lose the law's last digits
+EXPONENT_RTOL = 1e-15
+# WindowCore.entries takes a member's strict entries this many rows at a
+# time, so it computes little more than the half of its square it keeps
+ENTRY_ROWS = 64
 
 
 class QuadratureError(RuntimeError):
@@ -144,9 +163,11 @@ def kernel_factor(kern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     SKETCH_RTOL times the first, the SVD of the small Q^H K, truncated to
     its singular values above RANK_RTOL * sigma_0, gives the factor if the
     bound holds; if not, the sketch grows on.  A sketch that would reach
-    N columns gives the exact factor (K, I) instead.  Costs O(N^2 p) for a
-    final width p < N, and the fixed seed gives the same bits for the same
-    kern."""
+    N columns gives the exact factor (K, I) instead, as does one whose
+    residuals, decaying at their mean rate per column so far, would reach
+    SKETCH_RTOL only past SKETCH_MAX_SHARE N columns (near q = 1).  Costs
+    O(N^2 p) for a final width p < N, and the fixed seed gives the same
+    bits for the same kern."""
     n = len(kern)
     rng = np.random.default_rng(0)
     basis, resid = np.zeros((n, 0), dtype=complex), np.zeros(0)
@@ -160,6 +181,12 @@ def kernel_factor(kern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         basis = np.hstack([basis, block])
         resid = np.concatenate([resid, gain])
         if np.any(resid[-SKETCH_MARGIN:] > SKETCH_RTOL * resid[0]):
+            decay = np.log(resid[-1] / resid[0]) / (len(resid) - 1)
+            need = (len(resid) + SKETCH_MARGIN
+                    + np.log(SKETCH_RTOL * resid[0] / resid[-1]) / decay
+                    if decay < 0 else math.inf)
+            if need > SKETCH_MAX_SHARE * n:
+                break
             continue
         u, sigma, vh = np.linalg.svd(basis.conj().T @ kern,
                                      full_matrices=False)
@@ -191,52 +218,153 @@ def tensor_integral(rows: np.ndarray, z: np.ndarray, q: float) -> complex:
     raise ValueError(f"contour quadrature supports k <= 3, got k = {k}")
 
 
-def window_integral(rows: np.ndarray, k: int, done: int, kern: np.ndarray,
-                    factor, pairs, size: float) -> np.ndarray:
+def window_integral(rows: np.ndarray, k: int, done: int,
+                    kern: np.ndarray) -> np.ndarray:
     """The real parts of tensor_integral(rows[[i1, ..., ik]], ...) over the
     strict index tuples i1 > ... > ik with i1 >= done, packed in
     lexicographic order of (i1, ..., ik), so that a window widened by more
-    rows only appends.
-
-    rows is one exponent window of W members, already multiplied by the node
-    weights, kern = cross_kernel(z, q) on its nodes (unused at k = 1),
-    factor = kernel_factor(kern) and pairs = conjugate_pairs(n) (k = 3 only).
-    At k = 3 the rows must be conjugate on the pairs and real on the fixed
-    nodes.  Exponent rows exp(l L_s + M L_v) are so to a rounding of about
-    eps |l L_s + M L_v| max|rows|, and size bounds that exponent over the
-    rows (0 for rows built otherwise); a mismatch past
-    (1e-12 + 16 eps size) max|rows| raises ValueError.
-    The outer node sum's terms at a pair are then conjugate, so it runs over
-    the upper nodes twice and the fixed ones once, and its real part is one
-    real GEMM.  Member i1 takes C(i1, 2) entries at
-    O(N r^2 + (r + i1) N^2 / 2) for N nodes and rank r, half the full node
-    sum, in place of O(N^3 + W N^2) for the full kernel."""
+    rows only appends; k <= 2.  rows is one exponent window, already
+    multiplied by the node weights, and kern = cross_kernel(z, q) on its
+    nodes (unused at k = 1).  A k = 3 window goes through WindowCore."""
     if k == 1:
         return rows[done:].sum(axis=1).real
     if k == 2:
         full = rows[done:] @ kern @ rows.T
         return full[np.tril_indices(len(full), done - 1, len(rows))].real
-    if k != 3:
-        raise ValueError(f"contour quadrature supports k <= 3, got k = {k}")
-    (U, V), (upper, lower, fixed) = factor, pairs
-    half = np.concatenate([upper, fixed])
-    rows_half = rows[:, half]
-    mismatch = np.max(np.abs(rows[:, np.r_[lower, fixed]] - rows_half.conj()))
-    slack = 1e-12 + 16 * np.finfo(float).eps * size
-    if mismatch > slack * np.max(np.abs(rows)):
-        raise ValueError(f"rows not conjugate on the pairs: {mismatch:.3e}")
-    twice = np.r_[np.full(len(upper), 2.0), np.ones(len(fixed))][:, None]
-    kern_half, v_half = kern[half] * twice, V[:, half].T.copy()
-    rows_ri = rows.conj().view(np.float64)   # Re, -Im interleaved per node
-    start = math.comb(done, 3)   # member i1's entries start at C(i1, 3)
-    out = np.empty(math.comb(len(rows), 3) - start)
-    for i1 in range(max(done, 2), len(rows)):   # i1 >= 2 has strict entries
-        inner = v_half @ (((U.T * rows[i1]) @ U) @ V)
-        left = rows_half[:i1] @ (kern_half * inner)
-        block = left.view(np.float64) @ rows_ri[:i1 - 1].T
-        out[math.comb(i1, 3) - start:math.comb(i1 + 1, 3) - start] = (
-            block[np.tril_indices(i1, -1, i1 - 1)])
-    return out
+    raise ValueError(f"window_integral supports k <= 2, got k = {k}")
+
+
+class WindowCore:
+    """The k = 3 window integrals of exponent rows appended a block at a
+    time, through a skeleton of the rows and one real core.
+
+    Each block of rows must be conjugate on the pairs and real on the fixed
+    nodes.  Exponent rows exp(l L_s + M L_v) are so to a rounding of about
+    eps |l L_s + M L_v| max|rows|, and size bounds that exponent over the
+    block (0 for rows built otherwise); a mismatch past
+    (1e-12 + 16 eps size) max|rows| raises ValueError.
+
+    A block's skeleton is picked from its values on the upper and fixed
+    nodes, as reals, by pivoted Gram-Schmidt (an interpolative
+    decomposition; Cheng-Gimbutas-Martinsson-Rokhlin, SIAM J. Sci. Comput.
+    26, 2005): the row farthest from the span of those picked joins them
+    until none is farther than EXPONENT_RTOL times the largest row norm,
+    or than the rows' own rounding, eps size / 256 of it.  With Q the
+    skeleton rows and P real, max|R - P Q| <= FACTOR_TOL max|R| must hold
+    on those nodes, max|R| over every block so far, or append raises
+    QuadratureError.  A block's rows take only its own skeleton: through an
+    earlier block's skeleton they would take extrapolation's coefficients.
+
+    The core C[a, b, c] = Re sum Q_a(z1) Q_b(z2) Q_c(z3) K12 K13 K23 is the
+    window integral of skeleton rows, so its entries carry the rounding of
+    a direct contraction of localized rows; orthonormal singular vectors
+    in their place spread about eps max|I| over every entry, 4e-13 of
+    max p off the direct law at q = 0.7, M = 3.  An entry's first axis is
+    its largest exponent, whose block is the latest of its three, and a
+    block's rows lie on its own skeleton alone, so the only slices ever
+    used are those along each block's skeleton rows on the first axis
+    against every skeleton row so far: a block adds just those, through
+    the kernel factor K ~ U V and the half-node sum, and no append
+    recomputes one.  entries() expands the core along P[i1], P[i2], P[i3];
+    a block's rows use only the skeleton and core up to that block, so an
+    entry has the same bits whichever window asks for it."""
+
+    def __init__(self, kern: np.ndarray, factor, pairs):
+        self.kern, self.factor, self.pairs = kern, factor, pairs
+        n = len(kern)
+        self.P, self.Q = np.zeros((0, 0)), np.zeros((0, n), dtype=complex)
+        self.cores = []                  # per block: its rows' core slices
+        self.ends, self.ranks = [], []   # per block: rows and rank after it
+        self.scale = self.norm = 0.0     # max|R| and max row norm so far
+
+    @property
+    def width(self) -> int:
+        return len(self.P)
+
+    def append(self, rows: np.ndarray, size: float) -> None:
+        """Pick one block's skeleton, certify its factor and add the core
+        slices along its skeleton rows."""
+        upper, lower, fixed = self.pairs
+        half = np.concatenate([upper, fixed])
+        rows_half = rows[:, half]
+        mismatch = np.max(np.abs(rows[:, np.r_[lower, fixed]]
+                                 - rows_half.conj()))
+        slack = 1e-12 + 16 * np.finfo(float).eps * size
+        if mismatch > slack * np.max(np.abs(rows)):
+            raise ValueError(f"rows not conjugate on the pairs: {mismatch:.3e}")
+        real = np.ascontiguousarray(rows_half).view(np.float64)  # Re, Im
+        scale = max(self.scale, float(np.max(np.abs(rows))))
+        norm = max(self.norm, float(np.linalg.norm(real, axis=1).max()))
+        goal = max(EXPONENT_RTOL, np.finfo(float).eps * size / 256) * norm
+        left, basis, picks = real.copy(), np.zeros((0, real.shape[1])), []
+        while len(picks) < len(rows):   # pivoted Gram-Schmidt on the rows
+            norms = np.linalg.norm(left, axis=1)
+            pick = int(np.argmax(norms))
+            if norms[pick] <= goal:
+                break
+            vec = left[pick] - (left[pick] @ basis.T) @ basis
+            vec /= np.linalg.norm(vec)
+            left -= np.outer(left @ vec, vec)
+            left[pick] = 0.0
+            basis = np.vstack([basis, vec])
+            picks.append(pick)
+        coef = real @ basis.T             # rows on the basis; skeleton rows
+        P = np.linalg.solve(np.tril(coef[picks]).T, coef.T).T   # triangular
+        err = np.max(np.abs(rows_half - P @ rows_half[picks]))
+        bound = FACTOR_TOL * scale
+        if not err <= bound:
+            raise QuadratureError("exponent factor not certified",
+                                  {"error": float(err), "bound": bound,
+                                   "rank": len(picks)})
+        self._grow(rows[picks])
+        self.P = np.block([[self.P, np.zeros((self.width, len(picks)))],
+                           [np.zeros((len(rows), self.P.shape[1])), P]])
+        self.ends.append(self.width)
+        self.ranks.append(len(self.Q))
+        self.scale, self.norm = scale, norm
+
+    def _grow(self, add: np.ndarray) -> None:
+        """Add the core's slices along the new skeleton rows add."""
+        (U, V), (upper, _, fixed) = self.factor, self.pairs
+        half = np.concatenate([upper, fixed])
+        twice = np.r_[np.full(len(upper), 2.0), np.ones(len(fixed))][:, None]
+        Q = np.vstack([self.Q, add])
+        kern_half, q_half = self.kern[half] * twice, Q[:, half]
+        q_ri = Q.conj().view(np.float64)   # Re, -Im interleaved per node
+        v_half = V[:, half].T.copy()
+        core = np.empty((len(add), len(Q), len(Q)))
+        for a, row in enumerate(add):
+            inner = v_half @ (((U.T * row) @ U) @ V)          # (z2, z3)
+            left = q_half @ (kern_half * inner)
+            core[a] = left.view(np.float64) @ q_ri.T
+        self.Q = Q
+        self.cores.append(core.reshape(len(add), -1))
+
+    def entries(self, done: int, width: int) -> np.ndarray:
+        """The real window integrals at the strict (i1, i2, i3), i1 > i2 >
+        i3, with done <= i1 < width, packed as window_integral packs them.
+        Member i1 contracts its block's core slices with P[i1] and then
+        P[i2], and takes its C(i1, 2) entries ENTRY_ROWS rows i2 at a time,
+        each against the P[i3] it needs: O(rho^3 + i1 rho^2 + i1^2 rho / 2),
+        so O(W^3 rho / 6) in all for W >> rho."""
+        start = math.comb(done, 3)   # member i1's entries start at C(i1, 3)
+        out = np.empty(math.comb(width, 3) - start)
+        block = -1
+        for i1 in range(max(done, 2), width):   # i1 >= 2 has strict entries
+            if block < 0 or i1 >= self.ends[block]:
+                block = int(np.searchsorted(self.ends, i1, side="right"))
+                r = self.ranks[block]
+                first = r - len(self.cores[block])
+            P = self.P[:i1 + 1, :r]
+            mid = (P[i1, first:] @ self.cores[block]).reshape(r, r)
+            left = P[:i1] @ mid                              # (i2, gamma)
+            at = math.comb(i1, 3) - start
+            for a in range(0, i1, ENTRY_ROWS):   # rows a..b-1 need i3 < b - 1
+                b = min(a + ENTRY_ROWS, i1)
+                out[at + math.comb(a, 2):at + math.comb(b, 2)] = (
+                    left[a:b] @ P[:b - 1].T)[np.tri(b - a, b - 1, a - 1,
+                                                    dtype=bool)]
+        return out
 
 
 def adaptive(evaluate, n0: int, max_nodes: int, tol: float, atol: float = 0.0):

@@ -91,11 +91,22 @@ def test_pmf_extension_matches_fresh_window(params, monkeypatch):
     assert np.max(np.abs(probs - fresh)) <= 1e-15 * np.max(probs)
 
 
+def test_pmf_k3_blocks_give_a_fresh_window_the_same_bits(params):
+    # (3, 5)'s final window passes its first block of exponents: a fresh
+    # window appends both blocks at once, the extended one block by block,
+    # and both expand every entry from the same skeleton and core
+    for M in (5, 10):
+        pmf = top_row_pmf(3, M, params)
+        assert np.array_equal(pmf.probs, _fresh_window(pmf))
+
+
 def _count_memo_builds(monkeypatch):
     """Per node count of the contour route: the cross kernels built (by
     measure or inside quadrature), the kernel factors built, and the
-    exponents given rows."""
-    counts = {"kernel": Counter(), "factor": Counter(), "rows": Counter()}
+    exponents given rows; per node count and first row of a k = 3 block:
+    the blocks factored and the core slices grown."""
+    counts = {"kernel": Counter(), "factor": Counter(), "rows": Counter(),
+              "block": Counter(), "slices": Counter()}
 
     def counted(name, module, fn, size):
         def wrapped(z, *args):
@@ -107,21 +118,39 @@ def _count_memo_builds(monkeypatch):
         counted("kernel", module, module.cross_kernel, lambda args: 1)
     counted("factor", measure, measure.kernel_factor, lambda args: 1)
     counted("rows", measure, measure.exponent_rows, lambda args: len(args[1]))
+    core = quadrature.WindowCore
+    for name, method in (("block", "append"), ("slices", "_grow")):
+        def wrapped(self, *args, name=name, fn=getattr(core, method)):
+            counts[name][len(self.kern), self.width] += 1
+            return fn(self, *args)
+        monkeypatch.setattr(core, method, wrapped)
     return counts
 
 
-@pytest.mark.parametrize("k, M", [(2, 100), (3, 10)])
+@pytest.mark.parametrize("k, M", [(2, 100), (3, 5), (3, 10), (3, 20)])
 def test_pmf_memo_builds_each_node_set_once(params, monkeypatch, k, M):
-    # every node count builds its kernel (and k = 3 factor) once per pmf,
-    # and takes each exponent's row once over all extensions
+    # every node count builds its kernel (and k = 3 kernel factor) once per
+    # pmf; at k <= 2 it takes each exponent's row once over all extensions,
+    # at k = 3 each block of exponents from lo its rows, factor and core
+    # slices once, over the blocks the final window reaches ((3, 5) reaches
+    # two, so an extension adds a block and recomputes no slice)
     counts = _count_memo_builds(monkeypatch)
     calls = _record_windows(monkeypatch)
     pmf = top_row_pmf(k, M, params)
     lo, hi = pmf.window
     assert len(calls) >= 3 and len({lo for lo, _ in calls}) == 1
     assert counts["kernel"] and set(counts["kernel"].values()) == {1}
-    assert counts["factor"] == (counts["kernel"] if k == 3 else Counter())
-    assert counts["rows"] == {n: hi - lo + 1 for n in counts["kernel"]}
+    if k < 3:
+        assert counts["factor"] == counts["block"] == Counter()
+        assert counts["rows"] == {n: hi - lo + 1 for n in counts["kernel"]}
+        return
+    assert counts["factor"] == counts["kernel"]
+    block = measure.EXPONENT_BLOCK * measure._window_step(M, params)
+    starts = range(0, hi - lo + 1, block)
+    assert len(starts) == (2 if M == 5 else 1)
+    assert counts["rows"] == {n: len(starts) * block for n in counts["kernel"]}
+    want = Counter({(n, s): 1 for n in counts["kernel"] for s in starts})
+    assert counts["block"] == counts["slices"] == want
 
 
 @pytest.mark.parametrize("k, M", [(2, 100), (3, 10)])

@@ -7,8 +7,9 @@ import pytest
 
 from sixvertexlab.asymptotics import exponent_rows, log_ratio_s, log_ratio_v
 from sixvertexlab.core import ModelParams
+from sixvertexlab import quadrature
 from sixvertexlab.quadrature import (FACTOR_TOL, SKETCH_MARGIN, SKETCH_WIDTH,
-                                     QuadratureError, adaptive,
+                                     QuadratureError, WindowCore, adaptive,
                                      composite_nodes, conjugate_pairs,
                                      cross_kernel, kernel_factor,
                                      tensor_integral, window_integral)
@@ -89,27 +90,41 @@ def _mirrored(rows, n):
     return rows
 
 
+def _core_entries(blocks, done, kern, factor, pairs, size=0.0):
+    """The k = 3 strict entries of a WindowCore that took blocks in turn."""
+    core = WindowCore(kern, factor, pairs)
+    for rows in blocks:
+        core.append(rows, size)
+    return core.entries(done, core.width)
+
+
 def test_window_integral_packed_strict_entries():
     # one exponent window of W members: the strict entries i1 > ... > ik in
-    # lexicographic order, through the truncated and the exact factor; a
-    # later start done gives the tail of the whole window's output
+    # lexicographic order; at k = 3 through the truncated and the exact
+    # kernel factor, the rows appended as one block or as two; a later
+    # start done gives the tail of the whole window's output
     q, W, n = 0.5, 7, 20
     z, _ = composite_nodes(2.0, 10, n)
     rows = _mirrored(_families(np.random.default_rng(5), (W, len(z))), n)
     kern = cross_kernel(z, q)
     pairs = conjugate_pairs(n)
     assert len(pairs[2]) == 1     # the arc's 5 nodes have a middle one
+    factors = (kernel_factor(kern), (kern, np.eye(len(z))))
     for k in (1, 2, 3):
         ref = _brute_force([rows] * k, z, q).real
         entries = sorted(c[::-1] for c in combinations(range(W), k))
         want = np.array([ref[e] for e in entries])
-        for factor in (kernel_factor(kern), (kern, np.eye(len(z)))):
-            got = window_integral(rows, k, 0, kern, factor, pairs, 0.0)
+        splits = ([rows], [rows[:4], rows[4:]])
+        runs = ([lambda done: window_integral(rows, k, done, kern)] if k < 3
+                else [lambda done, f=f, b=b: _core_entries(b, done, kern, f,
+                                                           pairs)
+                      for f in factors for b in splits])
+        for run in runs:
+            got = run(0)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(ref))
             for done in (1, 3, W - 1):
-                tail = window_integral(rows, k, done, kern, factor, pairs,
-                                       0.0)
+                tail = run(done)
                 assert len(tail) == sum(e[0] >= done for e in entries)
                 err = np.max(np.abs(tail - got[len(got) - len(tail):]))
                 assert err <= 1e-13 * np.max(np.abs(ref))
@@ -124,12 +139,12 @@ def test_window_integral_k3_refuses_rows_off_the_pairs():
     kern = cross_kernel(z, q)
     factor, pairs = kernel_factor(kern), conjugate_pairs(n)
     with pytest.raises(ValueError, match="not conjugate on the pairs"):
-        window_integral(rows, 3, 0, kern, factor, pairs, 0.0)
+        WindowCore(kern, factor, pairs).append(rows, 0.0)
     bent = _mirrored(rows, n)
     bent[3, pairs[1][0]] += 1e-9 * np.max(np.abs(bent))
     with pytest.raises(ValueError, match="not conjugate on the pairs"):
-        window_integral(bent, 3, 0, kern, factor, pairs, 0.0)
-    assert len(window_integral(bent, 2, 0, kern, None, None, 0.0)) == 21
+        WindowCore(kern, factor, pairs).append(bent, 0.0)
+    assert len(window_integral(bent, 2, 0, kern)) == 21
     # exponent rows are conjugate on the pairs only to about
     # eps |l L_s + M L_v| max|rows|, 1.2e-12 at M = 2,000, past the bound
     # for size 0; the bound grows with the exponent's size, and a 1e-9
@@ -143,14 +158,32 @@ def test_window_integral_k3_refuses_rows_off_the_pairs():
                       + M * np.abs(log_ratio_v(z, params)))
         kern = cross_kernel(z, params.q)
         factor, pairs = kernel_factor(kern), conjugate_pairs(n)
-        out = window_integral(rows, 3, 0, kern, factor, pairs, size)
+        out = _core_entries([rows], 0, kern, factor, pairs, size)
         assert out.shape == (10,) and np.all(np.isfinite(out))
         if M == 2000:
             with pytest.raises(ValueError, match="not conjugate"):
-                window_integral(rows, 3, 0, kern, factor, pairs, 0.0)
+                WindowCore(kern, factor, pairs).append(rows, 0.0)
         rows[3, pairs[1][0]] += 1e-9 * np.max(np.abs(rows))
         with pytest.raises(ValueError, match="not conjugate on the pairs"):
-            window_integral(rows, 3, 0, kern, factor, pairs, size)
+            WindowCore(kern, factor, pairs).append(rows, size)
+
+
+def test_window_core_refuses_an_uncertified_factor(monkeypatch):
+    # a skeleton cut at 1e-3 of the largest row norm leaves the exponent
+    # rows far past FACTOR_TOL max|R|: the append raises, and no entries
+    # come out of a truncated factor
+    params, M, n = ModelParams(0.5, 2.0, 0.25), 10, 129
+    z, wts = composite_nodes(params.u, M, n)
+    rows = exponent_rows(z, wts, np.arange(1, 41), M, params)
+    kern = cross_kernel(z, params.q)
+    factor, pairs = kernel_factor(kern), conjugate_pairs(n)
+    assert _core_entries([rows], 0, kern, factor, pairs).shape == (9880,)
+    monkeypatch.setattr(quadrature, "EXPONENT_RTOL", 1e-3)
+    core = WindowCore(kern, factor, pairs)
+    with pytest.raises(QuadratureError, match="not certified") as exc:
+        core.append(rows, 0.0)
+    assert exc.value.diagnostics["error"] > exc.value.diagnostics["bound"]
+    assert core.width == 0 and core.cores == []
 
 
 def test_window_integral_k3_allocates_no_dense_box():
@@ -163,7 +196,7 @@ def test_window_integral_k3_allocates_no_dense_box():
     factor, pairs = kernel_factor(kern), conjugate_pairs(n)
     tracemalloc.start()
     try:
-        out = window_integral(rows, 3, 0, kern, factor, pairs, 0.0)
+        out = _core_entries([rows], 0, kern, factor, pairs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -292,3 +325,26 @@ def test_kernel_factor_decomposes_no_square_kernel(monkeypatch):
         assert len(z) == 1296 and shapes
         assert all(min(shape) < len(z) for shape in shapes)
         assert _certified(kern, U, V)
+
+
+def test_kernel_factor_stops_near_q_one(monkeypatch):
+    # at q = 0.99 the sketch's residuals decay too slowly for any width
+    # short of 2N/3: one block (one QR call) shows it, and the factor is the
+    # exact (K, I); at q = 0.9 the same node sets keep a sketched factor
+    calls, qr = [], np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    for n in (516, 1032):
+        z, _ = composite_nodes(2.0, 100, n)
+        kern = cross_kernel(z, 0.99)
+        calls.clear()
+        U, V = kernel_factor(kern)
+        assert len(calls) <= 3
+        assert np.array_equal(U, kern) and np.array_equal(V, np.eye(len(z)))
+        kern = cross_kernel(z, 0.9)
+        U, V = kernel_factor(kern)
+        assert U.shape[1] < len(z) / 2 and _certified(kern, U, V)
