@@ -144,13 +144,23 @@ def f_direct_batch(k: int, max_part: int, M: int,
     and 0 off those, from a single forward pass of the boundary sum through
     M conjugated strict-state rows (conjugated rows keep strict states
     strict, so no other state is ever reached).  The start amplitudes
-    (-s)^|nu| are read off one table of Python powers."""
+    (-s)^|nu| are read off one table of Python powers.  Past the float
+    range (max_part ~ 2,000 at k = 1, s = sqrt 2) it raises OverflowError
+    with k, max_part, M and s, and returns no non-finite value."""
     s, q = params.s, params.q
     amp = np.zeros((max_part + 1,) * k)
     atoms = strict_atoms(k, 1, max_part)
-    power = np.array([(-s) ** e for e in range(k * max_part + 1)])
-    amp[tuple(atoms.T)] = power[atoms.sum(axis=1)]
-    row = StrictRow(params, params.v, conjugated=True)
-    for _ in range(M):
-        amp = row.apply(amp, max_part)
+    try:
+        power = np.array([(-s) ** e for e in range(k * max_part + 1)])
+        amp[tuple(atoms.T)] = power[atoms.sum(axis=1)]
+        row = StrictRow(params, params.v, conjugated=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(M):
+                amp = row.apply(amp, max_part)
+        if not np.isfinite(amp).all():
+            raise OverflowError
+    except OverflowError:
+        raise OverflowError(f"f_direct_batch leaves the float range at k = "
+                            f"{k}, max_part = {max_part}, M = {M}, s = {s}"
+                            ) from None
     return (-1.0) ** k * q_pochhammer(q, q, k) * amp

@@ -70,7 +70,8 @@ def partition_Z(k: int, M: int, params: ModelParams) -> float:
 # and the largest part the support window may grow to
 QUAD_TOL = 1e-10
 MAX_PART = 100_000
-# window steps per block of exponents in a k = 3 window's factor
+# a k = 3 window's core holds the least multiple of this many window steps
+# of exponents that holds the window
 EXPONENT_BLOCK = 10
 
 
@@ -157,13 +158,13 @@ def _ic_window(k: int, lo: int, hi: int, M: int, params: ModelParams,
     memo["rows"] maps it to what grew at this lo, the packed integrals so
     far and the count of exponents they cover; _pmf_window drops it when lo
     moves.  What grew is the rows of the exponents lo, lo + 1, ... at
-    k <= 2, and at k = 3 a quadrature.WindowCore (P, the skeleton rows Q
-    and their core) over blocks of EXPONENT_BLOCK window steps counted from
-    lo: a window past the last block appends the next, whose rows are built
-    once and not kept, so each block depends on (M, params, lo) alone.
+    k <= 2, and at k = 3 one quadrature.WindowCore over the least multiple
+    of EXPONENT_BLOCK window steps of exponents from lo that holds the
+    window (rows built once, not kept); a window past them takes a new core
+    and all its integrals, so each depends on (M, params, lo, width) alone.
     Only new largest parts get integrals, and the stopping rule sees only
     the atoms.  The conjugate-row check scales with the exponent size,
-    bounded by max(l |L_s| + M |L_v|) over the nodes at the block's last
+    bounded by max(l |L_s| + M |L_v|) over the nodes at the core's last
     exponent l."""
     width = hi - lo + 1
     block = EXPONENT_BLOCK * _window_step(M, params)
@@ -181,11 +182,12 @@ def _ic_window(k: int, lo: int, hi: int, M: int, params: ModelParams,
         z, wts, kern, factor, pairs, ls, lv = nodes[n]
         held, packed, done = grown.get(n, (None, np.zeros(0), 0))
         if k == 3:
-            held = WindowCore(kern, factor, pairs) if held is None else held
-            while held.width < width:
-                ex = lo + held.width + np.arange(block)
-                held.append(exponent_rows(z, wts, ex, M, params),
-                            np.max(ex[-1] * ls + M * lv))
+            if held is None or len(held.P) < width:   # past the core's rows
+                ex = lo + np.arange(-(-width // block) * block)
+                held = WindowCore(exponent_rows(z, wts, ex, M, params),
+                                  np.max(ex[-1] * ls + M * lv), kern, factor,
+                                  pairs)
+                packed, done = np.zeros(0), 0
             new = held.entries(done, width)
         else:
             held = np.concatenate(
@@ -212,22 +214,27 @@ def _F_transfer_window(k: int, hi: int, params: ModelParams) -> np.ndarray:
 
 def _pmf_window(k: int, M: int, params: ModelParams, lo: int, hi: int,
                 route: str, memo: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The atoms of the window [lo, hi] (colex rows) and their probabilities."""
+    """The atoms of the window [lo, hi] (colex rows) and their probabilities.
+    Contour: Fhat is evaluated on the gap tuples below the width W (strict
+    tuples in [1, W - 1] with a 0 appended), keyed by the gaps as digits in
+    base W, and gathered; so are the ranks sum_j C(mu_j - lo, k - j)."""
     atoms = strict_atoms(k, lo, hi)
     if route == "contour":
         if memo.get("lo") != lo:  # a move of lo drops what grew at the old lo
-            memo.update(lo=lo, rows={}, atoms=(lo - 1, (), ()))
-        # (hi, Fhat, rank) of the last window: colex keeps its order
-        hi0, fhat0, rank0 = memo["atoms"]
-        new = atoms[:, 0] > hi0
-        fresh = atoms[new]
-        fhat, rank = np.empty(len(atoms)), np.empty(len(atoms), atoms.dtype)
-        fhat[~new], rank[~new] = fhat0, rank0
-        fhat[new] = F_scaled_closed(fresh, params)
-        rank[new] = sum(math.prod(fresh[:, j] - lo - t for t in range(k - j))
-                        // math.factorial(k - j) for j in range(k))
-        memo["atoms"] = hi, fhat, rank
-        return atoms, fhat * _ic_window(k, lo, hi, M, params, memo)[rank]
+            memo.update(lo=lo, rows={})
+        width = hi - lo + 1
+        grid = np.zeros((math.comb(width - 1, k - 1), k), atoms.dtype)
+        if k > 1:
+            grid[:, :-1] = strict_atoms(k - 1, 1, width - 1)
+        # mu @ key: the gaps of mu as the digits of one int in base width
+        key = np.diff(np.r_[0, width ** np.arange(k - 2, -1, -1), 0])
+        fhat = np.empty(width ** (k - 1))
+        fhat[grid @ key] = F_scaled_closed(grid, params)
+        x = np.arange(hi + 1) - lo
+        rank = sum((math.prod(x - t for t in range(k - j))
+                    // math.factorial(k - j))[atoms[:, j]] for j in range(k))
+        return atoms, (fhat[atoms @ key]
+                       * _ic_window(k, lo, hi, M, params, memo)[rank])
     if route == "direct":
         idx = tuple(atoms.T)
         f = f_direct_batch(k, hi, M, params)
@@ -251,11 +258,11 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
 
     The contour route keeps each node set and its kernel across extensions.
     While lo stays put it also keeps the exponent rows (k <= 2) or the
-    window core (k = 3: skeleton rows, their factor and core, over blocks
-    of exponents from lo) and the integrals, and takes only new exponents'
-    rows or new blocks, new largest parts' entries and new atoms' Fhat and
-    ranks; a move of lo drops all four at once.  Its atoms below about
-    2e-13 max p are quadrature noise and can be negative.
+    window core (k = 3, over a multiple of EXPONENT_BLOCK window steps of
+    exponents from lo) and the integrals, and takes only new exponents'
+    rows and new largest parts' entries, or past the core's rows a new
+    core; a move of lo drops all three.  Fhat and ranks come from tables
+    per window.  Atoms below about 2e-13 max p are quadrature noise.
     """
     if k > 3:
         raise ValueError("top_row_pmf supports k <= 3")

@@ -29,15 +29,15 @@ sketch would need nearly N columns, it takes the exact factor (K, I).
 The exponent rows g(z) exp(l L_s(z)) of a window are Vandermonde-like in l
 and localized near the critical point, so they too have low rank (the same
 bound): about 30 of 50-80 rows at perfbench's k = 3 laws, and 60 of 390 at
-M = 300, at any node count.  WindowCore picks a skeleton of rho rows per
-node set, contracts them once into a real rho x rho x rho core through
+M = 300, at any node count.  WindowCore picks a skeleton of rho of a
+window's rows, contracts them into a real rho x rho x rho core through
 K ~ U V and over half the nodes (the rows are conjugate on the nodes'
-conjugate pairs), and expands every strict entry from it: the core costs
-O(rho (N r^2 + (r + rho) N^2 / 2)) per node set and the expansion
-O(W^3 rho / 6), against O(W (N r^2 + (r + W) N^2 / 2)) for the W members
-contracted one by one, and O(W (N^3 + W N^2)) for the full kernel.  Single
-k = 3 integrals keep the full kernel, where a factor would cost more than
-the product it saves.
+conjugate pairs), and expands every strict entry from it: one core costs
+O(rho (N r^2 + (r + rho) N^2 / 2)), once per node set and core size, and
+the expansion O(W^3 rho / 6), against O(W (N r^2 + (r + W) N^2 / 2)) for
+the W members contracted one by one, and O(W (N^3 + W N^2)) for the full
+kernel.  Single k = 3 integrals keep the full kernel, where a factor would
+cost more than the product it saves.
 
 This module imports nothing from the package, so every route that uses it
 stays independent of the transfer engines it is checked against.
@@ -230,61 +230,41 @@ def window_integral(rows: np.ndarray, k: int, done: int,
         return rows[done:].sum(axis=1).real
     if k == 2:
         full = rows[done:] @ kern @ rows.T
-        return full[np.tril_indices(len(full), done - 1, len(rows))].real
+        return full.real[np.tri(len(full), len(rows), done - 1, dtype=bool)]
     raise ValueError(f"window_integral supports k <= 2, got k = {k}")
 
 
 class WindowCore:
-    """The k = 3 window integrals of exponent rows appended a block at a
-    time, through a skeleton of the rows and one real core.
+    """The k = 3 window integrals of one set of exponent rows, through a
+    skeleton of the rows and one real core.
 
-    Each block of rows must be conjugate on the pairs and real on the fixed
-    nodes.  Exponent rows exp(l L_s + M L_v) are so to a rounding of about
+    The rows must be conjugate on the pairs and real on the fixed nodes.
+    Exponent rows exp(l L_s + M L_v) are so to a rounding of about
     eps |l L_s + M L_v| max|rows|, and size bounds that exponent over the
-    block (0 for rows built otherwise); a mismatch past
+    rows (0 for rows built otherwise); a mismatch past
     (1e-12 + 16 eps size) max|rows| raises ValueError.
 
-    A block's skeleton is picked from its values on the upper and fixed
+    The skeleton is picked from the rows' values on the upper and fixed
     nodes, as reals, by pivoted Gram-Schmidt (an interpolative
     decomposition; Cheng-Gimbutas-Martinsson-Rokhlin, SIAM J. Sci. Comput.
     26, 2005): the row farthest from the span of those picked joins them
     until none is farther than EXPONENT_RTOL times the largest row norm,
     or than the rows' own rounding, eps size / 256 of it.  With Q the
     skeleton rows and P real, max|R - P Q| <= FACTOR_TOL max|R| must hold
-    on those nodes, max|R| over every block so far, or append raises
-    QuadratureError.  A block's rows take only its own skeleton: through an
-    earlier block's skeleton they would take extrapolation's coefficients.
+    on those nodes, or the constructor raises QuadratureError.
 
     The core C[a, b, c] = Re sum Q_a(z1) Q_b(z2) Q_c(z3) K12 K13 K23 is the
-    window integral of skeleton rows, so its entries carry the rounding of
+    window integral of skeleton rows, contracted through the kernel factor
+    K ~ U V and over half the nodes, so its entries carry the rounding of
     a direct contraction of localized rows; orthonormal singular vectors
     in their place spread about eps max|I| over every entry, 4e-13 of
-    max p off the direct law at q = 0.7, M = 3.  An entry's first axis is
-    its largest exponent, whose block is the latest of its three, and a
-    block's rows lie on its own skeleton alone, so the only slices ever
-    used are those along each block's skeleton rows on the first axis
-    against every skeleton row so far: a block adds just those, through
-    the kernel factor K ~ U V and the half-node sum, and no append
-    recomputes one.  entries() expands the core along P[i1], P[i2], P[i3];
-    a block's rows use only the skeleton and core up to that block, so an
-    entry has the same bits whichever window asks for it."""
+    max p off the direct law at q = 0.7, M = 3.  entries() expands the
+    core along P[i1], P[i2], P[i3], so an entry has the same bits whichever
+    window asks for it.  A wider window needs a new core over more rows."""
 
-    def __init__(self, kern: np.ndarray, factor, pairs):
-        self.kern, self.factor, self.pairs = kern, factor, pairs
-        n = len(kern)
-        self.P, self.Q = np.zeros((0, 0)), np.zeros((0, n), dtype=complex)
-        self.cores = []                  # per block: its rows' core slices
-        self.ends, self.ranks = [], []   # per block: rows and rank after it
-        self.scale = self.norm = 0.0     # max|R| and max row norm so far
-
-    @property
-    def width(self) -> int:
-        return len(self.P)
-
-    def append(self, rows: np.ndarray, size: float) -> None:
-        """Pick one block's skeleton, certify its factor and add the core
-        slices along its skeleton rows."""
-        upper, lower, fixed = self.pairs
+    def __init__(self, rows: np.ndarray, size: float, kern: np.ndarray,
+                 factor, pairs):
+        (U, V), (upper, lower, fixed) = factor, pairs
         half = np.concatenate([upper, fixed])
         rows_half = rows[:, half]
         mismatch = np.max(np.abs(rows[:, np.r_[lower, fixed]]
@@ -293,8 +273,7 @@ class WindowCore:
         if mismatch > slack * np.max(np.abs(rows)):
             raise ValueError(f"rows not conjugate on the pairs: {mismatch:.3e}")
         real = np.ascontiguousarray(rows_half).view(np.float64)  # Re, Im
-        scale = max(self.scale, float(np.max(np.abs(rows))))
-        norm = max(self.norm, float(np.linalg.norm(real, axis=1).max()))
+        norm = float(np.linalg.norm(real, axis=1).max())
         goal = max(EXPONENT_RTOL, np.finfo(float).eps * size / 256) * norm
         left, basis, picks = real.copy(), np.zeros((0, real.shape[1])), []
         while len(picks) < len(rows):   # pivoted Gram-Schmidt on the rows
@@ -311,59 +290,43 @@ class WindowCore:
         coef = real @ basis.T             # rows on the basis; skeleton rows
         P = np.linalg.solve(np.tril(coef[picks]).T, coef.T).T   # triangular
         err = np.max(np.abs(rows_half - P @ rows_half[picks]))
-        bound = FACTOR_TOL * scale
+        bound = FACTOR_TOL * float(np.max(np.abs(rows)))
         if not err <= bound:
             raise QuadratureError("exponent factor not certified",
                                   {"error": float(err), "bound": bound,
                                    "rank": len(picks)})
-        self._grow(rows[picks])
-        self.P = np.block([[self.P, np.zeros((self.width, len(picks)))],
-                           [np.zeros((len(rows), self.P.shape[1])), P]])
-        self.ends.append(self.width)
-        self.ranks.append(len(self.Q))
-        self.scale, self.norm = scale, norm
-
-    def _grow(self, add: np.ndarray) -> None:
-        """Add the core's slices along the new skeleton rows add."""
-        (U, V), (upper, _, fixed) = self.factor, self.pairs
-        half = np.concatenate([upper, fixed])
+        Q = rows[picks]
         twice = np.r_[np.full(len(upper), 2.0), np.ones(len(fixed))][:, None]
-        Q = np.vstack([self.Q, add])
-        kern_half, q_half = self.kern[half] * twice, Q[:, half]
+        kern_half, q_half = kern[half] * twice, rows_half[picks]
         q_ri = Q.conj().view(np.float64)   # Re, -Im interleaved per node
         v_half = V[:, half].T.copy()
-        core = np.empty((len(add), len(Q), len(Q)))
-        for a, row in enumerate(add):
+        core = np.empty((len(Q),) * 3)
+        for a, row in enumerate(Q):
             inner = v_half @ (((U.T * row) @ U) @ V)          # (z2, z3)
             left = q_half @ (kern_half * inner)
             core[a] = left.view(np.float64) @ q_ri.T
-        self.Q = Q
-        self.cores.append(core.reshape(len(add), -1))
+        self.P = np.ascontiguousarray(P)   # C order: the expansion's bits
+        self.core = core.reshape(len(Q), -1)
 
     def entries(self, done: int, width: int) -> np.ndarray:
         """The real window integrals at the strict (i1, i2, i3), i1 > i2 >
-        i3, with done <= i1 < width, packed as window_integral packs them.
-        Member i1 contracts its block's core slices with P[i1] and then
+        i3, with done <= i1 < width <= len(P), packed as window_integral
+        packs them.  Member i1 contracts the core with P[i1] and then
         P[i2], and takes its C(i1, 2) entries ENTRY_ROWS rows i2 at a time,
         each against the P[i3] it needs: O(rho^3 + i1 rho^2 + i1^2 rho / 2),
         so O(W^3 rho / 6) in all for W >> rho."""
         start = math.comb(done, 3)   # member i1's entries start at C(i1, 3)
         out = np.empty(math.comb(width, 3) - start)
-        block = -1
+        rho = len(self.core)
         for i1 in range(max(done, 2), width):   # i1 >= 2 has strict entries
-            if block < 0 or i1 >= self.ends[block]:
-                block = int(np.searchsorted(self.ends, i1, side="right"))
-                r = self.ranks[block]
-                first = r - len(self.cores[block])
-            P = self.P[:i1 + 1, :r]
-            mid = (P[i1, first:] @ self.cores[block]).reshape(r, r)
-            left = P[:i1] @ mid                              # (i2, gamma)
+            mid = (self.P[i1] @ self.core).reshape(rho, rho)
+            left = self.P[:i1] @ mid                         # (i2, gamma)
             at = math.comb(i1, 3) - start
             for a in range(0, i1, ENTRY_ROWS):   # rows a..b-1 need i3 < b - 1
                 b = min(a + ENTRY_ROWS, i1)
                 out[at + math.comb(a, 2):at + math.comb(b, 2)] = (
-                    left[a:b] @ P[:b - 1].T)[np.tri(b - a, b - 1, a - 1,
-                                                    dtype=bool)]
+                    left[a:b] @ self.P[:b - 1].T)[np.tri(b - a, b - 1, a - 1,
+                                                         dtype=bool)]
         return out
 
 

@@ -74,11 +74,6 @@ def six_vertex_weights(params: ModelParams) -> tuple[float, ...]:
     return weights
 
 
-# Vertex types carried by the six weights above, in w1..w6 order.
-SIX_VERTEX_TYPES = ((0, 0, 0, 0), (1, 1, 1, 1), (1, 0, 1, 0),
-                    (0, 1, 0, 1), (1, 0, 0, 1), (0, 1, 1, 0))
-
-
 def conjugation_factor(sig, params: ModelParams) -> float:
     """c(lambda) = prod_{k>=0} (s^2; q)_{n_k} / (q; q)_{n_k} over the
     multiplicity blocks of lambda.

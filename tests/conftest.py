@@ -4,7 +4,17 @@ import pytest
 from sixvertexlab.core import ModelParams
 from sixvertexlab.measure import HalfStrictGTPattern
 from sixvertexlab.paths import enumerate_F_collections
-from sixvertexlab.weights import SIX_VERTEX_TYPES, six_vertex_weights
+from sixvertexlab.weights import six_vertex_weights
+
+# the vertex types (i1, j1, i2, j2) that carry six_vertex_weights' w1..w6
+SIX_VERTEX_TYPES = ((0, 0, 0, 0), (1, 1, 1, 1), (1, 0, 1, 0),
+                    (0, 1, 0, 1), (1, 0, 0, 1), (0, 1, 1, 0))
+
+
+@pytest.fixture
+def six_vertex_types():
+    """SIX_VERTEX_TYPES, in w1..w6 order."""
+    return SIX_VERTEX_TYPES
 
 
 @pytest.fixture

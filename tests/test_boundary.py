@@ -1,4 +1,6 @@
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +129,19 @@ def test_f_direct_batch_seeds_with_python_powers(params):
         for lam in itertools.combinations(range(max_part, 0, -1), k):
             assert tab[lam] == ((-1.0) ** k * q_pochhammer(q, q, k)
                                 * (-s) ** sum(lam))
+
+
+def test_f_direct_batch_refuses_past_the_float_range(params):
+    # at the display point, k = 1, M = 1: at max_part = 2,040 a row's t^gap
+    # table overflows, at 2,050 the start table (-s)^e; each raises the one
+    # OverflowError naming the sizes, with no warning and no inf or nan out
+    for max_part in (2040, 2050):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=re.escape(
+                    f"k = 1, max_part = {max_part}, M = 1, s = {params.s}")):
+                f_direct_batch(1, max_part, 1, params)
+    assert np.isfinite(f_direct_batch(1, 1000, 1, params)).all()
 
 
 def test_f_direct_batch_agrees_pointwise(band_points):

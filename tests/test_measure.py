@@ -92,9 +92,10 @@ def test_pmf_extension_matches_fresh_window(params, monkeypatch):
 
 
 def test_pmf_k3_blocks_give_a_fresh_window_the_same_bits(params):
-    # (3, 5)'s final window passes its first block of exponents: a fresh
-    # window appends both blocks at once, the extended one block by block,
-    # and both expand every entry from the same skeleton and core
+    # (3, 5)'s final window passes its first core's rows: the extended
+    # window takes a core over two blocks of exponents and expands every
+    # entry again, as a fresh window of that width does, so both have the
+    # same bits; (3, 10)'s windows all fit one core
     for M in (5, 10):
         pmf = top_row_pmf(3, M, params)
         assert np.array_equal(pmf.probs, _fresh_window(pmf))
@@ -103,10 +104,10 @@ def test_pmf_k3_blocks_give_a_fresh_window_the_same_bits(params):
 def _count_memo_builds(monkeypatch):
     """Per node count of the contour route: the cross kernels built (by
     measure or inside quadrature), the kernel factors built, and the
-    exponents given rows; per node count and first row of a k = 3 block:
-    the blocks factored and the core slices grown."""
+    exponents given rows; per node count and row count: the k = 3 cores
+    built."""
     counts = {"kernel": Counter(), "factor": Counter(), "rows": Counter(),
-              "block": Counter(), "slices": Counter()}
+              "core": Counter()}
 
     def counted(name, module, fn, size):
         def wrapped(z, *args):
@@ -118,12 +119,12 @@ def _count_memo_builds(monkeypatch):
         counted("kernel", module, module.cross_kernel, lambda args: 1)
     counted("factor", measure, measure.kernel_factor, lambda args: 1)
     counted("rows", measure, measure.exponent_rows, lambda args: len(args[1]))
-    core = quadrature.WindowCore
-    for name, method in (("block", "append"), ("slices", "_grow")):
-        def wrapped(self, *args, name=name, fn=getattr(core, method)):
-            counts[name][len(self.kern), self.width] += 1
-            return fn(self, *args)
-        monkeypatch.setattr(core, method, wrapped)
+    init = quadrature.WindowCore.__init__
+
+    def built(self, rows, size, kern, *args):
+        counts["core"][len(kern), len(rows)] += 1
+        init(self, rows, size, kern, *args)
+    monkeypatch.setattr(quadrature.WindowCore, "__init__", built)
     return counts
 
 
@@ -131,9 +132,9 @@ def _count_memo_builds(monkeypatch):
 def test_pmf_memo_builds_each_node_set_once(params, monkeypatch, k, M):
     # every node count builds its kernel (and k = 3 kernel factor) once per
     # pmf; at k <= 2 it takes each exponent's row once over all extensions,
-    # at k = 3 each block of exponents from lo its rows, factor and core
-    # slices once, over the blocks the final window reaches ((3, 5) reaches
-    # two, so an extension adds a block and recomputes no slice)
+    # at k = 3 one core, with its rows, per core size the windows reach:
+    # the least multiple of a block of exponents from lo that holds the
+    # window ((3, 5) reaches two sizes, so every node set builds twice)
     counts = _count_memo_builds(monkeypatch)
     calls = _record_windows(monkeypatch)
     pmf = top_row_pmf(k, M, params)
@@ -141,34 +142,43 @@ def test_pmf_memo_builds_each_node_set_once(params, monkeypatch, k, M):
     assert len(calls) >= 3 and len({lo for lo, _ in calls}) == 1
     assert counts["kernel"] and set(counts["kernel"].values()) == {1}
     if k < 3:
-        assert counts["factor"] == counts["block"] == Counter()
+        assert counts["factor"] == counts["core"] == Counter()
         assert counts["rows"] == {n: hi - lo + 1 for n in counts["kernel"]}
         return
     assert counts["factor"] == counts["kernel"]
     block = measure.EXPONENT_BLOCK * measure._window_step(M, params)
-    starts = range(0, hi - lo + 1, block)
-    assert len(starts) == (2 if M == 5 else 1)
-    assert counts["rows"] == {n: len(starts) * block for n in counts["kernel"]}
-    want = Counter({(n, s): 1 for n in counts["kernel"] for s in starts})
-    assert counts["block"] == counts["slices"] == want
+    sizes = {-(-(b - a + 1) // block) * block for a, b in calls}
+    assert len(sizes) == (2 if M == 5 else 1)
+    assert counts["rows"] == {n: sum(sizes) for n in counts["kernel"]}
+    assert counts["core"] == Counter({(n, size): 1 for n in counts["kernel"]
+                                      for size in sizes})
 
 
-@pytest.mark.parametrize("k, M", [(2, 100), (3, 10)])
-def test_pmf_takes_each_atoms_Fhat_once(params, monkeypatch, k, M):
-    # with lo fixed over the extensions, F_scaled_closed sees each atom of
-    # the final window exactly once per pmf
-    seen = []
-    closed = measure.F_scaled_closed
+@pytest.mark.parametrize("k, M", [(1, 20), (2, 100), (3, 10)])
+def test_pmf_gathers_Fhat_from_a_gap_table(params, monkeypatch, k, M):
+    # F_scaled_closed sees the C(W - 1, k - 1) gap tuples of each window
+    # of width W, not its atoms, and the Fhat gathered from them has the
+    # closed form's bits at every atom: window integrals of 1 leave Fhat as
+    # the law of the window [3, 40]
+    sizes, closed = [], measure.F_scaled_closed
 
     def counted(mu, p):
-        seen.extend(map(tuple, mu.tolist()))
+        sizes.append(len(mu))
         return closed(mu, p)
 
     monkeypatch.setattr(measure, "F_scaled_closed", counted)
+    with monkeypatch.context() as patch:
+        patch.setattr(measure, "_ic_window", lambda k, lo, hi, *args:
+                      np.ones(math.comb(hi - lo + 1, k)))
+        atoms, fhat = measure._pmf_window(k, M, params, 3, 40, "contour", {})
+    want = closed(atoms, params)
+    assert np.array_equal(fhat.view(np.int64), want.view(np.int64))
+    assert sizes == [math.comb(37, k - 1)]
+    sizes.clear()
     calls = _record_windows(monkeypatch)
-    pmf = top_row_pmf(k, M, params)
-    assert len(calls) >= 3 and len({lo for lo, _ in calls}) == 1
-    assert sorted(seen) == sorted(pmf.atoms)
+    top_row_pmf(k, M, params)
+    assert len(calls) >= 3
+    assert sizes == [math.comb(b - a, k - 1) for a, b in calls]
 
 
 def test_pmf_window_when_lo_moves(monkeypatch):

@@ -90,19 +90,16 @@ def _mirrored(rows, n):
     return rows
 
 
-def _core_entries(blocks, done, kern, factor, pairs, size=0.0):
-    """The k = 3 strict entries of a WindowCore that took blocks in turn."""
-    core = WindowCore(kern, factor, pairs)
-    for rows in blocks:
-        core.append(rows, size)
-    return core.entries(done, core.width)
+def _core_entries(rows, done, kern, factor, pairs, size=0.0):
+    """The k = 3 strict entries of the WindowCore over rows, from done."""
+    return WindowCore(rows, size, kern, factor, pairs).entries(done, len(rows))
 
 
 def test_window_integral_packed_strict_entries():
     # one exponent window of W members: the strict entries i1 > ... > ik in
     # lexicographic order; at k = 3 through the truncated and the exact
-    # kernel factor, the rows appended as one block or as two; a later
-    # start done gives the tail of the whole window's output
+    # kernel factor; a later start done gives the tail of the whole
+    # window's output
     q, W, n = 0.5, 7, 20
     z, _ = composite_nodes(2.0, 10, n)
     rows = _mirrored(_families(np.random.default_rng(5), (W, len(z))), n)
@@ -114,11 +111,10 @@ def test_window_integral_packed_strict_entries():
         ref = _brute_force([rows] * k, z, q).real
         entries = sorted(c[::-1] for c in combinations(range(W), k))
         want = np.array([ref[e] for e in entries])
-        splits = ([rows], [rows[:4], rows[4:]])
         runs = ([lambda done: window_integral(rows, k, done, kern)] if k < 3
-                else [lambda done, f=f, b=b: _core_entries(b, done, kern, f,
-                                                           pairs)
-                      for f in factors for b in splits])
+                else [lambda done, f=f: _core_entries(rows, done, kern, f,
+                                                      pairs)
+                      for f in factors])
         for run in runs:
             got = run(0)
             assert got.shape == want.shape
@@ -139,11 +135,11 @@ def test_window_integral_k3_refuses_rows_off_the_pairs():
     kern = cross_kernel(z, q)
     factor, pairs = kernel_factor(kern), conjugate_pairs(n)
     with pytest.raises(ValueError, match="not conjugate on the pairs"):
-        WindowCore(kern, factor, pairs).append(rows, 0.0)
+        WindowCore(rows, 0.0, kern, factor, pairs)
     bent = _mirrored(rows, n)
     bent[3, pairs[1][0]] += 1e-9 * np.max(np.abs(bent))
     with pytest.raises(ValueError, match="not conjugate on the pairs"):
-        WindowCore(kern, factor, pairs).append(bent, 0.0)
+        WindowCore(bent, 0.0, kern, factor, pairs)
     assert len(window_integral(bent, 2, 0, kern)) == 21
     # exponent rows are conjugate on the pairs only to about
     # eps |l L_s + M L_v| max|rows|, 1.2e-12 at M = 2,000, past the bound
@@ -158,32 +154,30 @@ def test_window_integral_k3_refuses_rows_off_the_pairs():
                       + M * np.abs(log_ratio_v(z, params)))
         kern = cross_kernel(z, params.q)
         factor, pairs = kernel_factor(kern), conjugate_pairs(n)
-        out = _core_entries([rows], 0, kern, factor, pairs, size)
+        out = _core_entries(rows, 0, kern, factor, pairs, size)
         assert out.shape == (10,) and np.all(np.isfinite(out))
         if M == 2000:
             with pytest.raises(ValueError, match="not conjugate"):
-                WindowCore(kern, factor, pairs).append(rows, 0.0)
+                WindowCore(rows, 0.0, kern, factor, pairs)
         rows[3, pairs[1][0]] += 1e-9 * np.max(np.abs(rows))
         with pytest.raises(ValueError, match="not conjugate on the pairs"):
-            WindowCore(kern, factor, pairs).append(rows, size)
+            WindowCore(rows, size, kern, factor, pairs)
 
 
 def test_window_core_refuses_an_uncertified_factor(monkeypatch):
     # a skeleton cut at 1e-3 of the largest row norm leaves the exponent
-    # rows far past FACTOR_TOL max|R|: the append raises, and no entries
-    # come out of a truncated factor
+    # rows far past FACTOR_TOL max|R|: the constructor raises, so no
+    # entries come out of a truncated factor
     params, M, n = ModelParams(0.5, 2.0, 0.25), 10, 129
     z, wts = composite_nodes(params.u, M, n)
     rows = exponent_rows(z, wts, np.arange(1, 41), M, params)
     kern = cross_kernel(z, params.q)
     factor, pairs = kernel_factor(kern), conjugate_pairs(n)
-    assert _core_entries([rows], 0, kern, factor, pairs).shape == (9880,)
+    assert _core_entries(rows, 0, kern, factor, pairs).shape == (9880,)
     monkeypatch.setattr(quadrature, "EXPONENT_RTOL", 1e-3)
-    core = WindowCore(kern, factor, pairs)
     with pytest.raises(QuadratureError, match="not certified") as exc:
-        core.append(rows, 0.0)
+        WindowCore(rows, 0.0, kern, factor, pairs)
     assert exc.value.diagnostics["error"] > exc.value.diagnostics["bound"]
-    assert core.width == 0 and core.cores == []
 
 
 def test_window_integral_k3_allocates_no_dense_box():
@@ -196,7 +190,7 @@ def test_window_integral_k3_allocates_no_dense_box():
     factor, pairs = kernel_factor(kern), conjugate_pairs(n)
     tracemalloc.start()
     try:
-        out = _core_entries([rows], 0, kern, factor, pairs)
+        out = _core_entries(rows, 0, kern, factor, pairs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -5,8 +5,8 @@ import pytest
 
 from sixvertexlab.checks import random_point
 from sixvertexlab.core import q_pochhammer
-from sixvertexlab.weights import (SIX_VERTEX_TYPES, conjugation_factor,
-                                  six_vertex_weights, vertex_weight_raw)
+from sixvertexlab.weights import (conjugation_factor, six_vertex_weights,
+                                  vertex_weight_raw)
 
 
 def delta_parameter(a1: float, a2: float, b1: float, b2: float,
@@ -80,13 +80,13 @@ def test_conjugation_ratio_between_tables():
                 assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
-def test_six_vertex_weights_examples(params):
+def test_six_vertex_weights_examples(params, six_vertex_types):
     ws = six_vertex_weights(params)
     assert ws[0] == 1.0
     assert all(x > 0 for x in ws)
     # componentwise absolute values of the signed table at g = 0 / 1
     signed = [vertex_weight_raw(*t, params.q, params.s, params.u, False)
-              for t in SIX_VERTEX_TYPES]
+              for t in six_vertex_types]
     for got, signed_val in zip(ws, signed):
         assert abs(signed_val) == pytest.approx(got, rel=1e-13)
 

@@ -139,6 +139,7 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    os.makedirs(args.out, exist_ok=True)   # before the runs, not after
 
     seed, workloads = args.first_seed, {}
     for spec in args.runs:

@@ -1,0 +1,108 @@
+"""One SHA-1 per top-row law over (window, atoms, probs), for a fixed list of
+laws, so that two source trees can be diffed law by law:
+
+    python3 tools/law_digests.py SRC_DIR > digests.txt
+
+SRC_DIR is the directory that holds the `sixvertexlab` package (a
+checkout's `src`).  Each line is `label window sha1`, where the hash runs
+over the window as two int64 values, the atoms as an int64 array and the
+probabilities as float64, in that order.  The laws are:
+
+* perfbench's laws at seed 1: the warm-up law, the oracle's direct laws,
+  the pmf workload's contour laws and both k = 3 laws at the anchor point
+  (`k3_point`), and the corners workload's laws; the law lists and points
+  are read from perfbench/worker.py and perfbench/inputs.py of the
+  checkout this script sits in;
+* the laws of the CLI's `sample` and `gue-compare` at their defaults;
+* the tests' k = 3 contour laws at the display point ((3, 3) to (3, 20)),
+  with (3, 7), and (3, 3) at q = 0.7 (u = 1.3 and u = 2), each (3, 3) also
+  on the direct route, against which the contour laws are checked;
+* the display point's (3, 100).
+
+Only the standard library and numpy are used.  Set one BLAS thread (e.g.
+OPENBLAS_NUM_THREADS=1) for bits comparable across runs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def digest(pmf) -> str:
+    h = hashlib.sha1(np.asarray(pmf.window, np.int64).tobytes())
+    h.update(np.ascontiguousarray(np.asarray(pmf.atoms), np.int64).tobytes())
+    h.update(np.ascontiguousarray(pmf.probs, np.float64).tobytes())
+    return h.hexdigest()
+
+
+def laws(src: Path):
+    """(label, thunk) for every law on the list."""
+    sys.path[:0] = [str(src), str(PERFBENCH)]
+    from sixvertexlab import cli, measure
+    from sixvertexlab.core import ModelParams
+    import inputs
+    import worker
+
+    def law(label, k, M, p, tol=1e-6, route="contour"):
+        return (f"{label}:({k},{M}){'' if route == 'contour' else route}",
+                lambda: measure.top_row_pmf(k, M, p, tol=tol, route=route))
+
+    out = [law("perfbench.warm-up", 1, 20, worker.DISPLAY)]
+    for name in ("oracle", "pmf", "corners"):
+        plan = inputs.plan(name, 1)
+        points = [ModelParams(**pt) for pt in plan["points"]]
+        k3 = ModelParams(**plan["k3_point"])
+        for i, p in enumerate(points):
+            if name == "oracle":
+                out += [law(f"oracle.p{i}", k, M, p, worker.PMF_TOL, "direct")
+                        for k, M in worker.DIRECT_PMFS]
+            elif name == "pmf":
+                out += [law(f"pmf.p{i}", k, M, p, worker.PMF_TOL)
+                        for k, M in worker.CONTOUR_PMFS]
+            else:
+                out.append(law(f"corners.p{i}", 2, worker.K2_LAW_M, p,
+                               worker.PMF_TOL))
+        if name == "pmf":
+            out.append(law("pmf.k3", 3, worker.K3_PMF_M, k3, worker.PMF_TOL))
+        elif name == "corners":
+            out.append(law("corners.k3", 3, worker.K3_LAW_M, k3,
+                           worker.PMF_TOL))
+    for sub in ("sample", "gue-compare"):
+        cfg = cli.ExperimentConfig(**cli.SUBCOMMANDS[sub][1])
+        p = cfg.params()
+        if sub == "sample":
+            out.append(law("cli.sample", cfg.k, cfg.m_grid[0], p, cfg.pmf_tol))
+        else:
+            out += [law("cli.gue-compare", k, M, p, cfg.pmf_tol)
+                    for k in (1, 2) for M in cfg.m_grid]
+    display = ModelParams(q=0.5, u=2.0, v=0.25)
+    high_q = [ModelParams(q=0.7, u=1.3, v=0.6), ModelParams(q=0.7, u=2.0,
+                                                            v=0.25)]
+    out += [law("k3.display", 3, M, display) for M in (3, 5, 7, 10, 12, 20)]
+    out += [law("k3.display", 3, 3, display, route="direct")]
+    for p in high_q:
+        out += [law(f"k3.q0.7-u{p.u}", 3, 3, p, route=route)
+                for route in ("contour", "direct")]
+    out.append(law("display", 3, 100, display))
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or not (Path(argv[0]) / "sixvertexlab").is_dir():
+        print(__doc__.strip().splitlines()[3], file=sys.stderr)
+        return 2
+    for label, build in laws(Path(argv[0]).resolve()):
+        pmf = build()
+        print(f"{label} {pmf.window[0]},{pmf.window[1]} {digest(pmf)}",
+              flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
