@@ -67,9 +67,10 @@ def partition_Z(k: int, M: int, params: ModelParams) -> float:
 # top-row pmf
 
 # tolerance of the window integrals I_C (max-abs change between doublings),
-# and the largest part the support window may grow to
+# the largest part the support window may grow to and the most atoms it holds
 QUAD_TOL = 1e-10
 MAX_PART = 100_000
+MAX_ATOMS = 2 ** 24
 # a k = 3 window's core holds the least multiple of this many window steps
 # of exponents that holds the window
 EXPONENT_BLOCK = 10
@@ -145,7 +146,7 @@ def sample_top_row(pmf: TopRowPMF, seed: int, count: int) -> list[Signature]:
 
 
 def _window_step(M: int, params: ModelParams) -> int:
-    """The step by which each window extension moves lo down and hi up."""
+    """The step by which each window extension moves hi up."""
     return max(4, math.ceil(2.0 * constants(params).d * math.sqrt(M)))
 
 
@@ -155,20 +156,20 @@ def _ic_window(k: int, lo: int, hi: int, M: int, params: ModelParams,
     in [lo, hi], packed in lexicographic order of mu - lo.  memo["nodes"]
     maps a node count to its node set, cross kernel, (k = 3) kernel factor
     and conjugate pairs, and the per-node |L_s| and |L_v|, built once;
-    memo["rows"] maps it to what grew at this lo, the packed integrals so
-    far and the count of exponents they cover; _pmf_window drops it when lo
-    moves.  What grew is the rows of the exponents lo, lo + 1, ... at
-    k <= 2, and at k = 3 one quadrature.WindowCore over the least multiple
-    of EXPONENT_BLOCK window steps of exponents from lo that holds the
-    window (rows built once, not kept); a window past them takes a new core
-    and all its integrals, so each depends on (M, params, lo, width) alone.
+    memo["rows"] maps it to what grew, the packed integrals so far and the
+    count of exponents they cover; a law's lo never moves, so neither is
+    reset.  What grew is the rows of the exponents lo, lo + 1, ... at k <= 2,
+    and at k = 3 one quadrature.WindowCore over the least multiple of
+    EXPONENT_BLOCK window steps of exponents from lo that holds the window
+    (rows built once, not kept); a window past them takes a new core and
+    all its integrals, so each depends on (M, params, lo, width) alone.
     Only new largest parts get integrals, and the stopping rule sees only
     the atoms.  The conjugate-row check scales with the exponent size,
     bounded by max(l |L_s| + M |L_v|) over the nodes at the core's last
     exponent l."""
     width = hi - lo + 1
     block = EXPONENT_BLOCK * _window_step(M, params)
-    nodes, grown = memo.setdefault("nodes", {}), memo["rows"]
+    nodes, grown = memo.setdefault("nodes", {}), memo.setdefault("rows", {})
 
     def evaluate(n: int) -> np.ndarray:
         if n not in nodes:
@@ -220,8 +221,6 @@ def _pmf_window(k: int, M: int, params: ModelParams, lo: int, hi: int,
     base W, and gathered; so are the ranks sum_j C(mu_j - lo, k - j)."""
     atoms = strict_atoms(k, lo, hi)
     if route == "contour":
-        if memo.get("lo") != lo:  # a move of lo drops what grew at the old lo
-            memo.update(lo=lo, rows={})
         width = hi - lo + 1
         grid = np.zeros((math.comb(width - 1, k - 1), k), atoms.dtype)
         if k > 1:
@@ -248,21 +247,20 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
     """Exact truncated law of the top cross-section (k <= 3).
 
     One window policy serves both routes: lo = max(1, floor(a M - 7 d
-    sqrt(M))) and each extension moves lo down and hi up by one step,
-    until (i) the mass added by the last extension is below tol/10 and
-    (ii) the top boundary layer certifies a geometric tail below tol/2
-    via the admissible ratio r < 1.  A window that reaches MAX_PART
-    uncertified (the first before it is built), or a total mass off 1 by
-    more than tol, raises MassDeficitError; passing this check exercises
-    every formula in the package at once.
+    sqrt(M))) stays put and each extension moves hi up by one step, until
+    (i) the mass added by the last extension is below tol/10 and (ii) the
+    top boundary layer certifies a geometric tail below tol/2 via the
+    admissible ratio r < 1.  A law stopped uncertified at MAX_PART or before
+    a window of more than MAX_ATOMS atoms (the first before it is built),
+    or whose total mass is off 1 by more than tol (which bounds the low tail
+    below lo), raises MassDeficitError; passing it exercises every formula.
 
-    The contour route keeps each node set and its kernel across extensions.
-    While lo stays put it also keeps the exponent rows (k <= 2) or the
-    window core (k = 3, over a multiple of EXPONENT_BLOCK window steps of
-    exponents from lo) and the integrals, and takes only new exponents'
-    rows and new largest parts' entries, or past the core's rows a new
-    core; a move of lo drops all three.  Fhat and ranks come from tables
-    per window.  Atoms below about 2e-13 max p are quadrature noise.
+    The contour route keeps each node set and its kernel, the exponent rows
+    (k <= 2) or the window core (k = 3, over a multiple of EXPONENT_BLOCK
+    window steps of exponents from lo) and the integrals across extensions,
+    and takes only new exponents' rows and new largest parts' entries, or
+    past the core's rows a new core.  Fhat and ranks come from tables per
+    window.  Atoms below about 2e-13 max p are quadrature noise.
     """
     if k > 3:
         raise ValueError("top_row_pmf supports k <= 3")
@@ -275,12 +273,15 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
     hi = max(lo + k, math.ceil(center + 7.0 * width), geom_hi)
     step = _window_step(M, params)
     memo: dict = {}
-    atoms, probs = (_pmf_window(k, M, params, lo, hi, route, memo)
-                    if hi < MAX_PART else (None, np.zeros(0)))
+    size = math.comb(hi - lo + 1, k)   # the atoms of the window to build
+    built = hi < MAX_PART and size <= MAX_ATOMS
+    atoms, probs = (_pmf_window(k, M, params, lo, hi, route, memo) if built
+                    else (None, np.zeros(0)))
     mass = float(probs.sum())
     gained = tail_bound = math.inf
-    while hi < MAX_PART:
-        lo, hi = max(1, lo - step), hi + step
+    while (built and hi < MAX_PART
+           and (size := math.comb(hi + step - lo + 1, k)) <= MAX_ATOMS):
+        hi += step
         del atoms, probs   # the last window's law goes before the next
         atoms, probs = _pmf_window(k, M, params, lo, hi, route, memo)
         new_mass = float(probs.sum())
@@ -291,10 +292,11 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
             break
     else:
         raise MassDeficitError(
-            f"top-row pmf tail not certified within MAX_PART = {MAX_PART}",
+            f"top-row pmf tail not certified within MAX_PART = {MAX_PART} "
+            f"and MAX_ATOMS = {MAX_ATOMS}",
             {"mass": mass, "k": k, "M": M, "route": route,
              "window": (lo, hi), "gained": gained, "tail_bound": tail_bound,
-             "tol": tol})
+             "tol": tol, "atoms": size, "max_atoms": MAX_ATOMS})
     if abs(mass - 1.0) > tol:
         raise MassDeficitError("top-row pmf mass is off 1 beyond tolerance",
                                {"mass": mass, "k": k, "M": M, "route": route,

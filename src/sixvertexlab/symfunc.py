@@ -352,7 +352,9 @@ def _cauchy_sum(lam, nu, u_vec, v_vec, params: ModelParams, tol: float,
     from 16 (or the largest part of lam and nu), and builds F inside their
     rank-wise range; one that fails shrinks its last term by r_eff per part
     to the first m whose tail would pass and retries at max(m + 2, L + 4),
-    up to CAUCHY_MAX_PART, past which it raises CauchyTailError.  Parts
+    up to CAUCHY_MAX_PART, past which it raises CauchyTailError.  The bound
+    is rounded up by 2^-40 of itself, past the n eps <= 2^-44 rounding of a
+    sum of n <= CAUCHY_MAX_PART terms that it equals at N = K = 1.  Parts
     <= L keep their values under any larger cap (transfer's envelope) and
     are summed in sorted order, so every cap past the certified part gives
     the same bits.  caps lists (L, G^c states, F states) per pass.
@@ -369,7 +371,8 @@ def _cauchy_sum(lam, nu, u_vec, v_vec, params: ModelParams, tol: float,
 
     def tail(m: int, term: float) -> tuple[float, float]:
         r_eff = r * ((m + 2) / (m + 1)) ** p_deg
-        return r_eff, term * r_eff / (1.0 - r_eff) if r_eff < 1.0 else np.inf
+        return r_eff, (term * r_eff / (1.0 - r_eff) * (1.0 + 2.0 ** -40)
+                       if r_eff < 1.0 else np.inf)
 
     L, caps = max(16, *lam, *nu), []
     while True:

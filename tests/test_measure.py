@@ -181,23 +181,49 @@ def test_pmf_gathers_Fhat_from_a_gap_table(params, monkeypatch, k, M):
     assert sizes == [math.comb(b - a, k - 1) for a, b in calls]
 
 
-def test_pmf_window_when_lo_moves(monkeypatch):
-    # k = 2, M = 400 at the gue-compare point: lo moves down on extension,
-    # so the rows and integrals start over, while each node set's kernel is
-    # built once; the window and atoms are pinned
-    u = 1.5 * 2 ** 0.5
-    p = ModelParams(q=0.5, u=u, v=0.7 / u)
+def edge_point(q, u_over_s, uv):
+    """The point (q, u/s, uv) of the model's parameters."""
+    u = u_over_s * q ** -0.5
+    return ModelParams(q=q, u=u, v=uv / u)
+
+
+GUE_COMPARE = edge_point(0.5, 1.5, 0.7)
+
+
+def test_pmf_window_grows_only_upward(monkeypatch):
+    # k = 2, M = 400 at the gue-compare point: lo stays at the first edge and
+    # hi moves up one step, so each node set builds its kernel once and
+    # gives each exponent its row once; the windows and atoms are pinned
     counts = _count_memo_builds(monkeypatch)
     calls = _record_windows(monkeypatch)
-    pmf = top_row_pmf(2, 400, p)
-    assert len({lo for lo, _ in calls}) >= 2
+    pmf = top_row_pmf(2, 400, GUE_COMPARE)
+    assert calls == [(139, 819), (139, 917)]
     assert counts["kernel"] and set(counts["kernel"].values()) == {1}
-    assert pmf.window == (41, 917)
-    assert pmf.atoms == tuple((m1, m2) for m2 in range(41, 918)
+    assert counts["rows"] == {n: 917 - 139 + 1 for n in counts["kernel"]}
+    assert pmf.window == (139, 917)
+    assert pmf.atoms == tuple((m1, m2) for m2 in range(139, 918)
                               for m1 in range(m2 + 1, 918))
     probs = np.asarray(pmf.probs)
     fresh = _fresh_window(pmf)
     assert np.max(np.abs(probs - fresh)) <= 1e-15 * np.max(probs)
+
+
+@pytest.mark.parametrize("k, point", [
+    (1, (0.5, 1.5, 0.7)), (2, (0.5, 1.5, 0.7)), (1, (0.05, 1.5, 0.5)),
+    (1, (0.5, 4.0, 0.5)), (1, (0.5, 1.5, 0.9))],
+    ids=["gue-compare-1", "gue-compare-2", "q0.05", "u4s", "uv0.9"])
+def test_pmf_low_tail_below_lo_is_noise(k, point):
+    # M = 400 laws whose lo is above 1: the window one step further down
+    # puts atoms below lo of |mass| < 1e-12 (worst seen: 1.6e-13), so the
+    # final mass check bounds the low tail that lo leaves out
+    p = edge_point(*point)
+    lo, hi = top_row_pmf(k, 400, p).window
+    assert lo > 1
+    atoms, probs = measure._pmf_window(
+        k, 400, p, max(1, lo - measure._window_step(400, p)), hi, "contour",
+        {})
+    assert atoms[:, -1].min() < lo
+    assert abs(probs[atoms[:, -1] < lo].sum()) < 1e-12
 
 
 def test_pmf_k3_low_rank_matches_full_rank(params, monkeypatch):
@@ -274,6 +300,42 @@ def test_pmf_refuses_an_uncertified_tail(params, monkeypatch):
                     and report["tail_bound"] < report["tol"] / 2)
     assert report["gained"] == report["tail_bound"] == math.inf
     assert report["window"] == (1, 42) and calls == []
+
+
+def test_pmf_refuses_a_window_past_the_atom_budget(params, monkeypatch):
+    # k = 1, M = 20 starts at (1, 42) and certifies its tail at (1, 72):
+    # with a budget of 60 atoms the window stops at (1, 52), the next one
+    # holding 62, and with 41 the first window is refused unbuilt
+    for budget, built, window, size in [
+            (60, [(1, 42), (1, 52)], (1, 52), 62), (41, [], (1, 42), 42)]:
+        monkeypatch.setattr(measure, "MAX_ATOMS", budget)
+        calls = _record_windows(monkeypatch)
+        with pytest.raises(measure.MassDeficitError,
+                           match="tail not certified") as exc:
+            top_row_pmf(1, 20, params)
+        report = exc.value.report
+        assert calls == built and report["window"] == window
+        assert (report["atoms"], report["max_atoms"]) == (size, budget)
+    assert report["gained"] == report["tail_bound"] == math.inf
+
+
+@pytest.mark.parametrize("k, M, p, window, size", [
+    (2, 400, ModelParams(q=0.5, u=2.0, v=0.49), (6439, 14142), 29_671_956),
+    (3, 50, edge_point(0.99, 1.5, 0.5), (1, 1091), 215_837_985)],
+    ids=["uv0.98", "q0.99"])
+def test_pmf_refuses_a_first_window_past_the_atom_budget(monkeypatch, k, M,
+                                                        p, window, size):
+    # the uv = 0.98 probe and q = 0.99's (3, 50): the first window alone
+    # holds more than MAX_ATOMS atoms, so it is refused before any window
+    # is built
+    monkeypatch.setattr(measure, "_pmf_window",
+                        lambda *args: pytest.fail("a window was built"))
+    with pytest.raises(measure.MassDeficitError,
+                       match="tail not certified") as exc:
+        top_row_pmf(k, M, p)
+    report = exc.value.report
+    assert report["window"] == window and report["atoms"] == size
+    assert size > report["max_atoms"] == measure.MAX_ATOMS
 
 
 def test_pmf_k3_mass(params):

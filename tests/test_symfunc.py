@@ -319,8 +319,9 @@ def doubling_reference(rep, lam, nu, us, vs, p, tol):
     for m in sorted(by_top):
         lhs += by_top[m]
         r_eff = r * ((m + 2) / (m + 1)) ** p_deg
-        tail = (abs(by_top[m]) * r_eff / (1.0 - r_eff) if r_eff < 1.0
-                else np.inf)
+        # rounded up as _cauchy_sum rounds its bound
+        tail = (abs(by_top[m]) * r_eff / (1.0 - r_eff) * (1.0 + 2.0 ** -40)
+                if r_eff < 1.0 else np.inf)
         if tail < goal:
             return (complex(lhs).real if abs(complex(lhs).imag) < 1e-12
                     else lhs, m, tail)
@@ -347,6 +348,20 @@ def test_cauchy_envelope_keeps_lhs_bits(params):
                                 doubling_cap(top + 50))
         remainder = abs(sum(by_top[m] for m in sorted(by_top) if m > top))
         assert 0.0 < remainder <= rep["tail_bound"], (lam, nu, vs)
+
+
+def test_cauchy_tail_bound_holds_at_geometric_terms():
+    # at N = K = 1 the terms are exactly geometric and the remainder equals
+    # the unrounded bound (one ulp above it at the fourth point); at random
+    # points the full-table remainder past the certified part (cap at least
+    # 50 parts further) stays within the rounded one
+    for p in checks.random_points(11, 6):
+        rep = verify_cauchy(1, 1, (p.u,), (p.v,), p, tol=1e-8)
+        top = rep["truncation_L"]
+        by_top = doubling_terms((0,), (), (p.u,), (p.v,), p,
+                                doubling_cap(top + 50))
+        remainder = abs(sum(by_top[m] for m in sorted(by_top) if m > top))
+        assert 0.0 < remainder <= rep["tail_bound"], (p, remainder, rep)
 
 
 @pytest.mark.parametrize("cases", [CRITERION_2, CLI_IDENTITIES],

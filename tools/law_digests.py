@@ -17,7 +17,10 @@ probabilities as float64, in that order.  The laws are:
 * the tests' k = 3 contour laws at the display point ((3, 3) to (3, 20)),
   with (3, 7), and (3, 3) at q = 0.7 (u = 1.3 and u = 2), each (3, 3) also
   on the direct route, against which the contour laws are checked;
-* the display point's (3, 100).
+* the display point's (3, 100);
+* k = 1 laws whose first window starts above part 1, so that a change to
+  the window policy shows law by law: (1, 1600) at the display point and
+  at (q, u/s, uv) = (0.5, 1.5, 0.9) and (0.5, 4, 0.5).
 
 Only the standard library and numpy are used.  Set one BLAS thread (e.g.
 OPENBLAS_NUM_THREADS=1) for bits comparable across runs.
@@ -90,6 +93,11 @@ def laws(src: Path):
         out += [law(f"k3.q0.7-u{p.u}", 3, 3, p, route=route)
                 for route in ("contour", "direct")]
     out.append(law("display", 3, 100, display))
+    s = 0.5 ** -0.5
+    out += [law(label, 1, 1600, p) for label, p in [
+        ("display", display),
+        ("uv0.9", ModelParams(q=0.5, u=1.5 * s, v=0.9 / (1.5 * s))),
+        ("u4s", ModelParams(q=0.5, u=4 * s, v=0.5 / (4 * s)))]]
     return out
 
 
