@@ -144,13 +144,18 @@ def f_direct_batch(k: int, max_part: int, M: int,
     and 0 off those, from a single forward pass of the boundary sum through
     M conjugated strict-state rows (conjugated rows keep strict states
     strict, so no other state is ever reached).  The start amplitudes
-    (-s)^|nu| are read off one table of Python powers.  Past the float
-    range (max_part ~ 2,000 at k = 1, s = sqrt 2) it raises OverflowError
-    with k, max_part, M and s, and returns no non-finite value."""
+    (-s)^|nu| are read off one table of Python powers.  Each row's crossing
+    weight t = (v - s)/(1 - s v) has |t| > 1 and enters as t^gap, up to
+    |t|^(max_part - 1); past the float range of that power (max_part >=
+    1,208 at the display point s = sqrt 2, v = 1/4, |t| = 1.80) it raises
+    OverflowError with k, max_part, M and s before any row, and it returns
+    no non-finite value."""
     s, q = params.s, params.q
     amp = np.zeros((max_part + 1,) * k)
     atoms = strict_atoms(k, 1, max_part)
     try:
+        # a float power raises OverflowError where the rows' t^gap would
+        abs((params.v - s) / (1 - s * params.v)) ** (max_part - 1)
         power = np.array([(-s) ** e for e in range(k * max_part + 1)])
         amp[tuple(atoms.T)] = power[atoms.sum(axis=1)]
         row = StrictRow(params, params.v, conjugated=True)

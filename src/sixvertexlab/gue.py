@@ -5,7 +5,9 @@ e^{-Tr(X^2)/2}: real diagonal of variance 1, complex off-diagonal entries of
 total variance 1 (this is the normalization under which the eigenvalue
 density carries the constants (2 pi)^{-k/2} / prod_{i<1..k-1} i!).  Corners
 samples collect the ascending eigenvalues of every leading principal minor:
-levels 1-2 in closed form (interlacing exactly) and levels r >= 3 by LAPACK.
+levels 1-3 in closed form and levels r >= 4 by LAPACK.  Level 3 is clamped
+into level 2's brackets (-inf, mu_1], [mu_1, mu_2], [mu_2, inf), where Cauchy
+interlacing puts its exact roots, so levels 1-3 interlace exactly.
 
 The comparison harness rescales vertex-model rows by (lambda - a M)/(d
 sqrt(M)) (largest part to the last coordinate, since signatures sort
@@ -29,9 +31,9 @@ from .measure import interlace_violations, sample_lower_rows, top_row_pmf
 def corners_batch(k: int, n: int, rng: np.random.Generator) -> list[np.ndarray]:
     """n corners samples at once; entry r-1 holds an (n, r) array of ascending
     minor eigenvalues, drawn as the (n, k) diagonal, then the real and the
-    imaginary part of each entry i < j in row order.  Levels 1 and 2 are
-    closed-form (level 1 interlaces with level 2 exactly in floating point);
-    levels r >= 3 use eigvalsh on an (n, k, k) stack built only for k > 2."""
+    imaginary part of each entry i < j in row order.  Levels 1-3 are
+    closed-form and interlace exactly in floating point; levels r >= 4 use
+    eigvalsh on an (n, k, k) stack built only for k > 3."""
     diag = rng.normal(size=(n, k))
     scale = math.sqrt(0.5)
     upper = {(i, j): rng.normal(scale=scale, size=n)
@@ -41,12 +43,15 @@ def corners_batch(k: int, n: int, rng: np.random.Generator) -> list[np.ndarray]:
     if k > 1:
         levels.append(_pair_spectrum(diag[:, 0], diag[:, 1], upper[0, 1]))
     if k > 2:
+        levels.append(_triple_spectrum(diag[:, :3], upper[0, 1], upper[0, 2],
+                                       upper[1, 2], levels[1]))
+    if k > 3:
         x = np.zeros((n, k, k), dtype=complex)
         x[:, range(k), range(k)] = diag
         for (i, j), z in upper.items():
             x[:, i, j] = z
             x[:, j, i] = np.conj(z)
-        levels += [np.linalg.eigvalsh(x[:, :r, :r]) for r in range(3, k + 1)]
+        levels += [np.linalg.eigvalsh(x[:, :r, :r]) for r in range(4, k + 1)]
     return levels
 
 
@@ -59,6 +64,28 @@ def _pair_spectrum(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
     den = h + np.sqrt(h * h + bb)
     t = bb / np.where(den > 0, den, 1.0)  # den = 0 only where bb = 0
     return np.stack([np.minimum(a, d) - t, np.maximum(a, d) + t], axis=1)
+
+
+def _triple_spectrum(diag: np.ndarray, x01: np.ndarray, x02: np.ndarray,
+                     x12: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Ascending spectra (n, 3) of the Hermitian X with diagonal diag (n, 3),
+    upper entries x01, x02, x12 and leading 2 x 2 spectra pair (n, 2): the
+    cubic's roots p + 2 q cos(phi + 2 pi j/3), p = tr/3, 6 q^2 = |X - p I|^2,
+    cos 3 phi = det(X - p I)/(2 q^3), clamped into pair's brackets.  Only
+    near a double root (probability 0 for GUE draws) does the error approach
+    sqrt(eps) q."""
+    p = diag.sum(axis=1) / 3
+    b0, b1, b2 = (diag - p[:, None]).T
+    s01, s02, s12 = (z.real ** 2 + z.imag ** 2 for z in (x01, x02, x12))
+    q = np.sqrt((b0 * b0 + b1 * b1 + b2 * b2 + 2 * (s01 + s02 + s12)) / 6)
+    det = (b0 * b1 * b2 + 2 * (x01 * x12 * np.conj(x02)).real
+           - b0 * s12 - b1 * s02 - b2 * s01)
+    cos3 = det / (2 * np.where(q > 0, q, 1.0) ** 3)  # q = 0 only where det = 0
+    phi = np.arccos(np.clip(cos3, -1.0, 1.0)) / 3
+    roots = p[:, None] + 2 * q[:, None] * np.cos(
+        phi[:, None] + 2 * math.pi / 3 * np.array([1.0, 2.0, 0.0]))
+    edge = np.full((len(p), 1), np.inf)
+    return np.clip(roots, np.hstack([-edge, pair]), np.hstack([pair, edge]))
 
 
 def hermite_density(x_values, k: int) -> float:

@@ -131,17 +131,23 @@ def test_f_direct_batch_seeds_with_python_powers(params):
                                 * (-s) ** sum(lam))
 
 
-def test_f_direct_batch_refuses_past_the_float_range(params):
-    # at the display point, k = 1, M = 1: at max_part = 2,040 a row's t^gap
-    # table overflows, at 2,050 the start table (-s)^e; each raises the one
-    # OverflowError naming the sizes, with no warning and no inf or nan out
-    for max_part in (2040, 2050):
+def test_f_direct_batch_refuses_past_the_float_range(params, monkeypatch):
+    # at the display point, k = 1: from max_part = 1,208 a row's t^gap table
+    # leaves the float range (|t| = 1.80), from about 2,050 the start table
+    # (-s)^e too; each raises the one OverflowError naming the sizes, with no
+    # warning and no inf or nan out, and before any row is applied
+    assert np.isfinite(f_direct_batch(1, 1200, 1, params)).all()
+
+    def no_row(*args):
+        raise AssertionError("a row was applied past the float range")
+
+    monkeypatch.setattr(boundary.StrictRow, "apply", no_row)
+    for max_part, M in ((1208, 1), (1300, 5), (2040, 1), (2050, 1)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match=re.escape(
-                    f"k = 1, max_part = {max_part}, M = 1, s = {params.s}")):
-                f_direct_batch(1, max_part, 1, params)
-    assert np.isfinite(f_direct_batch(1, 1000, 1, params)).all()
+                    f"k = 1, max_part = {max_part}, M = {M}, s = {params.s}")):
+                f_direct_batch(1, max_part, M, params)
 
 
 def test_f_direct_batch_agrees_pointwise(band_points):

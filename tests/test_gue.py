@@ -31,47 +31,64 @@ def test_corners_sample_structure():
         assert np.all((upper[:, :-1] <= lower) & (lower <= upper[:, 1:]))
 
 
+def twin_stack(k: int, n: int, seed: int):
+    """The (n, k, k) matrices corners_batch(k, n, default_rng(seed)) draws,
+    rebuilt in the documented order from a twin generator, and that twin."""
+    twin, scale = np.random.default_rng(seed), math.sqrt(0.5)
+    x = np.zeros((n, k, k), dtype=complex)
+    x[:, range(k), range(k)] = twin.normal(size=(n, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            x[:, i, j] = (twin.normal(scale=scale, size=n)
+                          + 1j * twin.normal(scale=scale, size=n))
+            x[:, j, i] = np.conj(x[:, i, j])
+    return x, twin
+
+
+def interlaces(lower: np.ndarray, upper: np.ndarray) -> bool:
+    return bool(np.all((upper[:, :-1] <= lower) & (lower <= upper[:, 1:])))
+
+
 def test_closed_form_minors_match_eigvalsh():
     # the same draws in the same order: level 1 is the first diagonal entry
-    # bit for bit, level 2 matches LAPACK on the same 2 x 2 minors, level 1
-    # interlaces with level 2 exactly and level 2 is strictly increasing
+    # bit for bit, levels 2 and 3 match LAPACK on the same minors (the worst
+    # level-3 difference seen over 5e6 draws is below 5e-14), each level
+    # interlaces with the next exactly and levels 2-3 strictly increase
     n = 100_000
-    levels = corners_batch(2, n, np.random.default_rng(24))
-    rng = np.random.default_rng(24)
-    diag = rng.normal(size=(n, 2))
-    b = (rng.normal(scale=math.sqrt(0.5), size=n)
-         + 1j * rng.normal(scale=math.sqrt(0.5), size=n))
-    minors = np.stack([np.stack([diag[:, 0], b], axis=1),
-                       np.stack([np.conj(b), diag[:, 1]], axis=1)], axis=1)
-    assert np.array_equal(levels[0], diag[:, :1])
-    assert np.max(np.abs(levels[1] - np.linalg.eigvalsh(minors))) <= 1e-14
-    lo, hi = levels[1][:, 0], levels[1][:, 1]
-    assert np.all((lo <= levels[0][:, 0]) & (levels[0][:, 0] <= hi))
-    assert np.all(lo < hi)
+    levels = corners_batch(3, n, np.random.default_rng(24))
+    x, _ = twin_stack(3, n, 24)
+    assert np.array_equal(levels[0], x[:, :1, 0].real)
+    lapack = [np.linalg.eigvalsh(x[:, :r, :r]) for r in (2, 3)]
+    assert np.max(np.abs(levels[1] - lapack[0])) <= 1e-14
+    assert np.max(np.abs(levels[2] - lapack[1])) <= 1e-13
+    assert interlaces(levels[0], levels[1])
+    assert interlaces(levels[1], levels[2])
+    assert np.all(np.diff(levels[1]) > 0) and np.all(np.diff(levels[2]) > 0)
 
 
 def test_corners_batch_draws_in_documented_order():
     # the diagonal, then real and imaginary parts of each (i, j), i < j, in
-    # row order; every level equals the one rebuilt from a twin generator,
-    # and both generators end in the same state
-    n, scale = 1000, math.sqrt(0.5)
+    # row order; levels 1-3 equal the closed forms of the matrices rebuilt
+    # from a twin generator, levels r >= 4 eigvalsh of them, and both
+    # generators end in the same state
+    n = 1000
     for k in range(1, 5):
-        rng, twin = np.random.default_rng(40 + k), np.random.default_rng(40 + k)
+        rng = np.random.default_rng(40 + k)
         levels = corners_batch(k, n, rng)
-        x = np.zeros((n, k, k), dtype=complex)
-        x[:, range(k), range(k)] = twin.normal(size=(n, k))
-        for i in range(k):
-            for j in range(i + 1, k):
-                x[:, i, j] = (twin.normal(scale=scale, size=n)
-                              + 1j * twin.normal(scale=scale, size=n))
-                x[:, j, i] = np.conj(x[:, i, j])
+        x, twin = twin_stack(k, n, 40 + k)
         assert rng.bit_generator.state == twin.bit_generator.state
         assert len(levels) == k
         assert np.array_equal(levels[0], x[:, :1, 0].real)
         if k > 1:
             assert np.array_equal(levels[1], gue._pair_spectrum(
                 x[:, 0, 0].real, x[:, 1, 1].real, x[:, 0, 1]))
-        for r in range(3, k + 1):
+        if k > 2:
+            diag = x[:, range(3), range(3)].real
+            assert np.array_equal(levels[2], gue._triple_spectrum(
+                diag, x[:, 0, 1], x[:, 0, 2], x[:, 1, 2], levels[1]))
+            assert np.max(np.abs(levels[2] - np.linalg.eigvalsh(
+                x[:, :3, :3]))) <= 1e-13
+        for r in range(4, k + 1):
             assert np.array_equal(levels[r - 1],
                                   np.linalg.eigvalsh(x[:, :r, :r]))
 
@@ -84,6 +101,33 @@ def test_pair_spectrum_degenerate_inputs():
     assert np.all(np.isfinite(got))
     assert got[0].tolist() == [0.3, 0.3]
     assert got[1, 0] <= 0.0 < 1.0 <= got[1, 1]
+
+
+def test_triple_spectrum_degenerate_inputs():
+    # scalar minors (q = 0, a 0/0 ratio), a zero border with c in each of
+    # level 2's brackets and on its top edge (an exact double root), and a
+    # tied level 2 (a = d, b = 0, so level 3's middle root is a)
+    a, d, b = 1.0, -0.5, 0.3 + 0.4j
+    mu = gue._pair_spectrum(np.array([a]), np.array([d]), np.array([b]))[0]
+    cases = [((s, s, s), 0, 0, 0) for s in (0.0, 1.5, -2.0)]
+    cases += [((a, d, c), b, 0, 0) for c in (0.25, 3.0, -2.0, mu[1])]
+    cases += [((0.3, 0.3, c), 0, x02, x12) for c, x02, x12 in
+              [(0.9, 0.2 + 0.1j, -0.3j), (0.3, 0.5, 0.5), (-1.0, 1e-3, 0)]]
+    diag = np.array([c[0] for c in cases])
+    x01, x02, x12 = (np.array([c[i] for c in cases], dtype=complex)
+                     for i in (1, 2, 3))
+    with np.errstate(all="raise"):
+        pair = gue._pair_spectrum(diag[:, 0], diag[:, 1], x01)
+        got = gue._triple_spectrum(diag, x01, x02, x12, pair)
+    assert np.all(np.isfinite(got)) and np.all(np.diff(got) >= 0)
+    assert interlaces(pair, got)
+    assert np.array_equal(got[:3], diag[:3])
+    assert np.all(got[-3:, 1] == 0.3)
+    # the zero border gives back {mu_1, mu_2, c}: to rounding where c stands
+    # apart, to about sqrt(eps) q at the double root c = mu_2
+    border = np.sort(np.column_stack([pair[3:7], diag[3:7, 2]]), axis=1)
+    assert np.max(np.abs(got[3:6] - border[:3])) <= 1e-14
+    assert np.max(np.abs(got[6] - border[3])) <= 1e-7
 
 
 def test_gue_k1_is_standard_normal():

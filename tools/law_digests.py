@@ -1,12 +1,17 @@
 """One SHA-1 per top-row law over (window, atoms, probs), for a fixed list of
-laws, so that two source trees can be diffed law by law:
+laws, and one per level of a few GUE corners batches, so that two source
+trees can be diffed law by law and level by level:
 
     python3 tools/law_digests.py SRC_DIR > digests.txt
 
 SRC_DIR is the directory that holds the `sixvertexlab` package (a
-checkout's `src`).  Each line is `label window sha1`, where the hash runs
-over the window as two int64 values, the atoms as an int64 array and the
-probabilities as float64, in that order.  The laws are:
+checkout's `src`).  The first lines are `gue.corners:(k,n) part sha1` for
+`corners_batch(k, n, default_rng(1))` at perfbench's sizes (2, 100,000) and
+(3, 20,000) and at (4, 1,000): part `level<r>` hashes level r as float64,
+part `state` the repr of the generator's state after the call.  Each
+further line is `label window sha1`, where the hash runs over the window as
+two int64 values, the atoms as an int64 array and the probabilities as
+float64, in that order.  The laws are:
 
 * perfbench's laws at seed 1: the warm-up law, the oracle's direct laws,
   the pmf workload's contour laws and both k = 3 laws at the anchor point
@@ -42,6 +47,21 @@ def digest(pmf) -> str:
     h.update(np.ascontiguousarray(np.asarray(pmf.atoms), np.int64).tobytes())
     h.update(np.ascontiguousarray(pmf.probs, np.float64).tobytes())
     return h.hexdigest()
+
+
+def corners_digests():
+    """(label, part, sha1) for every level and the final generator state of
+    each corners batch on the list."""
+    from sixvertexlab import gue
+    for k, n in ((2, 100_000), (3, 20_000), (4, 1_000)):
+        rng = np.random.default_rng(1)
+        levels = gue.corners_batch(k, n, rng)
+        parts = [(f"level{r}", np.ascontiguousarray(level, np.float64))
+                 for r, level in enumerate(levels, start=1)]
+        parts.append(("state", repr(rng.bit_generator.state).encode()))
+        for part, data in parts:
+            yield (f"gue.corners:({k},{n})", part,
+                   hashlib.sha1(data).hexdigest())
 
 
 def laws(src: Path):
@@ -103,9 +123,12 @@ def laws(src: Path):
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not (Path(argv[0]) / "sixvertexlab").is_dir():
-        print(__doc__.strip().splitlines()[3], file=sys.stderr)
+        print(__doc__.strip().splitlines()[4], file=sys.stderr)
         return 2
-    for label, build in laws(Path(argv[0]).resolve()):
+    todo = laws(Path(argv[0]).resolve())  # puts SRC_DIR on sys.path
+    for line in corners_digests():
+        print(*line, flush=True)
+    for label, build in todo:
         pmf = build()
         print(f"{label} {pmf.window[0]},{pmf.window[1]} {digest(pmf)}",
               flush=True)
