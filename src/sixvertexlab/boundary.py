@@ -7,7 +7,9 @@ Two independent routes are provided.  The direct route evaluates
 
 with nu running over signatures with distinct parts >= 1 (everything else
 contributes 0); the sum is pushed through the conjugated row transfer by
-linearity, which prunes structurally-zero skew terms early.  The contour
+linearity, which prunes structurally-zero skew terms early.  The batch form
+f_direct_batch pushes it through one conjugated StrictRow, built once for
+its range and applied M times.  The contour
 route evaluates the k-fold integral
 
     f = c(lambda) (q;q)_k  oint..oint  prod_{a<b} (u_a - u_b)/(u_a - q u_b)
@@ -143,13 +145,14 @@ def f_direct_batch(k: int, max_part: int, M: int,
     parts in [1, max_part], as the (max_part + 1)^k array indexed by lambda
     and 0 off those, from a single forward pass of the boundary sum through
     M conjugated strict-state rows (conjugated rows keep strict states
-    strict, so no other state is ever reached).  The start amplitudes
+    strict, so no other state is ever reached): one StrictRow on [0,
+    max_part], its tables built once, applied M times.  The start amplitudes
     (-s)^|nu| are read off one table of Python powers.  Each row's crossing
     weight t = (v - s)/(1 - s v) has |t| > 1 and enters as t^gap, up to
     |t|^(max_part - 1); past the float range of that power (max_part >=
     1,208 at the display point s = sqrt 2, v = 1/4, |t| = 1.80) it raises
-    OverflowError with k, max_part, M and s before any row, and it returns
-    no non-finite value."""
+    OverflowError with k, max_part, M and s before the row is built, and it
+    returns no non-finite value."""
     s, q = params.s, params.q
     amp = np.zeros((max_part + 1,) * k)
     atoms = strict_atoms(k, 1, max_part)
@@ -158,10 +161,10 @@ def f_direct_batch(k: int, max_part: int, M: int,
         abs((params.v - s) / (1 - s * params.v)) ** (max_part - 1)
         power = np.array([(-s) ** e for e in range(k * max_part + 1)])
         amp[tuple(atoms.T)] = power[atoms.sum(axis=1)]
-        row = StrictRow(params, params.v, conjugated=True)
+        row = StrictRow(params, params.v, True, max_part)
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(M):
-                amp = row.apply(amp, max_part)
+                amp = row.apply(amp)
         if not np.isfinite(amp).all():
             raise OverflowError
     except OverflowError:

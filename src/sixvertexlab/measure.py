@@ -204,12 +204,12 @@ def _ic_window(k: int, lo: int, hi: int, M: int, params: ModelParams,
 
 def _F_transfer_window(k: int, hi: int, params: ModelParams) -> np.ndarray:
     """F_mu([u]^k) for strict mu with parts in [0, hi], indexed by mu, from k
-    plain strict rows; the direct route's own F, independent of the closed
-    forms behind the contour route's Fhat."""
-    row = StrictRow(params, params.u)
+    applications of one plain StrictRow on [0, hi]; the direct route's own
+    F, independent of the closed forms behind the contour route's Fhat."""
+    row = StrictRow(params, params.u, False, hi)
     amp = np.ones(())
     for _ in range(k):
-        amp = row.apply(amp, hi)
+        amp = row.apply(amp)
     return amp
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 from .core import ModelParams, as_parts, multiplicities
@@ -60,8 +61,9 @@ class PathCollection:
 
     sections[y] is the top cross-section of row y + 1 (parts decreasing), so
     sections[-1] is lam; rows derives the vertex grid from them by
-    row_vertices: rows[y][x] is the vertex at lattice position (x, y+1),
-    columns run 0..n_cols-1 with everything beyond the window empty.
+    row_vertices, once per collection: rows[y][x] is the vertex at lattice
+    position (x, y+1), columns run 0..n_cols-1 with everything beyond the
+    window empty.
     """
 
     family: str                     # "F" or "Gc"
@@ -71,7 +73,7 @@ class PathCollection:
     n_cols: int
     sections: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def rows(self) -> tuple[tuple[Vertex, ...], ...]:
         left_entry = self.family == "F"
         return tuple(row_vertices(bottom, top, self.n_cols, left_entry)

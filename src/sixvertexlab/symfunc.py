@@ -10,7 +10,8 @@ entries.  The one general-state DP is `transfer`, a signature -> amplitude
 dict pushed through one row per spectral value; F_eval, Gc_eval,
 boundary.f_direct and _cauchy_sum, the one certified Cauchy sum of both
 identity verifiers, run on it.  The one strict-state engine is StrictRow,
-which carries amplitude arrays over strict signatures.
+which carries amplitude arrays over strict signatures: one operator per row
+and position range, its event tables built once and reused by each apply.
 
 Closed forms for geometric-progression variable sets (u, qu, ..., q^{N-1}u)
 and the Cauchy identity verifiers live here as well, plus the one Fhat:
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations_with_replacement, permutations, product
 
@@ -138,14 +138,14 @@ def _adjacent(mat: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     return mat.reshape((1,) * axis + mat.shape + (1,) * (ndim - axis - 2))
 
 
-@dataclass(frozen=True)
 class StrictRow:
-    """One homogeneous row as an operator on strict-state amplitude arrays.
+    """One homogeneous row as an operator on strict-state amplitude arrays
+    over the positions [0, max_part], fixed when the row is built.
 
-    An amplitude array over positions [0, max_part] has one axis per path,
-    axis j holding the j-th largest path; only strictly decreasing index
-    tuples carry weight.  A plain row takes one path entering from the left
-    (the result gains a last axis), a conjugated row takes none.
+    An amplitude array has one axis per path, axis j holding the j-th
+    largest path; only strictly decreasing index tuples carry weight.  A
+    plain row takes one path entering from the left (the result gains a
+    last axis), a conjugated row takes none.
 
     At s^2 = 1/q this is exact for strict tops: a conjugated row blocks
     merges, so strict states stay strict, and a plain row blocks splits, so
@@ -155,51 +155,54 @@ class StrictRow:
     onto the next path's column).  The paths are moved one at a time, the
     smallest first, so each event only sees its two neighbours: the smaller
     one already at its new position, the larger one still at its old one.
-    One row costs O(k W^(k+1)) flops and O(W^k) memory.
+    The O(W^2) event tables are built once, with the row; each apply then
+    costs O(k W^(k+1)) flops and O(W^k) memory.
     """
 
-    params: ModelParams
-    spectral: complex
-    conjugated: bool = False
-
-    def apply(self, amp: np.ndarray, max_part: int) -> np.ndarray:
-        q, s, u, c = (self.params.q, self.params.s, self.spectral,
-                      self.conjugated)
-        stay = vertex_weight_raw(1, 0, 1, 0, q, s, u, c)
-        land = vertex_weight_raw(0, 1, 1, 0, q, s, u, c)
-        dep = vertex_weight_raw(1, 0, 0, 1, q, s, u, c)
+    def __init__(self, params: ModelParams, spectral: complex,
+                 conjugated: bool, max_part: int):
+        q, s, u, c = params.q, params.s, spectral, conjugated
+        self.conjugated = c
+        self.stay = vertex_weight_raw(1, 0, 1, 0, q, s, u, c)
+        self.land = vertex_weight_raw(0, 1, 1, 0, q, s, u, c)
+        self.dep = vertex_weight_raw(1, 0, 0, 1, q, s, u, c)
         casc = vertex_weight_raw(1, 1, 1, 1, q, s, u, c)
         t = vertex_weight_raw(0, 1, 0, 1, q, s, u, c)
         pos = np.arange(max_part + 1)
         gap = pos[:, None] - pos[None, :]
         same = gap == 0
         # tri[b, a] = t^(b - a - 1): a path crossing the columns in (a, b)
-        tri = np.where(gap > 0, t ** np.maximum(gap - 1, 0), 0.0)
+        self.tri = np.where(gap > 0, t ** np.maximum(gap - 1, 0), 0.0)
         # arrive[p, b]: landing at b below the next path's old column p
-        arrive = np.where(same, casc, np.where(gap > 0, land, 0.0))
+        self.arrive = np.where(same, casc, np.where(gap > 0, self.land, 0.0))
         # indexed [a, c] by a path's old column a and the smaller path's new
         # column c: c == a means a cascade already pushed this path out
-        depart = np.where(same, 1.0, dep)
-        keep = np.where(same, 0.0, stay)
-
-        x = np.asarray(amp)
+        self.depart = np.where(same, 1.0, self.dep)
+        self.keep = np.where(same, 0.0, self.stay)
         if not c:
             # the entering path crosses columns 0 .. e-1 and lands at e
+            self.cross = t ** pos
+            self.enter = self.arrive * self.cross
+
+    def apply(self, amp: np.ndarray) -> np.ndarray:
+        x, c = np.asarray(amp), self.conjugated
+        if not c:
             if x.ndim:
-                x = x[..., None] * _adjacent(arrive * t ** pos, x.ndim - 1,
+                x = x[..., None] * _adjacent(self.enter, x.ndim - 1,
                                              x.ndim + 1)
             else:
-                x = x * land * t ** pos
+                x = x * self.land * self.cross
         n = x.ndim
         for i in range(n - 1 if c else n - 2, -1, -1):
             if i + 1 < n:
-                kept = x * _adjacent(keep, i, n)
-                moved = x * _adjacent(depart, i, n)
+                kept = x * _adjacent(self.keep, i, n)
+                moved = x * _adjacent(self.depart, i, n)
             else:
-                kept, moved = stay * x, dep * x
-            moved = np.moveaxis(np.tensordot(tri, moved, axes=([1], [i])),
+                kept, moved = self.stay * x, self.dep * x
+            moved = np.moveaxis(np.tensordot(self.tri, moved, axes=([1], [i])),
                                 0, i)
-            moved = moved * (_adjacent(arrive, i - 1, n) if i else land)
+            moved = moved * (_adjacent(self.arrive, i - 1, n) if i
+                             else self.land)
             x = kept + moved
         return x
 

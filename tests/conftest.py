@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from sixvertexlab import symfunc
 from sixvertexlab.core import ModelParams
 from sixvertexlab.measure import HalfStrictGTPattern
 from sixvertexlab.paths import enumerate_F_collections
@@ -29,6 +32,34 @@ def band_points(params):
     [.35, .55]: the workhorse point and one at q = .45, u/s = 1.3, uv = .4."""
     u = 1.3 * 0.45 ** -0.5
     return [params, ModelParams(q=0.45, u=u, v=0.4 / u)]
+
+
+@pytest.fixture
+def count_strict_rows(monkeypatch):
+    """Replace a module's StrictRow with a subclass that counts the row
+    operators built, the rows applied and the vertex weights read (five per
+    table build); returns that Counter."""
+    def patch(module) -> Counter:
+        counts = Counter()
+        weight = symfunc.vertex_weight_raw
+
+        def counted_weight(*args):
+            counts["weights"] += 1
+            return weight(*args)
+
+        class Counted(symfunc.StrictRow):
+            def __init__(self, *args):
+                counts["built"] += 1
+                super().__init__(*args)
+
+            def apply(self, amp):
+                counts["applied"] += 1
+                return super().apply(amp)
+
+        monkeypatch.setattr(module, "StrictRow", Counted)
+        monkeypatch.setattr(symfunc, "vertex_weight_raw", counted_weight)
+        return counts
+    return patch
 
 
 @pytest.fixture

@@ -139,15 +139,26 @@ def test_f_direct_batch_refuses_past_the_float_range(params, monkeypatch):
     assert np.isfinite(f_direct_batch(1, 1200, 1, params)).all()
 
     def no_row(*args):
-        raise AssertionError("a row was applied past the float range")
+        raise AssertionError("a row was built or applied past the float range")
 
-    monkeypatch.setattr(boundary.StrictRow, "apply", no_row)
+    monkeypatch.setattr(symfunc.StrictRow, "apply", no_row)
+    monkeypatch.setattr(boundary, "StrictRow", no_row)
     for max_part, M in ((1208, 1), (1300, 5), (2040, 1), (2050, 1)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match=re.escape(
                     f"k = 1, max_part = {max_part}, M = {M}, s = {params.s}")):
                 f_direct_batch(1, max_part, M, params)
+
+
+@pytest.mark.parametrize("k, max_part, M",
+                         [(1, 30, 1), (1, 30, 20), (2, 20, 1), (2, 20, 20)])
+def test_f_direct_batch_builds_one_row(params, count_strict_rows, k,
+                                       max_part, M):
+    # the M conjugated rows share one operator, whose tables are built once
+    counts = count_strict_rows(boundary)
+    f_direct_batch(k, max_part, M, params)
+    assert counts == {"built": 1, "applied": M, "weights": 5}
 
 
 def test_f_direct_batch_agrees_pointwise(band_points):

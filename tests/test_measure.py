@@ -59,6 +59,14 @@ def test_direct_F_table_matches_F_eval(band_points):
                 assert tab[mu] == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_direct_F_table_builds_one_row(params, count_strict_rows, k):
+    # the k plain rows share one operator, whose tables are built once
+    counts = count_strict_rows(measure)
+    measure._F_transfer_window(k, 12, params)
+    assert counts == {"built": 1, "applied": k, "weights": 5}
+
+
 def _record_windows(monkeypatch):
     """Log (lo, hi) of every contour window integration of top_row_pmf."""
     calls = []

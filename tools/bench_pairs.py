@@ -24,12 +24,20 @@ metric whose gain is claimed; it is met over at least ten pairs when the
 change reads lower in nine tenths of them and its median is lower by more
 than the parent's interquartile range.
 
+Each run's results file, .perfbench/results/<workload>-seed<S>-trace0.json
+in its checkout, also gives its ops: an op's time in one run is its median
+over the run's passes, each pass scaled by NOMINAL_S (read from the
+checkout's perfbench/speed.py) over the median speed probe of that pass, as
+perfbench/run.py scales them.  Each workload's "ops" block holds each
+side's median of those times over its runs, per op, and the relative change.
+
 Only the standard library is used, and nothing under perfbench/ is touched.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -39,6 +47,52 @@ import sys
 from importlib import metadata
 
 SIDES = ("parent", "change")
+
+
+def nominal_speed(root: str) -> float:
+    """NOMINAL_S of the checkout's perfbench/speed.py, read without importing
+    it (that would import numpy)."""
+    with open(os.path.join(root, "perfbench", "speed.py")) as fh:
+        tree = ast.parse(fh.read())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["NOMINAL_S"])
+
+
+def op_times(root: str, workload: str, seed: int, nominal: float) -> dict:
+    """Each op's speed-scaled time in the run's results file: its median over
+    the untraced passes, each scaled by nominal over its pass's median
+    probe."""
+    path = os.path.join(root, ".perfbench", "results",
+                        f"{workload}-seed{seed}-trace0.json")
+    with open(path) as fh:
+        ops = json.load(fh)["ops"]
+    cals: dict = {}
+    for r in ops:
+        cals.setdefault(r["pass"], []).append(r["cal"])
+    scale = {n: nominal / statistics.median(c) for n, c in cals.items()}
+    per_op: dict = {}
+    for r in ops:
+        if not r["traced"]:
+            per_op.setdefault(r["op"], []).append(r["dur"] * scale[r["pass"]])
+    return {op: statistics.median(v) for op, v in per_op.items()}
+
+
+def op_block(times: dict) -> dict:
+    """Per op, each side's median over its runs and the relative change;
+    times maps a side to one {op: time} per run."""
+    out = {}
+    for op in dict.fromkeys(op for side in SIDES for run in times[side]
+                            for op in run):
+        med = {}
+        for side in SIDES:
+            vals = [run[op] for run in times[side] if op in run]
+            med[side] = statistics.median(vals) if vals else None
+        p_med, c_med = med["parent"], med["change"]
+        out[op] = {**med, "median_change": (c_med - p_med) / p_med
+                   if p_med and c_med is not None else None}
+    return out
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -71,10 +125,11 @@ def verdict(vals: dict, bound: float) -> str:
     return "worse" if c_med - p_med > bound * p_med else "within bound"
 
 
-def summarize(seeds: list[int], first: list[str], runs: dict,
+def summarize(seeds: list[int], first: list[str], runs: dict, times: dict,
               bounds: dict) -> dict:
     """One workload's block: runs maps a side to its results in pair order,
-    bounds an end-to-end metric to its bound."""
+    times a side to its runs' op times, bounds an end-to-end metric to its
+    bound."""
     metrics = {}
     for name in runs["parent"][0]["metrics"]:
         vals = {side: [r["metrics"][name]["value"] for r in runs[side]]
@@ -97,7 +152,7 @@ def summarize(seeds: list[int], first: list[str], runs: dict,
             "attempted_ops": {s: sum(r["attempted"] for r in runs[s])
                               for s in SIDES},
             "correct": {s: all(r["correct"] for r in runs[s]) for s in SIDES},
-            "metrics": metrics}
+            "metrics": metrics, "ops": op_block(times)}
 
 
 def claim_block(workloads: dict, claim: str) -> dict:
@@ -139,6 +194,7 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    nominal = {side: nominal_speed(roots[side]) for side in SIDES}
     os.makedirs(args.out, exist_ok=True)   # before the runs, not after
 
     seed, workloads = args.first_seed, {}
@@ -146,18 +202,21 @@ def main(argv=None) -> int:
         workload, pairs = spec.split(":")
         seeds, first = [], []
         runs = {side: [] for side in SIDES}
+        times = {side: [] for side in SIDES}
         for i in range(int(pairs)):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
                 res = run_once(roots[side], workload, seed, seconds)
                 runs[side].append(res)
+                times[side].append(op_times(roots[side], workload, seed,
+                                            nominal[side]))
                 print(f"{workload} seed={seed} {side}: "
                       f"wall_s={res['metrics']['wall_s']['value']:.4f} "
                       f"failed={res['failed']}", flush=True)
             seeds.append(seed)
             first.append(order[0])
             seed += 1
-        workloads[workload] = summarize(seeds, first, runs, bounds)
+        workloads[workload] = summarize(seeds, first, runs, times, bounds)
 
     spread = ", ".join(f"{w} ({b['seeds'][0]}-{b['seeds'][-1]})"
                        for w, b in workloads.items())

@@ -1,6 +1,6 @@
-"""One SHA-1 per top-row law over (window, atoms, probs), for a fixed list of
-laws, and one per level of a few GUE corners batches, so that two source
-trees can be diffed law by law and level by level:
+"""One SHA-1 per top-row law over (window, atoms, probs), per level of a few
+GUE corners batches and per direct-route f and F table, so that two source
+trees can be diffed law by law, level by level and table by table:
 
     python3 tools/law_digests.py SRC_DIR > digests.txt
 
@@ -8,10 +8,15 @@ SRC_DIR is the directory that holds the `sixvertexlab` package (a
 checkout's `src`).  The first lines are `gue.corners:(k,n) part sha1` for
 `corners_batch(k, n, default_rng(1))` at perfbench's sizes (2, 100,000) and
 (3, 20,000) and at (4, 1,000): part `level<r>` hashes level r as float64,
-part `state` the repr of the generator's state after the call.  Each
-further line is `label window sha1`, where the hash runs over the window as
-two int64 values, the atoms as an int64 array and the probabilities as
-float64, in that order.  The laws are:
+part `state` the repr of the generator's state after the call.  Then come
+`boundary.f_direct_batch:(k,max_part,M) table sha1` and
+`measure._F_transfer_window:(k,max_part) table sha1` at the display point
+for (k, max_part, M) = (1, 60, 20), (2, 40, 10) and (3, 20, 3), each hash
+over the shape as int64 values and the array as float64, so that a change
+to the strict rows shows in the tables themselves and not only through the
+laws' windows.  Each further line is `label window sha1`, where the hash
+runs over the window as two int64 values, the atoms as an int64 array and
+the probabilities as float64, in that order.  The laws are:
 
 * perfbench's laws at seed 1: the warm-up law, the oracle's direct laws,
   the pmf workload's contour laws and both k = 3 laws at the anchor point
@@ -34,6 +39,7 @@ OPENBLAS_NUM_THREADS=1) for bits comparable across runs.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -62,6 +68,22 @@ def corners_digests():
         for part, data in parts:
             yield (f"gue.corners:({k},{n})", part,
                    hashlib.sha1(data).hexdigest())
+
+
+def table_digests():
+    """(label, part, sha1) for the f and F tables of the direct route."""
+    from sixvertexlab import boundary, measure
+    from sixvertexlab.core import ModelParams
+    display = ModelParams(q=0.5, u=2.0, v=0.25)
+    for k, max_part, M in ((1, 60, 20), (2, 40, 10), (3, 20, 3)):
+        for label, table in (
+                (f"boundary.f_direct_batch:({k},{max_part},{M})",
+                 boundary.f_direct_batch(k, max_part, M, display)),
+                (f"measure._F_transfer_window:({k},{max_part})",
+                 measure._F_transfer_window(k, max_part, display))):
+            h = hashlib.sha1(np.asarray(table.shape, np.int64).tobytes())
+            h.update(np.ascontiguousarray(table, np.float64).tobytes())
+            yield label, "table", h.hexdigest()
 
 
 def laws(src: Path):
@@ -126,7 +148,7 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[4], file=sys.stderr)
         return 2
     todo = laws(Path(argv[0]).resolve())  # puts SRC_DIR on sys.path
-    for line in corners_digests():
+    for line in itertools.chain(corners_digests(), table_digests()):
         print(*line, flush=True)
     for label, build in todo:
         pmf = build()
