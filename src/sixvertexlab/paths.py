@@ -23,9 +23,9 @@ serves as the brute-force oracle for them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator
 
 from .core import ModelParams, as_parts, multiplicities
@@ -61,9 +61,9 @@ class PathCollection:
 
     sections[y] is the top cross-section of row y + 1 (parts decreasing), so
     sections[-1] is lam; rows derives the vertex grid from them by
-    row_vertices, once per collection: rows[y][x] is the vertex at lattice
-    position (x, y+1), columns run 0..n_cols-1 with everything beyond the
-    window empty.
+    row_vertices on each access, and nothing derived is kept: rows[y][x] is
+    the vertex at lattice position (x, y+1), columns run 0..n_cols-1 with
+    everything beyond the window empty.
     """
 
     family: str                     # "F" or "Gc"
@@ -73,7 +73,7 @@ class PathCollection:
     n_cols: int
     sections: tuple[tuple[int, ...], ...]
 
-    @cached_property
+    @property
     def rows(self) -> tuple[tuple[Vertex, ...], ...]:
         left_entry = self.family == "F"
         return tuple(row_vertices(bottom, top, self.n_cols, left_entry)
@@ -83,20 +83,6 @@ class PathCollection:
     def vertex_types(self) -> Iterator[Vertex]:
         for row in self.rows:
             yield from row
-
-    def validate(self) -> None:
-        """Every derived horizontal edge in {0, 1}, every row ending empty
-        and the top cross-section equal to lam."""
-        for y, row in enumerate(self.rows, start=1):
-            for x, (_i1, _j1, _i2, j2) in enumerate(row):
-                if j2 not in (0, 1):
-                    raise AssertionError(
-                        f"horizontal edge {j2} at x={x}, y={y}: "
-                        "cross-sections do not interlace")
-            if row[-1][3] != 0:
-                raise AssertionError(f"path leaves window in row {y}")
-        if (self.sections[-1] if self.sections else self.mu) != self.lam:
-            raise AssertionError("top boundary does not match lam")
 
     def to_json_grid(self) -> dict:
         return {
@@ -113,9 +99,10 @@ def _row_configurations(bottom: dict[int, int], left_entry: bool, hi, lo):
     """All ways one row can route its paths, as their top cross-sections.
 
     bottom maps column -> incoming vertical multiplicity; a left entry adds a
-    horizontal path at x = 0.  Branching happens only at columns that carry a
-    path; empty stretches with no horizontal path are skipped.  The j-th top
-    part placed, left to right, must lie in [lo[j], hi[j]].
+    horizontal path at x = 0.  Empty stretches with no horizontal path are
+    skipped; a horizontal path crossing empty columns steps on in a loop,
+    turning up at each before it goes on.  The j-th top part placed, left to
+    right, must lie in [lo[j], hi[j]].
     """
     occupied = sorted(bottom)
     results: list[tuple[int, ...]] = []
@@ -123,11 +110,18 @@ def _row_configurations(bottom: dict[int, int], left_entry: bool, hi, lo):
 
     def rec(x: int, h: int):
         if h == 0:
-            x = next((c for c in occupied if c >= x), None)
-            if x is None:
+            i = bisect_left(occupied, x)
+            if i == len(occupied):
                 results.append(tuple(reversed(top_cols)))
                 return
+            x = occupied[i]
         j = len(top_cols)
+        while h and x not in bottom and x <= hi[j]:
+            if x >= lo[j]:
+                top_cols.append(x)
+                rec(x + 1, 0)
+                top_cols.pop()
+            x += 1
         if x > hi[j]:
             return  # the next part placed lies at or right of x
         i1 = bottom.get(x, 0)
@@ -162,12 +156,14 @@ def _enumerate_chains(mu, lam, n: int, family: str) -> list[PathCollection]:
     n_cols = (lam[0] + 2) if lam else (mu[0] + 2 if mu else 1)
     chain: list[tuple[int, ...]] = []
     configurations: dict[tuple[int, ...], list] = {}  # per bottom cross-section
+    out: list[PathCollection] = []
 
-    def rec(bottom_parts: tuple[int, ...], row: int) -> Iterator[PathCollection]:
+    def rec(bottom_parts: tuple[int, ...], row: int):
         if row == n:
             if bottom_parts == lam:
-                yield PathCollection(family=family, mu=mu, lam=lam, n_rows=n,
-                                     n_cols=n_cols, sections=tuple(chain))
+                out.append(PathCollection(family=family, mu=mu, lam=lam,
+                                          n_rows=n, n_cols=n_cols,
+                                          sections=tuple(chain)))
             return
         # Part i of the top never exceeds lam_i; in F-type rows the rows_left
         # parts of lam below it are filled by paths yet to enter, so it is at
@@ -181,10 +177,12 @@ def _enumerate_chains(mu, lam, n: int, family: str) -> list[PathCollection]:
                 lam[:total][::-1], lo[::-1])
         for top in configurations[bottom_parts]:
             chain.append(top)
-            yield from rec(top, row + 1)
+            rec(top, row + 1)
             chain.pop()
 
-    return list(rec(mu, 0))
+    rec(mu, 0)
+    del rec  # it refers to itself, so it would hold out until a gc pass
+    return out
 
 
 def enumerate_F_collections(mu, lam, n: int) -> list[PathCollection]:

@@ -45,11 +45,13 @@ def _row_successors(bottom: tuple[int, ...], weight, conjugated: bool, ceil,
     with top_i in [floor[i], ceil[i]], from the row's vertex weight table
     weight(i1, h, j2).  Parts are placed left to right, the j-th of rank
     len(top) - 1 - j; a branch is cut once a part lands outside its bound,
-    or a moving path passes the ceiling of the next part."""
+    or a moving path passes the ceiling of the next part.  A path crossing
+    empty columns steps on in a loop, turning up at each before it goes on."""
     bm = multiplicities(bottom)
     occupied = sorted(bm)
     total = len(bottom) + (not conjugated)
     hi, lo = ceil[:total][::-1], floor[:total][::-1]
+    turn, cross = weight(0, 1, 0), weight(0, 1, 1)
     results: list[tuple[tuple[int, ...], complex]] = []
     top_cols: list[int] = []
 
@@ -57,10 +59,18 @@ def _row_successors(bottom: tuple[int, ...], weight, conjugated: bool, ceil,
         if h == 0:
             i = bisect_left(occupied, x)
             if i == len(occupied):
-                results.append((tuple(sorted(top_cols, reverse=True)), acc))
+                results.append((tuple(reversed(top_cols)), acc))
                 return
             x = occupied[i]
         j = len(top_cols)
+        while h and x not in bm and x <= hi[j]:
+            if x >= lo[j] and turn != 0.0:
+                top_cols.append(x)
+                rec(x + 1, 0, acc * turn)
+                top_cols.pop()
+            if cross == 0.0:
+                return
+            acc, x = acc * cross, x + 1
         if x > hi[j]:
             return
         i1 = bm.get(x, 0)

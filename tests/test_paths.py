@@ -1,23 +1,40 @@
 import random
+import sys
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from sixvertexlab import checks, paths
+from sixvertexlab import checks, paths, symfunc
 from sixvertexlab.checks import random_point
-from sixvertexlab.core import multiplicities, strict_atoms
+from sixvertexlab.core import ModelParams, multiplicities, strict_atoms
 from sixvertexlab.paths import (PathCollection, collection_weight,
                                 count_collections_formula,
                                 enumerate_F_collections,
                                 enumerate_Gc_collections, is_typical,
                                 typical_count_lower_bound)
+from sixvertexlab.weights import vertex_weight_raw
+
+
+def validate(pc: PathCollection) -> None:
+    """Every derived horizontal edge of pc in {0, 1}, every row ending empty
+    and the top cross-section equal to lam."""
+    for y, row in enumerate(pc.rows, start=1):
+        for x, (_i1, _j1, _i2, j2) in enumerate(row):
+            if j2 not in (0, 1):
+                raise AssertionError(f"horizontal edge {j2} at x={x}, y={y}: "
+                                     "cross-sections do not interlace")
+        if row[-1][3] != 0:
+            raise AssertionError(f"path leaves window in row {y}")
+    if (pc.sections[-1] if pc.sections else pc.mu) != pc.lam:
+        raise AssertionError("top boundary does not match lam")
 
 
 def test_single_path_collection():
     cols = enumerate_F_collections((), (4,), 1)
     assert len(cols) == 1
-    cols[0].validate()
+    validate(cols[0])
     assert cols[0].sections[0] == (4,)
 
 
@@ -65,9 +82,64 @@ def test_row_configurations_built_once_per_cross_section(monkeypatch):
         assert len(cols) == count > 1
         assert len({c.rows for c in cols}) == len(cols)
         for c in cols:
-            c.validate()
+            validate(c)
         reached = {mu} | {c.sections[r - 1] for c in cols for r in range(1, n)}
         assert len(seen) == len(set(seen)) and reached <= set(seen), lam
+
+
+@pytest.mark.parametrize("conjugated", [False, True], ids=["F", "Gc"])
+@pytest.mark.parametrize("p", [ModelParams(q=0.5, u=2.0, v=0.25),
+                               ModelParams(q=0.7, u=2.0, v=0.25)],
+                         ids=["display", "q0.7"])
+def test_row_walkers_agree_row_by_row(p, conjugated):
+    # the transfer's one-row walk and the enumeration's, from every bottom
+    # with at most 3 parts <= 5 under a wide and a tight envelope: the same
+    # nonzero-weight tops in the same order, each weighed bit for bit as its
+    # one-row collection
+    family, spectral = ("Gc", p.v) if conjugated else ("F", p.u)
+    weight = cache(lambda i1, h, j2: vertex_weight_raw(
+        i1, h, i1 + h - j2, j2, p.q, p.s, spectral, conjugated))
+    rows = 0
+    for n in range(conjugated, 4):
+        total = n + (not conjugated)
+        for bottom in combinations_with_replacement(range(5, -1, -1), n):
+            for ceil, floor in (((9,) * total, (0,) * total),
+                                ((7, 6, 4, 2)[:total], (3, 1, 0, 0)[:total])):
+                got = symfunc._row_successors(bottom, weight, conjugated, ceil,
+                                              floor)
+                tops = paths._row_configurations(
+                    multiplicities(bottom), not conjugated, ceil[::-1],
+                    floor[::-1])
+                weighed = [(top, collection_weight(PathCollection(
+                    family, bottom, top, 1, max((*top, *bottom, 0)) + 2,
+                    (top,)), (spectral,), p, conjugated)) for top in tops]
+                want = [(top, w) for top, w in weighed if w != 0.0]
+                assert [top for top, _ in got] == [top for top, _ in want]
+                assert [repr(w) for _, w in got] == [repr(w) for _, w in want]
+                rows += len(got)
+    assert rows > 1000
+
+
+def test_collections_come_in_lexicographic_order():
+    # checks.route_agreement sums the weights in list order and the Gibbs
+    # census reads its patterns from this list, so the order is pinned: by
+    # the cross-sections read ascending, row 1 first
+    for cols in (enumerate_F_collections((), (6, 3, 1), 3),
+                 enumerate_F_collections((1,), (5, 3, 0), 2),
+                 enumerate_Gc_collections((3, 1), (5, 4), 3),
+                 enumerate_Gc_collections((2, 0, 0), (4, 2, 1), 2)):
+        keys = [tuple(tuple(sorted(sec)) for sec in c.sections) for c in cols]
+        assert len(keys) > 1 and keys == sorted(set(keys))
+
+
+def test_enumeration_returns_the_only_reference_to_its_list():
+    # the chain recursion is a closure that refers to itself; its list of
+    # collections must be freed with the caller's last reference, not held
+    # by that cycle until the cyclic collector runs
+    for enumerate_, mu, lam in ((enumerate_F_collections, (), (3, 1)),
+                                (enumerate_Gc_collections, (1,), (3,))):
+        cols = enumerate_(mu, lam, 2)
+        assert len(cols) > 1 and sys.getrefcount(cols) == 2
 
 
 def test_rejects_bad_arguments():
@@ -96,9 +168,9 @@ def test_gc_straight_up():
 
 def test_edge_consistency_everywhere():
     for c in enumerate_F_collections((), (3, 1), 2):
-        c.validate()
+        validate(c)
     for c in enumerate_Gc_collections((2, 0), (4, 1), 2):
-        c.validate()
+        validate(c)
 
 
 def test_validate_rejects_chains_that_do_not_interlace():
@@ -108,17 +180,17 @@ def test_validate_rejects_chains_that_do_not_interlace():
                         sections=((2,),))
     assert pc.rows[0][2] == (0, 0, 1, -1)
     with pytest.raises(AssertionError, match="do not interlace"):
-        pc.validate()
+        validate(pc)
     # an F row whose entering path never turns up leaves the window
     with pytest.raises(AssertionError, match="leaves window"):
-        PathCollection(family="F", mu=(), lam=(), n_rows=1, n_cols=3,
-                       sections=((),)).validate()
+        validate(PathCollection(family="F", mu=(), lam=(), n_rows=1,
+                                n_cols=3, sections=((),)))
     # a chain whose top is not lam
     with pytest.raises(AssertionError, match="top boundary"):
-        PathCollection(family="Gc", mu=(1,), lam=(2,), n_rows=1, n_cols=4,
-                       sections=((1,),)).validate()
-    PathCollection(family="Gc", mu=(1,), lam=(2,), n_rows=1, n_cols=4,
-                   sections=((2,),)).validate()
+        validate(PathCollection(family="Gc", mu=(1,), lam=(2,), n_rows=1,
+                                n_cols=4, sections=((1,),)))
+    validate(PathCollection(family="Gc", mu=(1,), lam=(2,), n_rows=1, n_cols=4,
+                            sections=((2,),)))
 
 
 def test_counting_formula_examples():

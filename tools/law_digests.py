@@ -1,6 +1,6 @@
-"""One SHA-1 per top-row law over (window, atoms, probs), per level of a few
-GUE corners batches and per direct-route f and F table, so that two source
-trees can be diffed law by law, level by level and table by table:
+"""One SHA-1 per top-row law (window, atoms, probs), per level of a few GUE
+corners batches, per direct-route f and F table and per oracle value list,
+so that two source trees can be diffed law by law and table by table:
 
     python3 tools/law_digests.py SRC_DIR > digests.txt
 
@@ -14,9 +14,19 @@ part `state` the repr of the generator's state after the call.  Then come
 for (k, max_part, M) = (1, 60, 20), (2, 40, 10) and (3, 20, 3), each hash
 over the shape as int64 values and the array as float64, so that a change
 to the strict rows shows in the tables themselves and not only through the
-laws' windows.  Each further line is `label window sha1`, where the hash
-runs over the window as two int64 values, the atoms as an int64 array and
-the probabilities as float64, in that order.  The laws are:
+laws' windows.  The oracle lines follow, each `label part sha1` over the
+reprs of values at the display point, in order: `symfunc.F_eval` and
+`symfunc.Gc_eval` over perfbench's F-routes signatures (strict, k <= 3
+parts <= F_ROUTE_PARTS; u times (1, 1.11, 1.23) for F from the empty
+signature, v times (1, 0.9, 0.8) for G^c from 0^k); the `_cauchy_sum`
+reports (`lhs`, `truncation_L`, `tail_bound`, `caps`) of `verify_cauchy` at
+(N, K) = (2, 1) as perfbench calls it and (2, 2) as the CLI does, and of
+the CLI's skew case; `boundary.f_direct` at perfbench's F_PAIRS; and every
+F-collection of the F-routes signatures, its cross-sections and
+`collection_weight` in list order.  Each further line is `label window
+sha1`, where the hash runs over the window as two int64 values, the atoms
+as an int64 array and the probabilities as float64, in that order.  The
+laws are:
 
 * perfbench's laws at seed 1: the warm-up law, the oracle's direct laws,
   the pmf workload's contour laws and both k = 3 laws at the anchor point
@@ -86,6 +96,44 @@ def table_digests():
             yield label, "table", h.hexdigest()
 
 
+def oracle_digests():
+    """(label, part, sha1) for the pure-Python oracles at the display point:
+    the transfer's F and G^c, the Cauchy sums, f_direct and the path
+    collections with their weights."""
+    from sixvertexlab import boundary, paths, symfunc
+    from sixvertexlab.core import ModelParams
+    import worker
+    p = ModelParams(q=0.5, u=2.0, v=0.25)
+    us = (p.u, 1.11 * p.u, 1.23 * p.u)
+    vs = (p.v, 0.9 * p.v, 0.8 * p.v)
+    lams = [lam for k in (1, 2, 3)
+            for lam in worker.strict_signatures(k, worker.F_ROUTE_PARTS)]
+
+    def sha1(values) -> str:
+        return hashlib.sha1(repr(list(values)).encode()).hexdigest()
+
+    yield "symfunc.F_eval:F-routes", "values", sha1(
+        symfunc.F_eval(lam, (), us[:len(lam)], p) for lam in lams)
+    yield "symfunc.Gc_eval:F-routes", "values", sha1(
+        symfunc.Gc_eval(lam, (0,) * len(lam), vs[:len(lam)], p)
+        for lam in lams)
+    for label, rep in (
+            ("verify_cauchy:(2,1)", symfunc.verify_cauchy(
+                2, 1, (p.u, 1.1 * p.u), (p.v,), p, tol=1e-10)),
+            ("verify_cauchy:(2,2)", symfunc.verify_cauchy(
+                2, 2, (p.u, 1.1 * p.u), (p.v, 0.85 * p.v), p, tol=1e-10)),
+            ("verify_skew_cauchy:(3,1,0)/(2,)", symfunc.verify_skew_cauchy(
+                (3, 1, 0), (2,), (p.u, 1.1 * p.u), (p.v,), p))):
+        yield f"symfunc.{label}", "report", sha1(
+            rep[key] for key in ("lhs", "truncation_L", "tail_bound", "caps"))
+    yield "boundary.f_direct:F_PAIRS", "values", sha1(
+        boundary.f_direct(lam, p.v, M, p) for lam, M in worker.F_PAIRS)
+    yield "paths.collection_weight:F-routes", "collections", sha1(
+        (c.sections, paths.collection_weight(c, us[:len(lam)], p))
+        for lam in lams for c in paths.enumerate_F_collections((), lam,
+                                                               len(lam)))
+
+
 def laws(src: Path):
     """(label, thunk) for every law on the list."""
     sys.path[:0] = [str(src), str(PERFBENCH)]
@@ -148,7 +196,8 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[4], file=sys.stderr)
         return 2
     todo = laws(Path(argv[0]).resolve())  # puts SRC_DIR on sys.path
-    for line in itertools.chain(corners_digests(), table_digests()):
+    for line in itertools.chain(corners_digests(), table_digests(),
+                                oracle_digests()):
         print(*line, flush=True)
     for label, build in todo:
         pmf = build()
