@@ -11,7 +11,9 @@ Subcommands
     gue-compare   rescaled model rows against GUE corners (KS tables)
 
 identities, boundary and constants run the acceptance suite's check functions
-(sixvertexlab.checks) at the CLI's own seeds, sizes and tolerances.
+(sixvertexlab.checks) at the CLI's own seeds, sizes and tolerances.  Only
+asymptotics, which the grid checks use, is imported with this module; each
+subcommand imports its other engines itself, so a run loads only its own.
 
 Every run writes CSV tables (deterministic byte-for-byte for a fixed config
 and seed, independent of --threads) plus a JSON sidecar echoing the fully
@@ -34,9 +36,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import asymptotics as asy
-from . import checks, gue, measure, symfunc
 from .core import ModelParams
-from .paths import PathCollection
 from .util import environment_versions, parallel_map, write_csv, write_json
 
 # The canonical display point (the phase-diagram figures) and the acceptance
@@ -143,6 +143,7 @@ class CheckTable:
 
 
 def cmd_identities(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
+    from . import checks, symfunc
     p = cfg.params()
     table = CheckTable()
     table.add_result(
@@ -196,6 +197,7 @@ def cmd_identities(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
 
 
 def cmd_boundary(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
+    from . import checks
     p = cfg.params()
     table = CheckTable()
     for lam, M, fc, fd, err in checks.f_contour_vs_direct(p)[3]["rows"]:
@@ -213,6 +215,7 @@ def cmd_boundary(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
 
 
 def cmd_constants(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
+    from . import checks
     p = cfg.params()
     table = CheckTable()
     cst = asy.constants(p)
@@ -308,6 +311,8 @@ def cmd_bm_converge(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
 
 
 def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
+    from . import measure
+    from .paths import PathCollection
     p = cfg.params()
     table = CheckTable()
     k = cfg.k
@@ -345,6 +350,7 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
 
 
 def cmd_gue_compare(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
+    from . import gue
     p = cfg.params()
     table = CheckTable()
     rep1 = gue.compare_corners_limit(1, cfg.m_grid, p, 0, seed=cfg.seed,

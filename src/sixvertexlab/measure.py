@@ -417,10 +417,12 @@ def sample_lower_rows(tops_desc: np.ndarray, params: ModelParams,
         lo, hi = tops[:, 1], tops[:, 0]
         return [_split_k2(u * z1(lo, hi), lo, hi, ws)[:, None]]
     x, y, res = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n)
-    distinct, which = np.unique(tops, axis=0, return_inverse=True)
-    order = np.argsort(which.reshape(-1), kind="stable")
-    groups = np.split(order, np.cumsum(np.bincount(which.reshape(-1)))[:-1])
-    for (c, b, a), idx in zip(distinct.tolist(), groups):
+    # one int per top, ordered as the tops; a ValueError if base**3 overflows
+    key = np.ravel_multi_index(tops.T, (int(tops.max(initial=0)) + 1,) * 3)
+    order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    groups = np.split(order, first[1:])
+    for (c, b, a), idx in zip(tops[order[first]].tolist(), groups):
         xy = np.mgrid[a:b + 1, b:c + 1].reshape(2, -1)
         xs, ys = xy[:, xy[0] < xy[1]]
         phi = (np.where(xs == a, ws[0], np.where(xs == b, ws[2], ws[1]))

@@ -136,6 +136,7 @@ def _row_configurations(bottom: dict[int, int], left_entry: bool, hi, lo):
                 del top_cols[-i2:]
 
     rec(0, 1 if left_entry else 0)
+    del rec  # it refers to itself, so it would hold out until a gc pass
     return results
 
 

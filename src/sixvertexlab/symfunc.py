@@ -88,6 +88,7 @@ def _row_successors(bottom: tuple[int, ...], weight, conjugated: bool, ceil,
                 del top_cols[-i2:]
 
     rec(0, 0 if conjugated else 1, 1.0)
+    del rec  # it refers to itself, so it would hold out until a gc pass
     return results
 
 

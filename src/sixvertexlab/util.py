@@ -7,7 +7,6 @@ import json
 import os
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 
@@ -17,6 +16,7 @@ def parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -49,5 +49,10 @@ def environment_versions() -> dict:
     import numpy
 
     from . import __version__
+    # platform.platform() less the processor, which runs `uname -p`
+    host = [platform.system(), platform.release(), platform.machine()]
+    libc = "".join(platform.libc_ver())
+    if libc:
+        host += ["with", libc]
     return {"package": __version__, "python": sys.version.split()[0],
-            "numpy": numpy.__version__, "platform": platform.platform()}
+            "numpy": numpy.__version__, "platform": "-".join(host)}

@@ -2,6 +2,11 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import types
 
 import pytest
@@ -247,3 +252,53 @@ def test_sample_checks_every_pattern(tmp_path, capsys, monkeypatch, fake):
     out = json.loads(capsys.readouterr().out)
     assert [f["invariant"] for f in out["failures"]] == \
         ["sampled-patterns-interlace"]
+
+
+def run_fresh(code: str, *args: str):
+    """The JSON last line that code prints in a fresh interpreter."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_imports_each_engine_only_where_it_runs(tmp_path):
+    # importing the CLI loads no engine a subcommand may not need and no
+    # thread pool; bm-converge on one thread loads no checks, constants
+    # neither the sampler nor the GUE module
+    seen = run_fresh("""
+        import json, sys
+        from sixvertexlab import cli
+        LAZY = ["sixvertexlab." + m for m in ("checks", "gue", "measure",
+                                              "paths")]
+        def loaded():
+            return [m for m in LAZY + ["concurrent.futures"]
+                    if m in sys.modules]
+        seen = {"import": loaded()}
+        for argv in (["bm-converge", "--threads", "1"], ["constants"]):
+            assert cli.main(argv + ["--out", sys.argv[1]]) == 0
+            seen[argv[0]] = loaded()
+        print(json.dumps(seen))
+    """, str(tmp_path))
+    assert seen["import"] == []
+    assert seen["bm-converge"] == []
+    assert "sixvertexlab.checks" in seen["constants"]
+    assert not {"sixvertexlab.measure", "sixvertexlab.gue"} & set(
+        seen["constants"])
+
+
+def test_sidecar_starts_no_process():
+    # platform.platform() runs `uname -p` in a child process, once per
+    # interpreter; the sidecar's platform string is built without one
+    versions, system, release, machine = run_fresh("""
+        import json, platform, subprocess
+        from sixvertexlab.util import environment_versions
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"started a process: {args}")
+        subprocess.Popen = refuse
+        print(json.dumps([environment_versions(), platform.system(),
+                          platform.release(), platform.machine()]))
+    """)
+    assert versions["platform"].startswith(f"{system}-{release}-{machine}")

@@ -142,6 +142,18 @@ def test_enumeration_returns_the_only_reference_to_its_list():
         assert len(cols) > 1 and sys.getrefcount(cols) == 2
 
 
+def test_row_walkers_return_the_only_reference_to_their_lists():
+    # the same for the one-row walks: transfer's successor lists and the
+    # enumeration's row configurations
+    p = ModelParams(q=0.5, u=2.0, v=0.25)
+    weight = cache(lambda i1, h, j2: vertex_weight_raw(
+        i1, h, i1 + h - j2, j2, p.q, p.s, p.u, False))
+    got = symfunc._row_successors((3, 1), weight, False, (9,) * 3, (0,) * 3)
+    assert len(got) > 1 and sys.getrefcount(got) == 2
+    tops = paths._row_configurations({3: 1, 1: 1}, True, (9,) * 3, (0,) * 3)
+    assert len(tops) > 1 and sys.getrefcount(tops) == 2
+
+
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         enumerate_F_collections((), (2, 1), -1)
