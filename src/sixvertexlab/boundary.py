@@ -18,8 +18,8 @@ route evaluates the k-fold integral
 
 over a zero-centered circle of radius R in (s, min v_j^{-1}), with the
 periodic-trapezoid node family, tensor kernel and node-doubling driver of the
-package's one contour-quadrature engine (quadrature.py).  The same engine
-evaluates the analogous integral for G^c_lambda.
+package's one contour-quadrature engine (quadrature.py).  One circle
+integral serves f and the analogous integral for G^c_lambda.
 
 Both integrals are real for real inputs by conjugation symmetry of the
 integrand over the circle; the real part is taken only after asserting the
@@ -37,9 +37,9 @@ from .weights import conjugation_factor
 
 
 # node counts of the circle quadrature: the first evaluation, and the most
-# that node doubling may reach
+# that node doubling may reach (there a k = 2 kernel takes 256 MiB)
 CIRCLE_NODES = 64
-CIRCLE_MAX_NODES = 1 << 14
+CIRCLE_MAX_NODES = 1 << 12
 
 
 def default_radius(params: ModelParams, v_values) -> float:
@@ -50,6 +50,22 @@ def default_radius(params: ModelParams, v_values) -> float:
     if hi <= params.s:
         raise ValueError(f"no admissible radius: s = {params.s}, min 1/|v| = {hi}")
     return 0.5 * (params.s + hi)
+
+
+def _circle_integral(lam, column, radius: float, tol: float,
+                     params: ModelParams) -> complex:
+    """c(lam) (q;q)_k times the k-fold integral over |z| = radius whose row p
+    is column(z) ((1 - s z)/(z - s))^lam_p, node-doubled to tol."""
+    s, q = params.s, params.q
+
+    def evaluate(n: int) -> complex:
+        z, wts = circle_nodes(radius, n)
+        base, ratio = column(z), (1.0 - s * z) / (z - s)
+        return tensor_integral(np.array([base * ratio ** p * wts
+                                         for p in lam]), z, q)
+
+    val = adaptive(evaluate, CIRCLE_NODES, CIRCLE_MAX_NODES, tol)
+    return val * conjugation_factor(lam, params) * q_pochhammer(q, q, len(lam))
 
 
 def Gc_contour(lam, v_values, params: ModelParams) -> complex:
@@ -66,18 +82,13 @@ def Gc_contour(lam, v_values, params: ModelParams) -> complex:
     s, q = params.s, params.q
     radius = default_radius(params, v_values)  # refuses any |v_i| >= 1/s
 
-    def evaluate(n: int) -> complex:
-        z, wts = circle_nodes(radius, n)
+    def column(z):
         col = np.ones_like(z)
         for v in v_values:
             col = col * (1.0 - q * z * v) / (1.0 - z * v)
-        ratio = (1.0 - s * z) / (z - s)
-        base = col / ((1.0 - s * z) * (z - s))
-        return tensor_integral(np.array([base * ratio ** p * wts
-                                         for p in lam]), z, q)
+        return col / ((1.0 - s * z) * (z - s))
 
-    val = adaptive(evaluate, CIRCLE_NODES, CIRCLE_MAX_NODES, 1e-10)
-    return val * conjugation_factor(lam, params) * q_pochhammer(q, q, k)
+    return _circle_integral(lam, column, radius, 1e-10, params)
 
 
 def f_contour(lam, v: float, M: int, params: ModelParams,
@@ -98,17 +109,9 @@ def f_contour(lam, v: float, M: int, params: ModelParams,
     elif not s < radius < 1.0 / v:
         raise ValueError(f"radius {radius} outside admissible band "
                          f"({s}, {1.0 / v})")
-
-    def evaluate(n: int) -> complex:
-        z, wts = circle_nodes(radius, n)
-        col = ((1.0 - q * z * v) / (1.0 - z * v)) ** M
-        ratio = (1.0 - s * z) / (z - s)
-        base = col / (-s * (1.0 - s * z))
-        return tensor_integral(np.array([base * ratio ** p * wts
-                                         for p in lam]), z, q)
-
-    val = adaptive(evaluate, CIRCLE_NODES, CIRCLE_MAX_NODES, tol)
-    val = val * conjugation_factor(lam, params) * q_pochhammer(q, q, k)
+    val = _circle_integral(
+        lam, lambda z: ((1.0 - q * z * v) / (1.0 - z * v)) ** M
+        / (-s * (1.0 - s * z)), radius, tol, params)
     if abs(val.imag) > tol * max(1.0, abs(val.real)):
         raise QuadratureError("f contour integral has a non-real residue",
                               {"estimate": repr(val), "tol": tol})

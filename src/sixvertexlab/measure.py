@@ -291,9 +291,13 @@ def top_row_pmf(k: int, M: int, params: ModelParams, tol: float = 1e-6,
         if gained < tol / 10.0 and tail_bound < tol / 2.0:
             break
     else:
+        budget = (f"MAX_PART = {MAX_PART}" if hi >= MAX_PART
+                  else f"MAX_ATOMS = {MAX_ATOMS}")
+        stop = ("refused the first window, before any window was built"
+                if not built else f"stopped the window at part {hi}"
+                if hi >= MAX_PART else "refused the next window")
         raise MassDeficitError(
-            f"top-row pmf tail not certified within MAX_PART = {MAX_PART} "
-            f"and MAX_ATOMS = {MAX_ATOMS}",
+            f"top-row pmf tail not certified: {budget} {stop} ({size} atoms)",
             {"mass": mass, "k": k, "M": M, "route": route,
              "window": (lo, hi), "gained": gained, "tail_bound": tail_bound,
              "tol": tol, "atoms": size, "max_atoms": MAX_ATOMS})

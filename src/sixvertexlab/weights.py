@@ -58,10 +58,9 @@ def six_vertex_weights(params: ModelParams) -> tuple[float, ...]:
         w4 = w(0,1;0,1), w5 = w(1,0;0,1), w6 = w(0,1;1,0),
 
     in the sign-flipped form that makes all of them strictly positive for
-    u > s > 1 (denominators use us - 1 rather than 1 - su)."""
+    u > s > 1 (denominators use us - 1 rather than 1 - su), which
+    ModelParams guarantees."""
     q, s, u = params.q, params.s, params.u
-    if u <= s:
-        raise ValueError(f"six-vertex weights need u > s, got u={u}, s={s}")
     den = u * s - 1.0
     w1 = 1.0
     w2 = (u - 1.0 / s) / den
@@ -69,9 +68,7 @@ def six_vertex_weights(params: ModelParams) -> tuple[float, ...]:
     w4 = (u - s) / den
     w5 = u * (1.0 / q - 1.0) / den          # u (s^2 - 1)/(us - 1)
     w6 = (1.0 - q) / den                    # (1 - s^{-2})/(us - 1)
-    weights = (w1, w2, w3, w4, w5, w6)
-    assert all(x > 0.0 for x in weights)
-    return weights
+    return w1, w2, w3, w4, w5, w6
 
 
 def conjugation_factor(sig, params: ModelParams) -> float:

@@ -154,11 +154,30 @@ def test_hermite_density_examples():
     h = t[1] - t[0]
     total = sum(hermite_density((x,), 1) for x in t) * h
     assert total == pytest.approx(1.0, abs=1e-6)
-    x1 = t[:, None]
-    x2 = t[None, :]
-    joint = np.where(x1 < x2, (x1 - x2) ** 2
-                     * np.exp(-(x1 ** 2 + x2 ** 2) / 2), 0.0) / (2 * math.pi)
-    assert joint.sum() * h * h == pytest.approx(1.0, abs=1e-6)
+    grid = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1)
+    assert hermite_density(grid, 2).sum() * h * h == pytest.approx(1.0,
+                                                                   abs=1e-6)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_hermite_density_over_arrays(k):
+    # an (n, k) array gives each row's value, 0.0 on rows out of order, and
+    # one point still gives a Python float
+    xs = np.random.default_rng(17 + k).normal(size=(200, k))
+    xs[:100].sort(axis=1)
+    if k > 1:
+        xs[100:110, 1] = xs[100:110, 0]   # ties are out of order too
+    got = hermite_density(xs, k)
+    assert got.shape == (200,)
+    want = [hermite_density(tuple(row), k) for row in xs.tolist()]
+    assert all(type(w) is float for w in want)
+    assert got.tolist() == want
+    ordered = (np.diff(xs, axis=1) > 0).all(axis=1)
+    assert (got[~ordered] == 0.0).all() and (got[ordered] > 0.0).all()
+    assert ordered[:100].all() and ordered[100:110].all() == (k == 1)
+    assert hermite_density(xs.reshape(20, 10, k), k).shape == (20, 10)
+    with pytest.raises(ValueError):
+        hermite_density(xs[:, :k - 1], k)
 
 
 def test_top_density_matches_sampler_k2():

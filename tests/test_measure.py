@@ -327,6 +327,29 @@ def test_pmf_refuses_a_window_past_the_atom_budget(params, monkeypatch):
     assert report["gained"] == report["tail_bound"] == math.inf
 
 
+FIRST = "refused the first window, before any window was built"
+
+
+@pytest.mark.parametrize("budget, value, stop, atoms", [
+    ("MAX_PART", 50, "stopped the window at part 52", 52),
+    ("MAX_PART", 30, FIRST, 42),
+    ("MAX_ATOMS", 60, "refused the next window", 62),
+    ("MAX_ATOMS", 41, FIRST, 42)],
+    ids=["part-stopped", "part-first", "atoms-next", "atoms-first"])
+def test_pmf_refusal_names_its_budget(params, monkeypatch, budget, value,
+                                      stop, atoms):
+    # k = 1, M = 20 grows (1, 42), (1, 52), ...: the refusal names the one
+    # budget that stopped it and the atoms of the window stopped at or
+    # refused, which the report holds too
+    monkeypatch.setattr(measure, budget, value)
+    with pytest.raises(measure.MassDeficitError) as exc:
+        top_row_pmf(1, 20, params)
+    assert str(exc.value).startswith(f"top-row pmf tail not certified: "
+                                     f"{budget} = {value} {stop} ({atoms} "
+                                     f"atoms): ")
+    assert exc.value.report["atoms"] == atoms
+
+
 @pytest.mark.parametrize("k, M, p, window, size", [
     (2, 400, ModelParams(q=0.5, u=2.0, v=0.49), (6439, 14142), 29_671_956),
     (3, 50, edge_point(0.99, 1.5, 0.5), (1, 1091), 215_837_985)],
@@ -598,11 +621,13 @@ def test_conditional_sampler_frequencies_k2(census, params):
     pats, _, _, weights = census(lam[::-1], params)
     probs = weights / weights.sum()
     n = 100_000
-    rng = np.random.default_rng(123)
+    # one uniform per draw: one call on n copies of the top row draws what n
+    # one-draw calls at the same seed do
+    mids = sample_lower_rows(np.array([lam] * n), params,
+                             np.random.default_rng(123))[0]
     counts = {p_.rows[0]: 0 for p_ in pats}
-    for _ in range(n):
-        pat = conditional_lower_rows(lam, params, rng=rng)
-        counts[pat.rows[0]] += 1
+    for mid in map(tuple, mids.tolist()):
+        counts[mid] += 1
     for p_, prob in zip(pats, probs):
         sigma = math.sqrt(n * prob * (1 - prob))
         assert abs(counts[p_.rows[0]] - n * prob) < 3.5 * sigma

@@ -23,8 +23,14 @@ reports (`lhs`, `truncation_L`, `tail_bound`, `caps`) of `verify_cauchy` at
 (N, K) = (2, 1) as perfbench calls it and (2, 2) as the CLI does, and of
 the CLI's skew case; `boundary.f_direct` at perfbench's F_PAIRS; and every
 F-collection of the F-routes signatures, its cross-sections and
-`collection_weight` in list order.  Each further line is `label window
-sha1`, where the hash runs over the window as two int64 values, the atoms
+`collection_weight` in list order.  The circle integrals follow, at the
+display point (the CLI's default): `boundary.f_contour` at perfbench's
+F_PAIRS (tol 1e-10, as perfbench calls it), the rows of
+`checks.f_radius_independence` (RADIUS_PAIRS on the CLI's two radii) and
+`boundary.Gc_contour` at the CLI's two cases; then the rows (items sorted by
+key, as the JSON writes them) and the monotonicity flag of
+`gue.compare_corners_limit(1, (50, 100), ...)` at the gue-compare point,
+seed and pmf_tol.  Each further line is `label window sha1`, where the hash runs over the window as two int64 values, the atoms
 as an int64 array and the probabilities as float64, in that order.  The
 laws are:
 
@@ -96,6 +102,10 @@ def table_digests():
             yield label, "table", h.hexdigest()
 
 
+def sha1(values) -> str:
+    return hashlib.sha1(repr(list(values)).encode()).hexdigest()
+
+
 def oracle_digests():
     """(label, part, sha1) for the pure-Python oracles at the display point:
     the transfer's F and G^c, the Cauchy sums, f_direct and the path
@@ -108,10 +118,6 @@ def oracle_digests():
     vs = (p.v, 0.9 * p.v, 0.8 * p.v)
     lams = [lam for k in (1, 2, 3)
             for lam in worker.strict_signatures(k, worker.F_ROUTE_PARTS)]
-
-    def sha1(values) -> str:
-        return hashlib.sha1(repr(list(values)).encode()).hexdigest()
-
     yield "symfunc.F_eval:F-routes", "values", sha1(
         symfunc.F_eval(lam, (), us[:len(lam)], p) for lam in lams)
     yield "symfunc.Gc_eval:F-routes", "values", sha1(
@@ -132,6 +138,28 @@ def oracle_digests():
         (c.sections, paths.collection_weight(c, us[:len(lam)], p))
         for lam in lams for c in paths.enumerate_F_collections((), lam,
                                                                len(lam)))
+
+
+def contour_digests():
+    """(label, part, sha1) for the circle integrals of f and G^c and for the
+    k = 1 corners comparison."""
+    from sixvertexlab import boundary, checks, cli, gue
+    import worker
+    p = cli.ExperimentConfig().params()
+    yield "boundary.f_contour:F_PAIRS", "values", sha1(
+        boundary.f_contour(lam, p.v, M, p, tol=1e-10)
+        for lam, M in worker.F_PAIRS)
+    yield "checks.f_radius_independence:RADIUS_PAIRS", "rows", sha1(
+        checks.f_radius_independence(p)[3]["rows"])
+    yield "boundary.Gc_contour:cli", "values", sha1(
+        boundary.Gc_contour(lam, vs, p)
+        for lam, vs in (((3,), (p.v,)), ((2, 1), (p.v, 0.8 * p.v))))
+    cfg = cli.ExperimentConfig(**cli.SUBCOMMANDS["gue-compare"][1])
+    rep = gue.compare_corners_limit(1, (50, 100), cfg.params(), 0,
+                                    seed=cfg.seed, pmf_tol=cfg.pmf_tol)
+    yield "gue.compare_corners_limit:(1,(50,100))", "rows", sha1(
+        [sorted(row.items()) for row in rep["rows"]]
+        + [rep["monotone_in_M"]])
 
 
 def laws(src: Path):
@@ -197,7 +225,7 @@ def main(argv: list[str]) -> int:
         return 2
     todo = laws(Path(argv[0]).resolve())  # puts SRC_DIR on sys.path
     for line in itertools.chain(corners_digests(), table_digests(),
-                                oracle_digests()):
+                                oracle_digests(), contour_digests()):
         print(*line, flush=True)
     for label, build in todo:
         pmf = build()
