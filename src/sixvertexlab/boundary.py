@@ -37,7 +37,8 @@ from .weights import conjugation_factor
 
 
 # node counts of the circle quadrature: the first evaluation, and the most
-# that node doubling may reach (there a k = 2 kernel takes 256 MiB)
+# that node doubling may reach, a bound on time (there a k = 2 integral
+# holds about 8 MiB, where its full kernel would take 256 MiB)
 CIRCLE_NODES = 64
 CIRCLE_MAX_NODES = 1 << 12
 

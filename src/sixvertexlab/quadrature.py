@@ -15,6 +15,8 @@ for k <= 3, and is evaluated in three parts:
   for single integrals, and, for a whole exponent window at once at its
   strict entries only, packed so that a wider window appends, one window
   kernel (window_integral, k <= 2) and one window core (WindowCore, k = 3);
+  a k = 2 single integral holds about 2 KERNEL_COLUMNS N complex numbers
+  of the kernel, a k = 3 one still O(N^2);
 * one node-doubling driver (adaptive) with one stopping rule.
 
 The cross kernel K = (z_a - z_b)/(z_a - q z_b) is a rank-one update of a
@@ -76,6 +78,16 @@ EXPONENT_RTOL = 1e-15
 # WindowCore.entries takes a member's strict entries this many rows at a
 # time, so it computes little more than the half of its square it keeps
 ENTRY_ROWS = 64
+# a k = 2 single integral pushes its first row through the cross kernel
+# this many columns at a time, each block divided in place in one buffer:
+# with its divisor 2 KERNEL_COLUMNS N complex numbers, 8 MiB at 4,096
+# nodes; at 256-2,048 nodes (one BLAS thread) widths of 32 to 256 took
+# the full kernel's time or less, so memory sets the width
+KERNEL_COLUMNS = 64
+# window_integral takes a k = 2 window's new rows this many at a time, so
+# neither its W' x W product nor its W' x N left product exists whole;
+# every window of perfbench and of the CLI's sample is one block
+WINDOW_ROWS = 256
 
 
 class QuadratureError(RuntimeError):
@@ -142,13 +154,22 @@ def conjugate_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.array([n // 2] * (n % 2) + [n + m // 2] * (m % 2), dtype=int))
 
 
+def _kernel_block(out: np.ndarray, za: np.ndarray, zb: np.ndarray,
+                  q: float) -> np.ndarray:
+    """out[a, b] = (za_a - zb_b)/(za_a - q zb_b), each cross-kernel entry's
+    one division, in place beside one divisor of out's shape."""
+    np.subtract(za[:, None], zb[None, :], out=out)
+    out /= za[:, None] - q * zb[None, :]
+    return out
+
+
 def cross_kernel(z: np.ndarray, q: float) -> np.ndarray:
     """K[a, b] = (z_a - z_b)/(z_a - q z_b) on the nodes z, divided 256 rows
     at a time: each entry is the same one division, and no second N x N
     array (the divisor) is held beside the kernel."""
-    kern = z[:, None] - z[None, :]
+    kern = np.empty((len(z), len(z)), dtype=complex)
     for i in range(0, len(z), 256):
-        kern[i:i + 256] /= z[i:i + 256, None] - q * z[None, :]
+        _kernel_block(kern[i:i + 256], z[i:i + 256], z, q)
     return kern
 
 
@@ -204,14 +225,25 @@ def tensor_integral(rows: np.ndarray, z: np.ndarray, q: float) -> complex:
     prod_{a<b} (z_a - z_b)/(z_a - q z_b) prod_i rows[i, n_i],
 
     where rows[i] (shape (k, len(z))) is axis i's integrand already
-    multiplied by the node weights, as a Python complex.  The k = 3 branch
-    costs O(len(z)^3) flops and O(len(z)^2) memory."""
+    multiplied by the node weights, as a Python complex.  The k = 2 branch
+    streams the kernel KERNEL_COLUMNS columns at a time, never N x N; each
+    entry is cross_kernel's one division and each pushed column one BLAS
+    sum, so on one BLAS thread it has the bits of rows[:1] @
+    cross_kernel(z, q) @ rows[1:].T unless a last one-column block goes to
+    numpy's dot.  The k = 3 branch costs O(len(z)^3) flops and O(len(z)^2)
+    memory."""
     k = len(rows)
     if k == 1:
         return rows.sum(axis=1).item()
-    kern = cross_kernel(z, q)
     if k == 2:
-        return (rows[:1] @ kern @ rows[1:].T).item()
+        left = np.empty((1, len(z)), dtype=complex)
+        block = np.empty((len(z), KERNEL_COLUMNS), dtype=complex)
+        for j in range(0, len(z), KERNEL_COLUMNS):
+            cols = z[j:j + KERNEL_COLUMNS]
+            left[:, j:j + len(cols)] = rows[:1] @ _kernel_block(
+                block[:, :len(cols)], z, cols, q)
+        return (left @ rows[1:].T).item()
+    kern = cross_kernel(z, q)
     if k == 3:
         inner = (kern.T * rows[0]) @ kern      # C(n2, n3)
         return (rows[1:2] @ (kern * inner) @ rows[2:].T).item()
@@ -225,12 +257,20 @@ def window_integral(rows: np.ndarray, k: int, done: int,
     lexicographic order of (i1, ..., ik), so that a window widened by more
     rows only appends; k <= 2.  rows is one exponent window, already
     multiplied by the node weights, and kern = cross_kernel(z, q) on its
-    nodes (unused at k = 1).  A k = 3 window goes through WindowCore."""
+    nodes (unused at k = 1).  At k = 2 the new rows i1 go through the
+    kernel WINDOW_ROWS at a time, each block filling its strict entries
+    of one packed output.  A k = 3 window goes through WindowCore."""
     if k == 1:
         return rows[done:].sum(axis=1).real
     if k == 2:
-        full = rows[done:] @ kern @ rows.T
-        return full.real[np.tri(len(full), len(rows), done - 1, dtype=bool)]
+        start = math.comb(done, 2)   # member i1's entries start at C(i1, 2)
+        out = np.empty(math.comb(len(rows), 2) - start)
+        for a in range(done, len(rows), WINDOW_ROWS):
+            b = min(a + WINDOW_ROWS, len(rows))
+            part = rows[a:b] @ kern @ rows.T
+            out[math.comb(a, 2) - start:math.comb(b, 2) - start] = (
+                part.real[np.tri(b - a, len(rows), a - 1, dtype=bool)])
+        return out
     raise ValueError(f"window_integral supports k <= 2, got k = {k}")
 
 

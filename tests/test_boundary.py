@@ -85,8 +85,8 @@ def test_default_radius_band(params):
 
 
 def test_quadrature_failure_diagnostics(params, monkeypatch):
-    # giving up at the real budget of 1 << 12 nodes would build a 256 MiB
-    # k = 2 kernel first, so the budget is cut to 8 -> 16 nodes
+    # giving up at the real budget of 1 << 12 nodes would take seven node
+    # counts up to 4,096, so the budget is cut to 8 -> 16 nodes
     monkeypatch.setattr(boundary, "CIRCLE_NODES", 8)
     monkeypatch.setattr(boundary, "CIRCLE_MAX_NODES", 16)
     with pytest.raises(QuadratureError) as exc:
@@ -98,8 +98,8 @@ def test_circle_route_refuses_at_its_node_cap():
     # at this random point the outer circle of f_radius_independence never
     # meets tol = 1e-10 (from 1,024 nodes on its last change levels off at
     # 3-7e-10 |f|): node doubling stops at 4,096 nodes with the typed error,
-    # whose k = 2 kernel takes 256 MiB, and never builds the 4 GiB kernel of
-    # 16,384 nodes
+    # whose k = 2 integral streams its kernel 64 columns (4 MiB) at a time,
+    # and never reaches 16,384 nodes, whose full kernel would take 4 GiB
     p = checks.random_points(7, 6)[0]
     outer = p.s + 0.75 * (1 / p.v - p.s)
     tracemalloc.start()
@@ -111,6 +111,22 @@ def test_circle_route_refuses_at_its_node_cap():
         tracemalloc.stop()
     assert exc.value.diagnostics["nodes"] == 4096
     assert peak < 512 * 2 ** 20, peak
+
+
+def test_circle_route_refusal_holds_no_square_kernel():
+    # the same refusal at 4,096 nodes peaks under 16 MiB: the k = 2
+    # integral never holds its 256 MiB N x N kernel
+    p = checks.random_points(7, 6)[0]
+    outer = p.s + 0.75 * (1 / p.v - p.s)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError) as exc:
+            f_contour((5, 1), p.v, 12, p, outer, tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.diagnostics["nodes"] == 4096
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_spectral_convergence_of_nodes(params):

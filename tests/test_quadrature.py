@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from itertools import combinations
 
@@ -77,6 +83,39 @@ def test_tensor_integral_matches_brute_force():
         got = tensor_integral(rows, z, q)
         assert type(got) is complex
         assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+def test_tensor_integral_k2_streams_the_full_kernel_bits():
+    # the k = 2 integral pushes row 0 through the kernel KERNEL_COLUMNS
+    # columns at a time and keeps the bits of the full-kernel product, on
+    # circle nodes (100 is no multiple of the block) and composite nodes;
+    # one BLAS thread, since a threaded gemv splits the full product's
+    # columns at N / 2 and moves its bits
+    code = """
+        import json
+        import numpy as np
+        from sixvertexlab.quadrature import (circle_nodes, composite_nodes,
+                                             cross_kernel, tensor_integral)
+        rng, same = np.random.default_rng(13), []
+        for z, wts in [circle_nodes(1.3, n) for n in (64, 100, 1024)] + [
+                composite_nodes(2.0, 100, 129)]:
+            for _ in range(4):
+                rows = (rng.normal(size=(2, len(z)))
+                        + 1j * rng.normal(size=(2, len(z)))) * wts
+                want = (rows[:1] @ cross_kernel(z, 0.5) @ rows[1:].T).item()
+                same.append([len(z), tensor_integral(rows, z, 0.5) == want])
+        print(json.dumps(same))
+    """
+    src = str(pathlib.Path(quadrature.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+               filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True, check=True)
+    same = json.loads(proc.stdout.strip().splitlines()[-1])
+    sizes = [n for n, _ in same]
+    assert sizes == [n for n in (64, 100, 1024, 162) for _ in range(4)]
+    assert all(ok for _, ok in same)
 
 
 def _mirrored(rows, n):
@@ -196,6 +235,32 @@ def test_window_integral_k3_allocates_no_dense_box():
         tracemalloc.stop()
     assert out.shape == (math.comb(W, 3),)
     assert peak < W ** 3 * 8
+
+
+def test_window_integral_k2_holds_no_square_product():
+    # W = 1,000 rows on 162 nodes: filled WINDOW_ROWS new rows at a time,
+    # the window peaks below the bytes of its W x W complex product, and
+    # equals the whole product's strict entries, also from a start done
+    # inside a block
+    q, W = 0.5, 1000
+    z, wts = composite_nodes(2.0, 10, 129)
+    rows = _families(np.random.default_rng(17), (W, len(z))) * wts
+    kern = cross_kernel(z, q)
+    full = (rows @ kern @ rows.T).real
+    tracemalloc.start()
+    try:
+        out = window_integral(rows, 2, 0, kern)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < W * W * 16
+    scale = np.max(np.abs(full))
+    for done in (0, 300):
+        want = full[done:][np.tri(W - done, W, done - 1, dtype=bool)]
+        got = out if done == 0 else window_integral(rows, 2, done, kern)
+        assert got.shape == want.shape == (math.comb(W, 2)
+                                           - math.comb(done, 2),)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 def test_cross_kernel_holds_no_second_square_array():

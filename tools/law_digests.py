@@ -30,9 +30,13 @@ F_PAIRS (tol 1e-10, as perfbench calls it), the rows of
 `boundary.Gc_contour` at the CLI's two cases; then the rows (items sorted by
 key, as the JSON writes them) and the monotonicity flag of
 `gue.compare_corners_limit(1, (50, 100), ...)` at the gue-compare point,
-seed and pmf_tol.  Each further line is `label window sha1`, where the hash runs over the window as two int64 values, the atoms
-as an int64 array and the probabilities as float64, in that order.  The
-laws are:
+seed and pmf_tol.  The composite contour's single integrals follow, at
+each point of perfbench's pmf plan at seed 1: `asymptotics.B_M_contour`
+at `BM_X[k]` over `BM_GRID` for k = 1 and 2, and `asymptotics.B_M` at the
+modal atom of each `CONTOUR_PMFS` law, as the pmf workload calls them.
+Each further line is `label window sha1`, where the hash runs over the
+window as two int64 values, the atoms as an int64 array and the
+probabilities as float64, in that order.  The laws are:
 
 * perfbench's laws at seed 1: the warm-up law, the oracle's direct laws,
   the pmf workload's contour laws and both k = 3 laws at the anchor point
@@ -162,6 +166,27 @@ def contour_digests():
         + [rep["monotone_in_M"]])
 
 
+def composite_digests():
+    """(label, part, sha1) for B_M_contour and B_M at the pmf plan's
+    points."""
+    from sixvertexlab import asymptotics, measure
+    from sixvertexlab.core import ModelParams
+    import inputs
+    import worker
+    for i, pt in enumerate(inputs.plan("pmf", 1)["points"]):
+        p = ModelParams(**pt)
+        for k in (1, 2):
+            yield f"asymptotics.B_M_contour:p{i}:k={k}", "values", sha1(
+                asymptotics.B_M_contour(worker.BM_X[k], M, p)
+                for M in worker.BM_GRID)
+        modes = []
+        for k, M in worker.CONTOUR_PMFS:
+            law = measure.top_row_pmf(k, M, p, tol=worker.PMF_TOL)
+            modes.append((law.atoms[int(np.argmax(law.probs))], M))
+        yield f"asymptotics.B_M:p{i}:CONTOUR_PMFS", "modes", sha1(
+            (mode, asymptotics.B_M(mode, M, p)) for mode, M in modes)
+
+
 def laws(src: Path):
     """(label, thunk) for every law on the list."""
     sys.path[:0] = [str(src), str(PERFBENCH)]
@@ -225,7 +250,8 @@ def main(argv: list[str]) -> int:
         return 2
     todo = laws(Path(argv[0]).resolve())  # puts SRC_DIR on sys.path
     for line in itertools.chain(corners_digests(), table_digests(),
-                                oracle_digests(), contour_digests()):
+                                oracle_digests(), contour_digests(),
+                                composite_digests()):
         print(*line, flush=True)
     for label, build in todo:
         pmf = build()
