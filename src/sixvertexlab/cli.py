@@ -16,10 +16,11 @@ asymptotics, which the grid checks use, is imported with this module; each
 subcommand imports its other engines itself, so a run loads only its own.
 
 Every run writes CSV tables (deterministic byte-for-byte for a fixed config
-and seed, independent of --threads) plus a JSON sidecar echoing the fully
-resolved configuration, library versions and wall-clock time.  Exit status 0
-means every asserted tolerance passed; failures exit 1 and print a JSON
-object naming the violated invariants; invalid configuration exits 2.
+and seed, per BLAS build and thread count, independent of --threads) plus a
+JSON sidecar echoing the fully resolved configuration, library versions, BLAS
+build, thread variables and wall-clock time.  Exit status 0 means every
+asserted tolerance passed; failures exit 1 and print a JSON object naming the
+violated invariants; invalid configuration exits 2.
 """
 
 from __future__ import annotations

@@ -158,15 +158,15 @@ def _ic_window(k: int, lo: int, hi: int, M: int, params: ModelParams,
     and conjugate pairs, and the per-node |L_s| and |L_v|, built once;
     memo["rows"] maps it to what grew, the packed integrals so far and the
     count of exponents they cover; a law's lo never moves, so neither is
-    reset.  What grew is the rows of the exponents lo, lo + 1, ... at k <= 2,
-    and at k = 3 one quadrature.WindowCore over the least multiple of
-    EXPONENT_BLOCK window steps of exponents from lo that holds the window
-    (rows built once, not kept); a window past them takes a new core and
-    all its integrals, so each depends on (M, params, lo, width) alone.
-    Only new largest parts get integrals, and the stopping rule sees only
-    the atoms.  The conjugate-row check scales with the exponent size,
-    bounded by max(l |L_s| + M |L_v|) over the nodes at the core's last
-    exponent l."""
+    reset.  What grew is nothing at k = 1 (an integral reads its own row), the
+    rows of the exponents lo, lo + 1, ... at k = 2, and at k = 3 one
+    quadrature.WindowCore over the least multiple of EXPONENT_BLOCK window
+    steps of exponents from lo that holds the window (rows built once, not
+    kept); a window past them takes a new core and all its integrals, so each
+    depends on (M, params, lo, width) alone.  Only new largest parts get
+    integrals, and the stopping rule sees only the atoms.  The conjugate-row
+    check scales with the exponent size, bounded by max(l |L_s| + M |L_v|)
+    over the nodes at the core's last exponent l."""
     width = hi - lo + 1
     block = EXPONENT_BLOCK * _window_step(M, params)
     nodes, grown = memo.setdefault("nodes", {}), memo.setdefault("rows", {})
@@ -191,11 +191,14 @@ def _ic_window(k: int, lo: int, hi: int, M: int, params: ModelParams,
                 packed, done = np.zeros(0), 0
             new = held.entries(done, width)
         else:
-            held = np.concatenate(
-                [np.zeros((0, len(z))) if held is None else held,
-                 exponent_rows(z, wts, np.arange(lo + done, hi + 1), M,
-                               params)])
-            new = window_integral(held, k, done, kern)
+            rows = exponent_rows(z, wts, np.arange(lo + done, hi + 1), M,
+                                 params)
+            if k == 1:   # reads only the new rows, so none are held
+                new = window_integral(rows, 1, 0, kern)
+            else:
+                held = np.concatenate(
+                    [np.zeros((0, len(z))) if held is None else held, rows])
+                new = window_integral(held, 2, done, kern)
         grown[n] = held, np.concatenate([packed, new]), width
         return grown[n][1]
 

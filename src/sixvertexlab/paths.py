@@ -9,12 +9,13 @@ Collections live on the window Z_{>=0} x {1..n}.  Two boundary families:
   left entries.
 
 No two paths ever share a horizontal edge (j in {0, 1}); they may share
-vertical edges.  A collection is its chain of cross-sections mu = lam^0,
-lam^1, ..., lam^n = lam, and one rule, row_vertices, derives the vertex row
-between two consecutive ones.  Enumeration walks row by row over
-cross-sections, cuts a branch inside the row recursion as soon as a part can
-no longer reach its rank in lam, and lists each row's top cross-sections
-once per distinct bottom cross-section.
+vertical edges.  A collection is a tuple record of its chain of cross-sections
+mu = lam^0, lam^1, ..., lam^n = lam, and one rule, row_vertices, walks the row
+between two consecutive ones over the columns a path touches: the weights read
+only those vertices, and rows fills in the empty ones.  Enumeration walks row
+by row over cross-sections, cuts a branch inside the row recursion as soon as
+a part can no longer reach its rank in lam, and lists each row's top
+cross-sections once per distinct bottom cross-section.
 
 This module is deliberately independent of the transfer-matrix evaluators:
 it derives explicit vertex rows and multiplies single-vertex weights, and
@@ -24,9 +25,8 @@ serves as the brute-force oracle for them.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import ModelParams, as_parts, multiplicities
 from .weights import vertex_weight_raw
@@ -36,33 +36,35 @@ TYPICAL_TYPES = frozenset({(0, 0, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1
 Vertex = tuple[int, int, int, int]
 
 
-def row_vertices(bottom, top, n_cols: int,
-                 left_entry: bool) -> tuple[Vertex, ...]:
-    """The vertex types (i1, j1, i2, j2) at x = 0..n_cols-1 of the row between
-    the cross-sections bottom and top (parts in any order): i1 and i2 count
-    the parts at x, a left entry sets the first j1 = 1, and conservation
-    fixes each horizontal edge from left to right, j2 = i1 + j1 - i2.  An
-    edge outside {0, 1} means the sections do not interlace."""
-    below, above = multiplicities(bottom), multiplicities(top)
-    h = 1 if left_entry else 0
-    row = []
-    for x in range(n_cols):
-        i1, i2 = below.get(x, 0), above.get(x, 0)
+def row_vertices(bottom, top, n_cols: int, left_entry: bool):
+    """(x, vertex) for the non-empty vertex types (i1, j1, i2, j2) at x =
+    0..n_cols-1, left to right, of the row between the cross-sections bottom
+    and top (parts in any order): i1 and i2 count the parts at x, a left
+    entry sets the first j1 = 1, and conservation fixes each horizontal edge
+    from left to right, j2 = i1 + j1 - i2, so a column between parts holds
+    (0, h, 0, h) or nothing.  An edge outside {0, 1} means the sections do
+    not interlace."""
+    h, x = (1 if left_entry else 0), 0
+    for col in sorted({*bottom, *top, n_cols}):
+        if h:   # a horizontal path crosses the columns before col
+            for x in range(x, col):
+                yield x, (0, h, 0, h)
+        if col == n_cols:
+            return
+        i1, i2 = bottom.count(col), top.count(col)
         j2 = i1 + h - i2
-        row.append((i1, h, i2, j2))
-        h = j2
-    return tuple(row)
+        yield col, (i1, h, i2, j2)
+        h, x = j2, col + 1
 
 
-@dataclass(frozen=True)
-class PathCollection:
-    """A concrete configuration: its chain of cross-sections plus boundary
-    data.
+class PathCollection(NamedTuple):
+    """A concrete configuration, as an immutable tuple record: its chain of
+    cross-sections plus boundary data.
 
     sections[y] is the top cross-section of row y + 1 (parts decreasing), so
-    sections[-1] is lam; rows derives the vertex grid from them by
-    row_vertices on each access, and nothing derived is kept: rows[y][x] is
-    the vertex at lattice position (x, y+1), columns run 0..n_cols-1 with
+    sections[-1] is lam; walks runs row_vertices on each row, rows fills in
+    its empty vertices, and nothing derived is kept: rows[y][x] is the
+    vertex at lattice position (x, y+1), columns run 0..n_cols-1 with
     everything beyond the window empty.
     """
 
@@ -73,16 +75,16 @@ class PathCollection:
     n_cols: int
     sections: tuple[tuple[int, ...], ...]
 
+    def walks(self) -> Iterator[Iterator[tuple[int, Vertex]]]:
+        left_entry = self.family == "F"
+        for bottom, top in zip((self.mu,) + self.sections, self.sections):
+            yield row_vertices(bottom, top, self.n_cols, left_entry)
+
     @property
     def rows(self) -> tuple[tuple[Vertex, ...], ...]:
-        left_entry = self.family == "F"
-        return tuple(row_vertices(bottom, top, self.n_cols, left_entry)
-                     for bottom, top in zip((self.mu,) + self.sections,
-                                            self.sections))
-
-    def vertex_types(self) -> Iterator[Vertex]:
-        for row in self.rows:
-            yield from row
+        return tuple(tuple(row.get(x, (0, 0, 0, 0))
+                           for x in range(self.n_cols))
+                     for row in map(dict, self.walks()))
 
     def to_json_grid(self) -> dict:
         return {
@@ -162,9 +164,8 @@ def _enumerate_chains(mu, lam, n: int, family: str) -> list[PathCollection]:
     def rec(bottom_parts: tuple[int, ...], row: int):
         if row == n:
             if bottom_parts == lam:
-                out.append(PathCollection(family=family, mu=mu, lam=lam,
-                                          n_rows=n, n_cols=n_cols,
-                                          sections=tuple(chain)))
+                out.append(PathCollection(family, mu, lam, n, n_cols,
+                                          tuple(chain)))
             return
         # Part i of the top never exceeds lam_i; in F-type rows the rows_left
         # parts of lam below it are filled by paths yet to enter, so it is at
@@ -201,25 +202,24 @@ def enumerate_Gc_collections(mu, lam, n: int) -> list[PathCollection]:
 def collection_weight(pc: PathCollection, spectral, params: ModelParams,
                       conjugated: bool = False) -> complex:
     """Product of single-vertex weights over the window, row j weighted with
-    spectral[j]; trailing empty vertices contribute 1."""
+    spectral[j], left to right; empty vertices contribute 1 and are not
+    walked."""
     spectral = tuple(spectral)
     if len(spectral) != pc.n_rows:
         raise ValueError(f"need one spectral value per row: {len(spectral)} "
                          f"vs {pc.n_rows}")
     q, s = params.q, params.s
     out: complex = 1.0
-    for y, row in enumerate(pc.rows):
-        u = spectral[y]
-        for v4 in row:
-            if v4 != (0, 0, 0, 0):
-                out *= vertex_weight_raw(*v4, q, s, u, conjugated)
+    for u, walk in zip(spectral, pc.walks(), strict=True):
+        for _, v4 in walk:
+            out *= vertex_weight_raw(*v4, q, s, u, conjugated)
     return out
 
 
 def is_typical(pc: PathCollection) -> bool:
     """True iff every vertex type lies in {(0,0;0,0), (0,1;0,1), (0,1;1,0),
     (1,0;0,1)}."""
-    return all(v in TYPICAL_TYPES for v in pc.vertex_types())
+    return all(v in TYPICAL_TYPES for walk in pc.walks() for _, v in walk)
 
 
 def count_collections_formula(lam) -> int:

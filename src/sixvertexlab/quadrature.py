@@ -48,7 +48,7 @@ stays independent of the transfer engines it is checked against.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import threading
 
 import numpy as np
 
@@ -105,12 +105,16 @@ def circle_nodes(R: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return z, z / n
 
 
-@lru_cache(maxsize=32)
+_RULES, _RULES_LOCK = {}, threading.Lock()   # n -> read-only (x, w)
+
+
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    with _RULES_LOCK:   # once per process: other threads wait for the rule
+        if n not in _RULES:
+            x, w = np.polynomial.legendre.leggauss(n)
+            x.flags.writeable = w.flags.writeable = False
+            _RULES[n] = x, w
+        return _RULES[n]
 
 
 def composite_nodes(u: float, M: int, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -54,5 +54,11 @@ def environment_versions() -> dict:
     libc = "".join(platform.libc_ver())
     if libc:
         host += ["with", libc]
+    build = numpy.show_config(mode="dicts")  # CSV digits follow BLAS threads
     return {"package": __version__, "python": sys.version.split()[0],
-            "numpy": numpy.__version__, "platform": "-".join(host)}
+            "numpy": numpy.__version__, "platform": "-".join(host),
+            "blas": {key: build["Build Dependencies"]["blas"].get(key)
+                     for key in ("name", "version", "openblas configuration")},
+            "simd": build["SIMD Extensions"]["found"],
+            "threads_env": {name: os.environ.get(name) for name in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}

@@ -9,6 +9,7 @@ import sys
 import textwrap
 import types
 
+import numpy as np
 import pytest
 
 from sixvertexlab import asymptotics, checks, cli, measure
@@ -33,6 +34,32 @@ def test_constants_run(tmp_path, capsys):
     assert sidecar["config"]["q"] == 0.5
     assert "wall_clock_s" in sidecar and "versions" in sidecar
     assert sidecar["n_failures"] == 0
+
+
+def test_sidecar_names_the_blas_build_and_thread_environment(
+        tmp_path, capsys, monkeypatch):
+    # a threaded BLAS splits the window products elsewhere than one thread
+    # does, which moves last digits of the CSVs: the sidecar names the build
+    # and the thread variables, each as set or null, and no CSV gets them
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    assert main(["constants", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    versions = json.loads(read(tmp_path / "constants" /
+                               "sidecar.json"))["versions"]
+    build = np.show_config(mode="dicts")
+    blas = build["Build Dependencies"]["blas"]
+    assert versions["blas"] == {key: blas.get(key) for key in (
+        "name", "version", "openblas configuration")}
+    assert versions["blas"]["name"] and versions["blas"]["version"]
+    assert versions["simd"] == build["SIMD Extensions"]["found"]
+    assert versions["threads_env"] == {"OPENBLAS_NUM_THREADS": "1",
+                                       "OMP_NUM_THREADS": None,
+                                       "MKL_NUM_THREADS": "3"}
+    csv_text = read(tmp_path / "constants" / "constants_checks.csv")
+    assert versions["blas"]["version"] not in csv_text
+    assert "OPENBLAS" not in csv_text and "blas" not in csv_text
 
 
 def test_boundary_run(tmp_path, capsys):

@@ -31,6 +31,60 @@ def validate(pc: PathCollection) -> None:
         raise AssertionError("top boundary does not match lam")
 
 
+def vertex_types(pc: PathCollection) -> list:
+    """The dense vertex grid of pc, row by row."""
+    return [v for row in pc.rows for v in row]
+
+
+def reference_row(bottom, top, n_cols, left_entry):
+    """The vertex row by one look-up per column, x = 0..n_cols-1."""
+    h, row = int(left_entry), []
+    for x in range(n_cols):
+        i1, i2 = bottom.count(x), top.count(x)
+        row.append((i1, h, i2, i1 + h - i2))
+        h = i1 + h - i2
+    return row
+
+
+def test_row_rule_yields_the_non_empty_vertices_of_the_column_loop():
+    # every pair of sections with at most 3 parts <= 3, in any order, most of
+    # which do not interlace, under a window that holds every part and one
+    # that cuts parts off: the rule yields just the non-empty vertices of
+    # the per-column loop with their columns, left to right, and rows fills
+    # the empty ones back in
+    sections = [sec for n in range(4) for sec in product(range(4), repeat=n)]
+    edges = set()
+    for family, left_entry in (("F", True), ("Gc", False)):
+        for bottom, top in product(sections, repeat=2):
+            for n_cols in (2, 6):
+                row = reference_row(bottom, top, n_cols, left_entry)
+                assert list(paths.row_vertices(bottom, top, n_cols,
+                                               left_entry)) == [
+                    (x, v) for x, v in enumerate(row) if v != (0, 0, 0, 0)]
+                assert PathCollection(family, bottom, top, 1, n_cols,
+                                      (top,)).rows == (tuple(row),)
+                edges.update(v[3] for v in row)
+    assert edges >= {-3, -2, -1, 0, 1, 2, 3}
+
+
+def test_path_collection_is_an_immutable_record():
+    fields = dict(family="Gc", mu=(3, 1), lam=(5, 4), n_rows=2, n_cols=7,
+                  sections=((4, 2), (5, 4)))
+    pc = PathCollection(**fields)
+    with pytest.raises(AttributeError):
+        pc.sections = ((5, 4), (5, 4))
+    twin = PathCollection(**fields)
+    assert pc == twin and hash(pc) == hash(twin) and len({pc, twin}) == 1
+    others = dict(family="F", mu=(3, 0), lam=(5, 3), n_rows=3, n_cols=8,
+                  sections=((3, 2), (5, 4)))
+    for name, value in others.items():
+        assert pc != PathCollection(**{**fields, name: value}), name
+    assert repr(pc) == ("PathCollection(family='Gc', mu=(3, 1), lam=(5, 4), "
+                        "n_rows=2, n_cols=7, sections=((4, 2), (5, 4)))")
+    cols = enumerate_Gc_collections((3, 1), (5, 4), 3)
+    assert len(set(cols)) == len(cols) > 1
+
+
 def test_single_path_collection():
     cols = enumerate_F_collections((), (4,), 1)
     assert len(cols) == 1
@@ -172,7 +226,7 @@ def test_incompatible_boundaries_give_no_collections():
 
 def test_gc_straight_up():
     cols = enumerate_Gc_collections((3, 1), (3, 1), 1)
-    assert any(all(v[3] == 0 for v in c.vertex_types()) for c in cols)
+    assert any(all(v[3] == 0 for v in vertex_types(c)) for c in cols)
     assert len(enumerate_Gc_collections((0,), (5,), 1)) == 1
     # up-right paths cannot move left
     assert enumerate_Gc_collections((4, 2), (3, 1), 2) == []
@@ -225,7 +279,7 @@ def test_typical_classification():
     # every typical collection has the exact type census
     k, size = 3, 10
     for c in typ:
-        counts = multiplicities(c.vertex_types())
+        counts = multiplicities(vertex_types(c))
         assert counts.get((0, 1, 0, 1), 0) == size - k * (k - 1) // 2
         assert counts.get((0, 1, 1, 0), 0) == k * (k + 1) // 2
         assert counts.get((1, 0, 0, 1), 0) == k * (k - 1) // 2
@@ -240,7 +294,7 @@ def test_pass_through_vertex_is_not_typical():
     # collections where a path runs straight up while another passes carry
     # a (1,0;1,0) or (1,1;1,1) vertex and are excluded
     cols = enumerate_F_collections((), (3, 1), 2)
-    flagged = [c for c in cols if any(v == (1, 0, 1, 0) for v in c.vertex_types())]
+    flagged = [c for c in cols if any(v == (1, 0, 1, 0) for v in vertex_types(c))]
     assert all(not is_typical(c) for c in flagged)
 
 

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -13,7 +14,7 @@ import pytest
 
 from sixvertexlab.asymptotics import exponent_rows, log_ratio_s, log_ratio_v
 from sixvertexlab.core import ModelParams
-from sixvertexlab import quadrature
+from sixvertexlab import quadrature, util
 from sixvertexlab.quadrature import (FACTOR_TOL, SKETCH_MARGIN, SKETCH_WIDTH,
                                      QuadratureError, WindowCore, adaptive,
                                      composite_nodes, conjugate_pairs,
@@ -407,3 +408,26 @@ def test_kernel_factor_stops_near_q_one(monkeypatch):
         kern = cross_kernel(z, 0.9)
         U, V = kernel_factor(kern)
         assert U.shape[1] < len(z) / 2 and _certified(kern, U, V)
+
+
+def test_gauss_legendre_rules_computed_once_under_threads(monkeypatch):
+    # two threads of util.parallel_map miss the same rules at once; the one
+    # that comes second waits for the first's rule rather than computing its
+    # own (the slow rule makes both miss before either rule is in)
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def slow(n):
+        calls.append(n)
+        time.sleep(0.05)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", slow)
+    monkeypatch.setattr(quadrature, "_RULES", {})
+    got = util.parallel_map(lambda M: composite_nodes(2.0, M, 258),
+                            [100, 400], 2)
+    assert sorted(calls) == [66, 258]
+    for M, (z, w) in zip([100, 400], got):
+        z_ref, w_ref = composite_nodes(2.0, M, 258)
+        assert np.array_equal(z, z_ref) and np.array_equal(w, w_ref)
+    assert sorted(calls) == [66, 258]   # the serial calls hit the rules too

@@ -21,11 +21,16 @@ parts <= F_ROUTE_PARTS; u times (1, 1.11, 1.23) for F from the empty
 signature, v times (1, 0.9, 0.8) for G^c from 0^k); the `_cauchy_sum`
 reports (`lhs`, `truncation_L`, `tail_bound`, `caps`) of `verify_cauchy` at
 (N, K) = (2, 1) as perfbench calls it and (2, 2) as the CLI does, and of
-the CLI's skew case; `boundary.f_direct` at perfbench's F_PAIRS; and every
+the CLI's skew case; `boundary.f_direct` at perfbench's F_PAIRS; every
 F-collection of the F-routes signatures, its cross-sections and
-`collection_weight` in list order.  The circle integrals follow, at the
-display point (the CLI's default): `boundary.f_contour` at perfbench's
-F_PAIRS (tol 1e-10, as perfbench calls it), the rows of
+`collection_weight` in list order, then its `rows` grid and conjugated
+weight; the cross-sections of every F-collection of perfbench's counting
+slices (COUNT_SLICE) in list order; and the G^c collections of
+(1,) -> (3,), (2, 1) -> (4, 2) and (1,) -> (2,) over 2 rows, each with its
+cross-sections, `rows` grid and conjugated weight at v times (1, 0.9).
+The circle integrals follow, at the display point (the CLI's default):
+`boundary.f_contour` at perfbench's F_PAIRS (tol 1e-10, as perfbench
+calls it), the rows of
 `checks.f_radius_independence` (RADIUS_PAIRS on the CLI's two radii) and
 `boundary.Gc_contour` at the CLI's two cases; then the rows (items sorted by
 key, as the JSON writes them) and the monotonicity flag of
@@ -142,6 +147,18 @@ def oracle_digests():
         (c.sections, paths.collection_weight(c, us[:len(lam)], p))
         for lam in lams for c in paths.enumerate_F_collections((), lam,
                                                                len(lam)))
+    yield "paths.collection_weight:F-routes", "rows+conjugated", sha1(
+        (c.rows, paths.collection_weight(c, us[:len(lam)], p, True))
+        for lam in lams for c in paths.enumerate_F_collections((), lam,
+                                                               len(lam)))
+    yield "paths.enumerate_F_collections:COUNT_SLICE", "sections", sha1(
+        c.sections for k, top in worker.COUNT_SLICE.items()
+        for lam in worker.strict_signatures(k, top)
+        for c in paths.enumerate_F_collections((), lam, k))
+    yield "paths.collection_weight:Gc", "collections", sha1(
+        (c.sections, c.rows, paths.collection_weight(c, vs[:2], p, True))
+        for mu, lam in (((1,), (3,)), ((2, 1), (4, 2)), ((1,), (2,)))
+        for c in paths.enumerate_Gc_collections(mu, lam, 2))
 
 
 def contour_digests():
