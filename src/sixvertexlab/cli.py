@@ -38,7 +38,7 @@ import numpy as np
 
 from . import asymptotics as asy
 from .core import ModelParams
-from .util import environment_versions, parallel_map, write_csv, write_json
+from .util import environment_versions, write_csv, write_json
 
 # The canonical display point (the phase-diagram figures) and the acceptance
 # point for the corners comparison, which sits deeper in the admissible
@@ -284,7 +284,9 @@ def cmd_bm_converge(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
         return [M, k, list(xs), kind, val, lim, abs(val - lim)]
 
     jobs = [(kind, k, xs, M) for M in cfg.m_grid for kind, k, xs in BM_ROWS]
-    rows = parallel_map(one, jobs, cfg.worker_count())
+    # in this thread: the jobs are small numpy calls that hold the
+    # interpreter lock, so a pool would add only start-up and switching
+    rows = [one(job) for job in jobs]
     write_csv(os.path.join(out_dir, "bm_convergence.csv"),
               ["M", "k", "x", "kind", "computed", "limit", "abs_error"], rows)
 

@@ -12,10 +12,12 @@ No two paths ever share a horizontal edge (j in {0, 1}); they may share
 vertical edges.  A collection is a tuple record of its chain of cross-sections
 mu = lam^0, lam^1, ..., lam^n = lam, and one rule, row_vertices, walks the row
 between two consecutive ones over the columns a path touches: the weights read
-only those vertices, and rows fills in the empty ones.  Enumeration walks row
-by row over cross-sections, cuts a branch inside the row recursion as soon as
-a part can no longer reach its rank in lam, and lists each row's top
-cross-sections once per distinct bottom cross-section.
+only those vertices, and rows fills in the empty ones.  With j in {0, 1},
+conservation makes each row's top cross-section interlace its bottom one, so
+a row's tops are a product of intervals between bottom parts, each clipped to
+where a part can still reach its rank in lam.  Enumeration extends every
+partial chain one row level at a time and lists each row's tops once per
+distinct bottom cross-section.
 
 This module is deliberately independent of the transfer-matrix evaluators:
 it derives explicit vertex rows and multiplies single-vertex weights, and
@@ -24,8 +26,8 @@ serves as the brute-force oracle for them.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
+from itertools import product
 from typing import Iterator, NamedTuple
 
 from .core import ModelParams, as_parts, multiplicities
@@ -98,48 +100,27 @@ class PathCollection(NamedTuple):
 
 
 def _row_configurations(bottom: dict[int, int], left_entry: bool, hi, lo):
-    """All ways one row can route its paths, as their top cross-sections.
+    """All ways one row can route its paths, as their top cross-sections
+    (parts decreasing), in lexicographic order of their parts read ascending.
 
     bottom maps column -> incoming vertical multiplicity; a left entry adds a
-    horizontal path at x = 0.  Empty stretches with no horizontal path are
-    skipped; a horizontal path crossing empty columns steps on in a loop,
-    turning up at each before it goes on.  The j-th top part placed, left to
-    right, must lie in [lo[j], hi[j]].
+    horizontal path at x = 0.  With b_1 <= ... <= b_m the bottom's parts, the
+    j-th top part placed, left to right, lies in [b_(j-1), b_j] (b_0 = 0) in
+    an F row and in [b_j, b_(j+1)] in a Gc row, the last one in [b_m, hi],
+    and each in [lo[j], hi[j]].  This interlacing rule is conservation,
+    i1 + j1 = i2 + j2, summed over the columns up to x: the top has
+    #{b_i <= x} + e - h parts <= x, with e = 1 for a left entry and h the
+    horizontal edge right of x.  So h in {0, 1} holds just when the j-th
+    smallest top part is at most b_j and at least b_(j-1) in an F row, at
+    least b_j and at most b_(j+1) in a Gc row.  The tops are the product of
+    these ranges.
     """
-    occupied = sorted(bottom)
-    results: list[tuple[int, ...]] = []
-    top_cols: list[int] = []
-
-    def rec(x: int, h: int):
-        if h == 0:
-            i = bisect_left(occupied, x)
-            if i == len(occupied):
-                results.append(tuple(reversed(top_cols)))
-                return
-            x = occupied[i]
-        j = len(top_cols)
-        while h and x not in bottom and x <= hi[j]:
-            if x >= lo[j]:
-                top_cols.append(x)
-                rec(x + 1, 0)
-                top_cols.pop()
-            x += 1
-        if x > hi[j]:
-            return  # the next part placed lies at or right of x
-        i1 = bottom.get(x, 0)
-        for j2 in (0, 1):
-            i2 = i1 + h - j2
-            if i2 < 0 or i2 and x < lo[j + i2 - 1]:
-                continue
-            if i2:
-                top_cols.extend([x] * i2)
-            rec(x + 1, j2)
-            if i2:
-                del top_cols[-i2:]
-
-    rec(0, 1 if left_entry else 0)
-    del rec  # it refers to itself, so it would hold out until a gc pass
-    return results
+    parts = [x for x in sorted(bottom) for _ in range(bottom[x])]
+    starts = [0, *parts] if left_entry else parts
+    ends = [*(parts if left_entry else parts[1:]), *hi[-1:]]
+    return [top[::-1] for top in product(*[
+        range(a if a > floor else floor, (b if b < ceil else ceil) + 1)
+        for a, b, floor, ceil in zip(starts, ends, lo, hi)])]
 
 
 def _enumerate_chains(mu, lam, n: int, family: str) -> list[PathCollection]:
@@ -157,34 +138,23 @@ def _enumerate_chains(mu, lam, n: int, family: str) -> list[PathCollection]:
     if any(m > c for m, c in zip(mu, lam)):
         return []
     n_cols = (lam[0] + 2) if lam else (mu[0] + 2 if mu else 1)
-    chain: list[tuple[int, ...]] = []
     configurations: dict[tuple[int, ...], list] = {}  # per bottom cross-section
-    out: list[PathCollection] = []
-
-    def rec(bottom_parts: tuple[int, ...], row: int):
-        if row == n:
-            if bottom_parts == lam:
-                out.append(PathCollection(family, mu, lam, n, n_cols,
-                                          tuple(chain)))
-            return
+    chains = [(mu,)]
+    for row in range(n):
         # Part i of the top never exceeds lam_i; in F-type rows the rows_left
         # parts of lam below it are filled by paths yet to enter, so it is at
         # least lam_{i + rows_left}.  The j-th part placed has rank total-1-j.
         # They depend on the bottom alone: in F rows its length fixes rows_left.
-        total, rows_left = len(bottom_parts) + left_entry, n - row - 1
+        total, rows_left = len(mu) + (row + 1) * left_entry, n - row - 1
         lo = lam[rows_left:rows_left + total] if left_entry else (0,) * total
-        if bottom_parts not in configurations:
-            configurations[bottom_parts] = _row_configurations(
-                multiplicities(bottom_parts), left_entry,
-                lam[:total][::-1], lo[::-1])
-        for top in configurations[bottom_parts]:
-            chain.append(top)
-            rec(top, row + 1)
-            chain.pop()
-
-    rec(mu, 0)
-    del rec  # it refers to itself, so it would hold out until a gc pass
-    return out
+        hi, lo = lam[:total][::-1], lo[::-1]
+        for chain in chains:
+            if chain[-1] not in configurations:
+                configurations[chain[-1]] = _row_configurations(
+                    multiplicities(chain[-1]), left_entry, hi, lo)
+        chains = [c + (top,) for c in chains for top in configurations[c[-1]]]
+    return [PathCollection(family, mu, lam, n, n_cols, c[1:])
+            for c in chains if c[-1] == lam]
 
 
 def enumerate_F_collections(mu, lam, n: int) -> list[PathCollection]:

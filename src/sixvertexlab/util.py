@@ -29,13 +29,18 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+# cells that csv.writer writes as _format_cell would: it writes str(x), and
+# str(x) == repr(x) for a Python float
+_PLAIN_CELLS = frozenset({str, int, float})
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+        writer.writerows([v if type(v) in _PLAIN_CELLS else _format_cell(v)
+                          for v in row] for row in rows)
 
 
 def write_json(path: str, obj) -> None:

@@ -174,6 +174,37 @@ def test_row_walkers_agree_row_by_row(p, conjugated):
     assert rows > 1000
 
 
+def test_row_configurations_are_the_tops_that_conserve_paths():
+    # from every bottom with at most 3 parts <= 5, in F and G^c rows, under
+    # the wide and the tight envelope: the row rule lists, in ascending order,
+    # just the tops in the envelope's box whose row, derived by conservation,
+    # keeps every horizontal edge in {0, 1}
+    rows = rejected = 0
+    for left_entry in (True, False):
+        for n in range(4):
+            total = n + left_entry
+            for bottom in combinations_with_replacement(range(5, -1, -1), n):
+                for ceil, floor in (((9,) * total, (0,) * total),
+                                    ((7, 6, 4, 2)[:total],
+                                     (3, 1, 0, 0)[:total])):
+                    top_col = max(ceil, default=0)
+                    box = [top for top in combinations_with_replacement(
+                               range(top_col, -1, -1), total)
+                           if all(f <= t <= c
+                                  for t, f, c in zip(top, floor, ceil))]
+                    want = sorted(
+                        (top for top in box if all(
+                            v[3] in (0, 1) for _, v in paths.row_vertices(
+                                bottom, top, top_col + 2, left_entry))),
+                        key=lambda top: top[::-1])
+                    assert paths._row_configurations(
+                        multiplicities(bottom), left_entry, ceil[::-1],
+                        floor[::-1]) == want, (bottom, left_entry, ceil)
+                    rows += len(want)
+                    rejected += len(box) - len(want)
+    assert rows > 1000 and rejected > 5 * rows
+
+
 def test_collections_come_in_lexicographic_order():
     # checks.route_agreement sums the weights in list order and the Gibbs
     # census reads its patterns from this list, so the order is pinned: by
@@ -187,9 +218,9 @@ def test_collections_come_in_lexicographic_order():
 
 
 def test_enumeration_returns_the_only_reference_to_its_list():
-    # the chain recursion is a closure that refers to itself; its list of
-    # collections must be freed with the caller's last reference, not held
-    # by that cycle until the cyclic collector runs
+    # the list of collections must be freed with the caller's last
+    # reference, not held by a cycle (a closure that refers to itself, say)
+    # until the cyclic collector runs
     for enumerate_, mu, lam in ((enumerate_F_collections, (), (3, 1)),
                                 (enumerate_Gc_collections, (1,), (3,))):
         cols = enumerate_(mu, lam, 2)

@@ -27,7 +27,11 @@ F-collection of the F-routes signatures, its cross-sections and
 weight; the cross-sections of every F-collection of perfbench's counting
 slices (COUNT_SLICE) in list order; and the G^c collections of
 (1,) -> (3,), (2, 1) -> (4, 2) and (1,) -> (2,) over 2 rows, each with its
-cross-sections, `rows` grid and conjugated weight at v times (1, 0.9).
+cross-sections, `rows` grid and conjugated weight at v times (1, 0.9); then
+the cross-sections, in list order, of the F-collections (1,) -> (5, 3, 0)
+over 2 rows and of the G^c collections (3, 1) -> (5, 4) over 3 rows and
+(2, 0, 0) -> (4, 2, 1) over 2 rows, which pin both families' order from a
+non-empty signature.
 The circle integrals follow, at the display point (the CLI's default):
 `boundary.f_contour` at perfbench's F_PAIRS (tol 1e-10, as perfbench
 calls it), the rows of
@@ -159,6 +163,12 @@ def oracle_digests():
         (c.sections, c.rows, paths.collection_weight(c, vs[:2], p, True))
         for mu, lam in (((1,), (3,)), ((2, 1), (4, 2)), ((1,), (2,)))
         for c in paths.enumerate_Gc_collections(mu, lam, 2))
+    yield "paths.enumerate_F_collections:(1,)->(5,3,0),n=2", "sections", sha1(
+        c.sections for c in paths.enumerate_F_collections((1,), (5, 3, 0), 2))
+    for mu, lam, n in (((3, 1), (5, 4), 3), ((2, 0, 0), (4, 2, 1), 2)):
+        yield (f"paths.enumerate_Gc_collections:{mu}->{lam},n={n}".replace(
+            " ", ""), "sections", sha1(
+                c.sections for c in paths.enumerate_Gc_collections(mu, lam, n)))
 
 
 def contour_digests():
