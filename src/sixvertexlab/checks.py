@@ -15,7 +15,6 @@ from . import asymptotics as asy
 from . import boundary as bnd
 from . import paths, symfunc
 from .core import ModelParams, strict_atoms
-from .util import parallel_map
 from .weights import conjugation_factor
 
 # (lam, M) pairs of the two f routes, and of the two circle radii
@@ -49,7 +48,7 @@ def _worst_row(rows: list[tuple]) -> tuple:
     return worst, 0.0, worst, {"rows": rows}
 
 
-def route_agreement(points, ratios, max_part: int, threads: int = 1):
+def route_agreement(points, ratios, max_part: int):
     """F_lam(u ratios[:k]) for strict lam with k <= len(ratios) parts <=
     max_part: enumeration (collections shared across points) and
     symmetrization against the transfer DP."""
@@ -68,7 +67,7 @@ def route_agreement(points, ratios, max_part: int, threads: int = 1):
             worst = max(worst, _rel(en, dp), _rel(sym, dp))
         return worst
 
-    worst = max(parallel_map(worst_at, points, threads))
+    worst = max(map(worst_at, points))
     return worst, 0.0, worst, {"signatures": len(collections)}
 
 

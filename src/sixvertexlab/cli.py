@@ -14,6 +14,9 @@ identities, boundary and constants run the acceptance suite's check functions
 (sixvertexlab.checks) at the CLI's own seeds, sizes and tolerances.  Only
 asymptotics, which the grid checks use, is imported with this module; each
 subcommand imports its other engines itself, so a run loads only its own.
+Every subcommand runs in the calling thread: its work holds the interpreter
+lock, so a thread pool would add only start-up and switching.  --threads is
+accepted, validated and echoed in the sidecar, and changes nothing.
 
 Every run writes CSV tables (deterministic byte-for-byte for a fixed config
 and seed, per BLAS build and thread count, independent of --threads) plus a
@@ -60,7 +63,7 @@ class ExperimentConfig:
     v: float = CANONICAL["v"]
     seed: int = 12345
     tol: float = 1e-8
-    threads: int = 0               # 0 = all available cores
+    threads: int = 0               # echoed only: every run uses one thread
     out: str = "runs"
     k: int = 2
     m_grid: tuple[int, ...] = (100, 400, 1600)
@@ -85,8 +88,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.threads < 0:
-            raise ValueError(f"threads must be >= 0 (0 = all cores), "
-                             f"got {self.threads}")
+            raise ValueError(f"threads must be >= 0, got {self.threads}")
         if not 0 <= self.tol < math.inf:
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
         if not 0 < self.pmf_tol < 1:
@@ -94,9 +96,6 @@ class ExperimentConfig:
 
     def params(self) -> ModelParams:
         return ModelParams(q=self.q, u=self.u, v=self.v)
-
-    def worker_count(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
 
 
 def _load_config(path: str | None, overrides: dict, defaults: dict) -> ExperimentConfig:
@@ -150,7 +149,7 @@ def cmd_identities(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
     table.add_result(
         "route-agreement(F: transfer vs enumeration vs symmetrization)",
         checks.route_agreement(checks.random_points(cfg.seed, 10),
-                               (1.0, 1.11, 1.23), 4, cfg.worker_count()),
+                               (1.0, 1.11, 1.23), 4),
         1e-10)
 
     reports = {}
@@ -270,44 +269,43 @@ def _check_grid(subcommand: str, cfg: ExperimentConfig) -> None:
 
 def cmd_bm_converge(cfg: ExperimentConfig, out_dir: str) -> CheckTable:
     p = cfg.params()
-    table = CheckTable()
-
-    def one(job):
-        kind, k, xs, M = job
+    a = asy.constants(p).a
+    rows = []
+    errors = {row: [] for row in BM_ROWS}   # (M, abs_error) per BM_ROWS entry
+    limits = {}                             # per entry: the same at every M
+    for M, row in itertools.product(cfg.m_grid, BM_ROWS):
+        kind, k, xs = row
         if kind == "B":
             val = asy.B_M_contour(xs, M, p)
             lim = asy.bm_limit(xs, k, p)
         else:
-            lam = asy.scaled_parts(xs, M, asy.constants(p).a, 1.0)
-            val = asy.A_M(lam, M, p)
+            val = asy.A_M(asy.scaled_parts(xs, M, a, 1.0), M, p)
             lim = asy.am_limit(xs)
-        return [M, k, list(xs), kind, val, lim, abs(val - lim)]
-
-    jobs = [(kind, k, xs, M) for M in cfg.m_grid for kind, k, xs in BM_ROWS]
-    # in this thread: the jobs are small numpy calls that hold the
-    # interpreter lock, so a pool would add only start-up and switching
-    rows = [one(job) for job in jobs]
+        rows.append([M, k, list(xs), kind, val, lim, abs(val - lim)])
+        errors[row].append((M, abs(val - lim)))
+        limits[row] = lim
     write_csv(os.path.join(out_dir, "bm_convergence.csv"),
               ["M", "k", "x", "kind", "computed", "limit", "abs_error"], rows)
 
     def errs(kind, k, xs):
-        seq = [r for r in rows if (r[3], r[1], tuple(r[2])) == (kind, k, xs)]
-        seq.sort(key=lambda r: r[0])
-        return [r[6] for r in seq], seq[-1][5]
+        """The entry's errors in increasing M, and its limit."""
+        return ([err for _, err in sorted(errors[kind, k, xs])],
+                limits[kind, k, xs])
 
+    def decreasing(e):
+        return all(e1 > e2 for e1, e2 in zip(e, e[1:]))
+
+    table = CheckTable()
     e_b1, lim_b1 = errs("B", 1, (0.0,))
-    table.add_flag("B-convergence-decreasing(k=1,x=0)",
-                   all(a > b for a, b in zip(e_b1, e_b1[1:])))
+    table.add_flag("B-convergence-decreasing(k=1,x=0)", decreasing(e_b1))
     table.add("B-final-error(k=1,x=0)", e_b1[-1], 0.0,
               e_b1[-1] / abs(lim_b1), 0.05)
     e_b2, lim_b2 = errs("B", 2, (-1.0, 1.0))
-    table.add_flag("B-convergence-decreasing(k=2)",
-                   all(a > b for a, b in zip(e_b2, e_b2[1:])))
+    table.add_flag("B-convergence-decreasing(k=2)", decreasing(e_b2))
     table.add("B-final-error(k=2)", e_b2[-1], 0.0, e_b2[-1] / abs(lim_b2),
               0.10)
     e_a2, _ = errs("A", 2, (-1.0, 1.0))
-    table.add_flag("A-convergence-decreasing(k=2)",
-                   all(a > b for a, b in zip(e_a2, e_a2[1:])))
+    table.add_flag("A-convergence-decreasing(k=2)", decreasing(e_a2))
     bound = max(abs(r[4]) for r in rows if r[3] == "A")
     table.add("A-uniform-bound", bound, 0.0, bound, 50.0)
     return table

@@ -336,10 +336,6 @@ class HalfStrictGTPattern:
                         f"rows {lower} and {upper} do not interlace")
 
     @property
-    def k(self) -> int:
-        return len(self.rows)
-
-    @property
     def top(self) -> tuple[int, ...]:
         return self.rows[-1]
 

@@ -1,4 +1,4 @@
-"""Run plumbing: deterministic CSV/JSON writers and an ordered parallel map."""
+"""Run plumbing: deterministic CSV/JSON writers and the environment record."""
 
 from __future__ import annotations
 
@@ -7,21 +7,14 @@ import json
 import os
 import platform
 import sys
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-
-def parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
-    """Map preserving input order; results are identical for any thread count
-    (each task is independent and the reduction order is the input order)."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+import numpy as np
 
 
 def _format_cell(value) -> str:
+    if isinstance(value, np.generic):
+        value = value.item()  # the Python number a numpy scalar holds
     if isinstance(value, float):
         return repr(value)  # shortest round-trip form, bit-reproducible
     if isinstance(value, (list, tuple)):
@@ -43,25 +36,29 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
                           for v in row] for row in rows)
 
 
+def _json_value(value):
+    """What json cannot write itself: a numpy scalar as the Python number it
+    holds, anything else as its repr."""
+    return value.item() if isinstance(value, np.generic) else repr(value)
+
+
 def write_json(path: str, obj) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=repr)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_value)
         fh.write("\n")
 
 
 def environment_versions() -> dict:
-    import numpy
-
     from . import __version__
     # platform.platform() less the processor, which runs `uname -p`
     host = [platform.system(), platform.release(), platform.machine()]
     libc = "".join(platform.libc_ver())
     if libc:
         host += ["with", libc]
-    build = numpy.show_config(mode="dicts")  # CSV digits follow BLAS threads
+    build = np.show_config(mode="dicts")  # CSV digits follow BLAS threads
     return {"package": __version__, "python": sys.version.split()[0],
-            "numpy": numpy.__version__, "platform": "-".join(host),
+            "numpy": np.__version__, "platform": "-".join(host),
             "blas": {key: build["Build Dependencies"]["blas"].get(key)
                      for key in ("name", "version", "openblas configuration")},
             "simd": build["SIMD Extensions"]["found"],

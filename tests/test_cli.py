@@ -12,7 +12,7 @@ import types
 import numpy as np
 import pytest
 
-from sixvertexlab import asymptotics, checks, cli, measure
+from sixvertexlab import asymptotics, checks, cli, measure, paths, util
 from sixvertexlab.cli import main
 
 REAL_LOWER_ROWS = measure.sample_lower_rows
@@ -253,6 +253,51 @@ def test_sign_pattern_refusal_is_a_failed_row(tmp_path, capsys, monkeypatch):
         ["sign-pattern(+,-,+,+) on 50-point grid"]
 
 
+def test_census_and_sign_failures_are_failed_rows(tmp_path, capsys,
+                                                  monkeypatch):
+    # a count formula off by one at (3, 1), a typical-count bound too large
+    # at (3, 0) and f negated at (3, 1): each check names the signature it
+    # fails, and identities fails exactly the three rows they feed
+    count, lower, f_direct = (paths.count_collections_formula,
+                              paths.typical_count_lower_bound,
+                              checks.bnd.f_direct)
+    monkeypatch.setattr(paths, "count_collections_formula",
+                        lambda lam: count(lam) + (list(lam) == [3, 1]))
+    monkeypatch.setattr(paths, "typical_count_lower_bound",
+                        lambda lam: lower(lam) + 100 * (list(lam) == [3, 0]))
+    monkeypatch.setattr(checks.bnd, "f_direct", lambda lam, *args: (
+        -1 if tuple(lam) == (3, 1) else 1) * f_direct(lam, *args))
+    census = checks.counting((1, 2), 3)
+    assert census[2] == 2
+    assert census[3]["count_mismatches"] == [[3, 1]]
+    assert census[3]["bound_violations"] == [[3, 0]]
+    signs = checks.total_weight_signs(cli.ExperimentConfig().params(),
+                                      [(1,), (2,), (3, 1)], 3)
+    assert signs[2] == 1 and signs[3]["failing"] == [(3, 1)]
+
+    rc = main(["identities", "--out", str(tmp_path)])
+    assert rc == 1
+    out = json.loads(capsys.readouterr().out)
+    assert [f["invariant"] for f in out["failures"]] == [
+        "counting-formula-vs-enumeration", "typical-count-lower-bound",
+        "total-weight-nonnegativity(F*f > 0)"]
+
+
+def test_writers_write_numpy_scalars_as_their_numbers(tmp_path):
+    # a numpy scalar cell or JSON value gives the bytes of the Python number
+    # it holds, whatever numpy's repr of the scalar
+    held = [np.float64(0.1), np.float32(0.1), np.int64(3), np.True_,
+            [np.float64(0.25), np.int64(2)]]
+    plain = [0.1, float(np.float32(0.1)), 3, True, [0.25, 2]]
+    for tag, row in (("numpy", held), ("python", plain)):
+        util.write_csv(str(tmp_path / f"{tag}.csv"), list("abcde"), [row])
+        util.write_json(str(tmp_path / f"{tag}.json"),
+                        {"row": row, "one": row[1]})
+    for ext in ("csv", "json"):
+        assert read(tmp_path / f"numpy.{ext}") == read(tmp_path /
+                                                       f"python.{ext}")
+
+
 def _shifted_top(tops, p, rng):
     # valid lower rows, but for top rows other than the sampled ones
     return REAL_LOWER_ROWS(tops + 1, p, rng)
@@ -294,9 +339,10 @@ def run_fresh(code: str, *args: str):
 def test_cli_imports_each_engine_only_where_it_runs(tmp_path):
     # importing the CLI loads no engine a subcommand may not need and no
     # thread pool; bm-converge on one thread loads no checks, constants
-    # neither the sampler nor the GUE module
+    # neither the sampler nor the GUE module; identities at --threads 2
+    # still runs in the one thread it started with
     seen = run_fresh("""
-        import json, sys
+        import json, sys, threading
         from sixvertexlab import cli
         LAZY = ["sixvertexlab." + m for m in ("checks", "gue", "measure",
                                               "paths")]
@@ -304,13 +350,17 @@ def test_cli_imports_each_engine_only_where_it_runs(tmp_path):
             return [m for m in LAZY + ["concurrent.futures"]
                     if m in sys.modules]
         seen = {"import": loaded()}
-        for argv in (["bm-converge", "--threads", "1"], ["constants"]):
+        for argv in (["bm-converge", "--threads", "1"], ["constants"],
+                     ["identities", "--threads", "2"]):
             assert cli.main(argv + ["--out", sys.argv[1]]) == 0
             seen[argv[0]] = loaded()
+        seen["threads"] = threading.active_count()
         print(json.dumps(seen))
     """, str(tmp_path))
     assert seen["import"] == []
     assert seen["bm-converge"] == []
+    assert "concurrent.futures" not in seen["identities"]
+    assert seen["threads"] == 1
     assert "sixvertexlab.checks" in seen["constants"]
     assert not {"sixvertexlab.measure", "sixvertexlab.gue"} & set(
         seen["constants"])

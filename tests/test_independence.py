@@ -151,8 +151,6 @@ SETTABLE = {
         "two values in use: checks.f_radius_independence passes two radii",
     ("boundary", "f_contour", "tol"):
         "a perfbench caller: it calls f_contour with and without tol",
-    ("checks", "route_agreement", "threads"):
-        "the user's config: the CLI passes its thread count",
     ("cli", "main", "argv"):
         "two values in use: sys.argv for the console script, lists in tests",
     ("cli", "add", "note"): "two values in use: empty and the CLI's notes",

@@ -369,6 +369,25 @@ def test_pmf_refuses_a_first_window_past_the_atom_budget(monkeypatch, k, M,
     assert size > report["max_atoms"] == measure.MAX_ATOMS
 
 
+
+@pytest.mark.parametrize("name, factor, k, M, route", [
+    ("F_scaled_closed", 1 + 1e-4, 1, 20, "contour"),
+    ("F_scaled_closed", 1 + 1e-4, 2, 10, "contour"),
+    ("partition_Z", 1 - 1e-4, 2, 3, "direct")],
+    ids=["Fhat-(1,20)", "Fhat-(2,10)", "Z-direct-(2,3)"])
+def test_pmf_refuses_a_mass_off_one(params, monkeypatch, name, factor, k, M,
+                                    route):
+    # Fhat 1e-4 too large on the contour route, or Z 1e-4 too small on the
+    # direct one: the tail still certifies, but the mass is about 1.0001
+    real = getattr(measure, name)
+    monkeypatch.setattr(measure, name, lambda *args: real(*args) * factor)
+    with pytest.raises(measure.MassDeficitError,
+                       match="mass is off 1 beyond tolerance") as exc:
+        top_row_pmf(k, M, params, route=route)
+    report = exc.value.report
+    assert report["mass"] == pytest.approx(1 + 1e-4, abs=1e-5)
+    assert (report["k"], report["M"], report["route"]) == (k, M, route)
+
 def test_pmf_k3_mass(params):
     pmf = top_row_pmf(3, 12, params)
     assert abs(pmf.total_mass - 1.0) < 1e-6

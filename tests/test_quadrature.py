@@ -7,6 +7,7 @@ import sys
 import textwrap
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from sixvertexlab.asymptotics import exponent_rows, log_ratio_s, log_ratio_v
 from sixvertexlab.core import ModelParams
-from sixvertexlab import quadrature, util
+from sixvertexlab import quadrature
 from sixvertexlab.quadrature import (FACTOR_TOL, SKETCH_MARGIN, SKETCH_WIDTH,
                                      QuadratureError, WindowCore, adaptive,
                                      composite_nodes, conjugate_pairs,
@@ -411,7 +412,7 @@ def test_kernel_factor_stops_near_q_one(monkeypatch):
 
 
 def test_gauss_legendre_rules_computed_once_under_threads(monkeypatch):
-    # two threads of util.parallel_map miss the same rules at once; the one
+    # a library caller's two threads miss the same rules at once; the one
     # that comes second waits for the first's rule rather than computing its
     # own (the slow rule makes both miss before either rule is in)
     calls = []
@@ -424,8 +425,9 @@ def test_gauss_legendre_rules_computed_once_under_threads(monkeypatch):
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", slow)
     monkeypatch.setattr(quadrature, "_RULES", {})
-    got = util.parallel_map(lambda M: composite_nodes(2.0, M, 258),
-                            [100, 400], 2)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        got = list(pool.map(lambda M: composite_nodes(2.0, M, 258),
+                            [100, 400]))
     assert sorted(calls) == [66, 258]
     for M, (z, w) in zip([100, 400], got):
         z_ref, w_ref = composite_nodes(2.0, M, 258)

@@ -31,7 +31,9 @@ cross-sections, `rows` grid and conjugated weight at v times (1, 0.9); then
 the cross-sections, in list order, of the F-collections (1,) -> (5, 3, 0)
 over 2 rows and of the G^c collections (3, 1) -> (5, 4) over 3 rows and
 (2, 0, 0) -> (4, 2, 1) over 2 rows, which pin both families' order from a
-non-empty signature.
+non-empty signature; and the result of `checks.route_agreement` at the
+arguments of the CLI's `identities` (ten points at its default seed, ratios
+(1, 1.11, 1.23), parts <= 4).
 The circle integrals follow, at the display point (the CLI's default):
 `boundary.f_contour` at perfbench's F_PAIRS (tol 1e-10, as perfbench
 calls it), the rows of
@@ -122,8 +124,8 @@ def sha1(values) -> str:
 def oracle_digests():
     """(label, part, sha1) for the pure-Python oracles at the display point:
     the transfer's F and G^c, the Cauchy sums, f_direct and the path
-    collections with their weights."""
-    from sixvertexlab import boundary, paths, symfunc
+    collections with their weights; then the CLI's route agreement check."""
+    from sixvertexlab import boundary, checks, cli, paths, symfunc
     from sixvertexlab.core import ModelParams
     import worker
     p = ModelParams(q=0.5, u=2.0, v=0.25)
@@ -169,6 +171,9 @@ def oracle_digests():
         yield (f"paths.enumerate_Gc_collections:{mu}->{lam},n={n}".replace(
             " ", ""), "sections", sha1(
                 c.sections for c in paths.enumerate_Gc_collections(mu, lam, n)))
+    yield "checks.route_agreement:cli", "result", sha1(checks.route_agreement(
+        checks.random_points(cli.ExperimentConfig().seed, 10),
+        (1.0, 1.11, 1.23), 4))
 
 
 def contour_digests():
